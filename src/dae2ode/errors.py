@@ -34,7 +34,7 @@ class NonFiniteP(Dae2OdeError):
 
 
 class NoStabilizingStart(Dae2OdeError):
-    """No stabilizing initial gain was found for the Newton iteration."""
+    """No stabilizing solution of the algebraic Riccati equation was found."""
 
 
 class NotStabilizable(Dae2OdeError):

@@ -7,11 +7,12 @@ The DAE-LTI cost
 is minimized over the behavior by rewriting every solution as an output of
 the associated ODE-LTI and solving a Riccati problem in the internal state:
 
-* finite horizon: a differential Riccati equation integrated from
-  P(0) = (EC_s)' Q0 (EC_s) with the time-reversed gain, optimal cost
-  M(z)' P(t1) M(z);
+* finite horizon: a differential Riccati equation stepped from
+  P(0) = (EC_s)' Q0 (EC_s) with the exponential of its Hamiltonian matrix,
+  used with the time-reversed gain, optimal cost M(z)' P(t1) M(z);
 * infinite horizon: an algebraic Riccati equation on the restriction of the
-  associated system to its stabilizability subspace, optimal cost
+  associated system to its stabilizability subspace, solved by the Schur
+  method and polished by Kleinman-Newton steps, optimal cost
   (M_g z)' P (M_g z), solvable exactly for behaviorally stabilizable z.
 
 Both solvers return the optimal trajectory together with the feedback forms
@@ -36,7 +37,6 @@ from .errors import (
     NoStabilizingStart,
     NotStabilizable,
 )
-from .odesys import STABLE_EIG_TOL, OdeLti, simulate
 from .subspaces import ensure_matrix
 
 __all__ = [
@@ -151,7 +151,7 @@ def spectral_abscissa(A: np.ndarray) -> float:
     return float(np.max(np.real(np.linalg.eigvals(A))))
 
 
-def _gain_kernel(B, D, C, S):
+def _gain_kernel(D, C, S):
     """W = D'SD (Cholesky-factored), plus the constant part D'SC of the gain."""
     W = D.T @ S @ D
     try:
@@ -176,8 +176,15 @@ def solve_dre(
         P(0) = (EC_s)'Q0(EC_s),
         K = (D_l'SD_l)^{-1}(B_l'P + D_l'SC_l), or K = 0 when D_l = 0.
 
-    Classical RK4 with symmetrization each step; ``steps`` defaults to
-    max(2000, ceil(1000 t1)).
+    Each step of length h applies the exponential of the Hamiltonian
+
+        Phi = expm(h [[-A_r, G], [Q_r, A_r']]),
+        P <- (Phi_21 + Phi_22 P)(Phi_11 + Phi_12 P)^{-1},
+
+    with A_r = A_l - B_l W^{-1}D_l'SC_l, G = B_l W^{-1}B_l',
+    Q_r = C_l'SC_l - C_l'SD_l W^{-1}D_l'SC_l and W = D_l'SD_l.  The step is
+    exact up to rounding; P is symmetrized after each one.  ``steps``
+    defaults to max(2000, ceil(1000 t1)).
     """
     if t1 <= 0:
         raise ValueError("t1 must be positive")
@@ -199,38 +206,36 @@ def solve_dre(
 
     zero_D = np.linalg.norm(D) == 0.0
     if zero_D:
-        def gain(P):
-            return np.zeros((k, n_hat))
-
-        def derivative(P):
-            return A.T @ P + P @ A + CSC
+        A_r, G, Q_r = A, np.zeros((n_hat, n_hat)), CSC
     else:
-        cho, DSC = _gain_kernel(B, D, C, S)
-
-        def gain(P):
-            return scipy.linalg.cho_solve(cho, B.T @ P + DSC)
-
-        def derivative(P):
-            K = gain(P)
-            return A.T @ P + P @ A - K.T @ (B.T @ P + DSC) + CSC
+        cho, DSC = _gain_kernel(D, C, S)
+        F = scipy.linalg.cho_solve(cho, np.hstack([DSC, B.T]))
+        A_r = A - B @ F[:, :n_hat]
+        G = B @ F[:, n_hat:]
+        Q_r = CSC - DSC.T @ F[:, :n_hat]
 
     h = t1 / steps
-    P = P0.copy()
+    Phi = scipy.linalg.expm(h * np.block([[-A_r, G], [Q_r, A_r.T]]))
+    Phi11, Phi12 = Phi[:n_hat, :n_hat], Phi[:n_hat, n_hat:]
+    Phi21, Phi22 = Phi[n_hat:, :n_hat], Phi[n_hat:, n_hat:]
+    P = P0
     P_samples = np.empty((steps + 1, n_hat, n_hat))
-    K_samples = np.empty((steps + 1, k, n_hat))
     P_samples[0] = P
-    K_samples[0] = gain(P)
     for j in range(steps):
-        k1 = derivative(P)
-        k2 = derivative(P + 0.5 * h * k1)
-        k3 = derivative(P + 0.5 * h * k2)
-        k4 = derivative(P + h * k3)
-        P = P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # P_new (Phi11 + Phi12 P) = Phi21 + Phi22 P, solved transposed.
+        P = np.linalg.solve((Phi11 + Phi12 @ P).T, (Phi21 + Phi22 @ P).T).T
         P = 0.5 * (P + P.T)
         if not np.all(np.isfinite(P)):
             raise NonFiniteP(f"Riccati state lost finiteness at tau = {(j + 1) * h:.6g}")
         P_samples[j + 1] = P
-        K_samples[j + 1] = gain(P)
+
+    if zero_D:
+        K_samples = np.zeros((steps + 1, k, n_hat))
+    else:
+        # One solve for every node: K_j = W^{-1}(B'P_j + D'SC).
+        rhs = (B.T @ P_samples + DSC).transpose(1, 0, 2).reshape(k, -1)
+        K_samples = scipy.linalg.cho_solve(cho, rhs).reshape(k, steps + 1, n_hat)
+        K_samples = K_samples.transpose(1, 0, 2)
     return P_samples, K_samples
 
 
@@ -302,52 +307,6 @@ def finite_horizon(
     )
 
 
-def _initial_stabilizing_gain(A: np.ndarray, B: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Stabilizing start gain for Newton iteration on the reduced ARE.
-
-    Integrates the reduced-problem DRE (unit input weight, state weight Q)
-    to a pseudo-horizon long enough for the gain to stabilize, coarsely: the
-    terminal gain of a sufficiently long LQ horizon stabilizes any
-    stabilizable pair.
-    """
-    l = A.shape[0]
-    k = B.shape[1]
-    if spectral_abscissa(A) < -STABLE_EIG_TOL:
-        return np.zeros((k, l))
-
-    alpha = max(spectral_abscissa(A), 0.1)
-    horizon = min(50.0 / alpha, 200.0)
-    steps = max(2000, int(50.0 * horizon))
-    for _ in range(2):
-        h = horizon / steps
-        P = np.zeros((l, l))
-
-        def derivative(P):
-            K = B.T @ P
-            return A.T @ P + P @ A - K.T @ K + Q
-
-        ok = True
-        for _ in range(steps):
-            k1 = derivative(P)
-            k2 = derivative(P + 0.5 * h * k1)
-            k3 = derivative(P + 0.5 * h * k2)
-            k4 = derivative(P + h * k3)
-            P = P + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            P = 0.5 * (P + P.T)
-            if not np.all(np.isfinite(P)):
-                ok = False
-                break
-        if ok:
-            K0 = B.T @ P
-            if spectral_abscissa(A - B @ K0) < 0.0:
-                return K0
-        steps *= 5
-    raise NoStabilizingStart(
-        "could not produce a stabilizing initial gain; "
-        "the pair may be numerically unstabilizable"
-    )
-
-
 def solve_are(
     restr: StabilizableRestriction, w: LqWeights, tol: float = 1e-10
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -356,14 +315,16 @@ def solve_are(
         0 = P A_g + A_g'P - K'(D_g'SD_g)K + C_g'SC_g,
         K = (D_g'SD_g)^{-1}(B_g'P + D_g'SC_g),
 
-    by the feedback pre-transform U = (D_g'SD_g)^{-1/2},
-    F = -(D_g'SD_g)^{-1}D_g'SC_g (which normalizes the cross terms away and
-    leaves P invariant) followed by Newton iteration with Lyapunov solves.
+    by the Schur method of ``scipy.linalg.solve_continuous_are`` with the
+    cross term D_g'SC_g, followed by at most three Kleinman-Newton polish
+    steps, each one Lyapunov solve on the closed loop A_g - B_g K.  The
+    restricted associated system has no invariant zeros, so the Hamiltonian
+    has no eigenvalues on the imaginary axis.
     When D_g = 0 (and hence B_g = 0 for an associated system) P is the
     observability Gramian from a single Lyapunov solve and K = 0.
 
     Returns (P, K) with P symmetric, relative ARE residual <= tol and
-    A_g - B_g K stable.
+    A_g - B_g K stable; raises NoStabilizingStart otherwise.
     """
     A, B = restr.A_g, restr.B_g
     C, D = restr.C_g, restr.D_g
@@ -386,32 +347,25 @@ def solve_are(
         _check_are_residual(restr, S, P, K, tol)
         return P, K
 
-    cho, DSC = _gain_kernel(B, D, C, S)
-    W = D.T @ S @ D
-    F_hat = -scipy.linalg.cho_solve(cho, DSC)
-    w_eig, w_vec = np.linalg.eigh(W)
-    U = w_vec @ np.diag(1.0 / np.sqrt(w_eig)) @ w_vec.T
-    A_t = A + B @ F_hat
-    B_t = B @ U
-    C_t = C + D @ F_hat
-    Q_t = C_t.T @ S @ C_t
-    Q_t = 0.5 * (Q_t + Q_t.T)
-
-    K_t = _initial_stabilizing_gain(A_t, B_t, Q_t)
-    P = np.zeros((l, l))
-    for _ in range(100):
-        A_cl = A_t - B_t @ K_t
-        P_new = scipy.linalg.solve_continuous_lyapunov(A_cl.T, -(Q_t + K_t.T @ K_t))
+    cho, DSC = _gain_kernel(D, C, S)
+    try:
+        P = scipy.linalg.solve_continuous_are(A, B, C.T @ S @ C, D.T @ S @ D, s=DSC.T)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise NoStabilizingStart(f"Schur ARE solver failed: {exc}") from exc
+    P = 0.5 * (P + P.T)
+    K = scipy.linalg.cho_solve(cho, B.T @ P + DSC)
+    for _ in range(3):
+        C_cl = C - D @ K
+        P_new = scipy.linalg.solve_continuous_lyapunov((A - B @ K).T, -(C_cl.T @ S @ C_cl))
         P_new = 0.5 * (P_new + P_new.T)
-        K_new = B_t.T @ P_new
         if not np.all(np.isfinite(P_new)):
-            raise NoStabilizingStart("Newton iteration diverged")
+            raise NoStabilizingStart("Kleinman-Newton polish diverged")
         converged = np.linalg.norm(P_new - P) <= 1e-13 * (1.0 + np.linalg.norm(P_new))
-        P, K_t = P_new, K_new
+        P = P_new
+        K = scipy.linalg.cho_solve(cho, B.T @ P + DSC)
         if converged:
             break
 
-    K = scipy.linalg.cho_solve(cho, B.T @ P + DSC)
     _check_are_residual(restr, S, P, K, tol)
     return P, K
 
@@ -445,6 +399,18 @@ def _stabilizable_value(restr: StabilizableRestriction, v: np.ndarray) -> bool:
     """Membership of v in the stabilizability subspace, via its projector."""
     defect = v - restr.projector.T @ (restr.projector @ v)
     return bool(np.linalg.norm(defect) <= 1e-8 * max(1.0, np.linalg.norm(v)))
+
+
+def _expm_samples(A_cl: np.ndarray, v0: np.ndarray, h: float, n_samples: int) -> np.ndarray:
+    """Samples of v' = A_cl v from v0 at spacing h by exact exponential stepping."""
+    v_samples = np.empty((n_samples, v0.shape[0]))
+    if v0.shape[0] == 0:
+        return v_samples
+    stepper = scipy.linalg.expm(A_cl * h)
+    v_samples[0] = v0
+    for i in range(n_samples - 1):
+        v_samples[i + 1] = stepper @ v_samples[i]
+    return v_samples
 
 
 def infinite_horizon(
@@ -491,15 +457,7 @@ def infinite_horizon(
         a_scale = np.linalg.norm(A_cl, 2) if A_cl.size else 0.0
         steps = int(max(2000, min(np.ceil(10.0 * T_sim * (1.0 + a_scale)), 200_000)))
     grid = np.linspace(0.0, T_sim, steps + 1)
-    h = T_sim / steps
-    if restr.l:
-        stepper = scipy.linalg.expm(A_cl * h)
-        v_samples = np.empty((steps + 1, restr.l))
-        v_samples[0] = v0
-        for i in range(steps):
-            v_samples[i + 1] = stepper @ v_samples[i]
-    else:
-        v_samples = np.zeros((steps + 1, 0))
+    v_samples = _expm_samples(A_cl, v0, T_sim / steps, steps + 1)
     outputs = v_samples @ C_cl.T
     n, m = assoc.n, assoc.m
     traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
@@ -559,16 +517,8 @@ def closed_loop_replay(
         A_cl = restr.A_g - restr.B_g @ solution.K
         C_cl = restr.C_g - restr.D_g @ solution.K
         grid = solution.traj.times
-        h = grid[1] - grid[0]
-        v = restr.projector @ (assoc.M @ z)
-        if restr.l:
-            stepper = scipy.linalg.expm(A_cl * h)
-            v_samples = np.empty((grid.shape[0], restr.l))
-            v_samples[0] = v
-            for i in range(grid.shape[0] - 1):
-                v_samples[i + 1] = stepper @ v_samples[i]
-        else:
-            v_samples = np.zeros((grid.shape[0], 0))
+        v0 = restr.projector @ (assoc.M @ z)
+        v_samples = _expm_samples(A_cl, v0, grid[1] - grid[0], grid.shape[0])
         outputs = v_samples @ C_cl.T
         n = assoc.n
         traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])

@@ -11,7 +11,10 @@ from dae2ode import (
     DaeLti,
     InconsistentInitialState,
     LqWeights,
+    NoStabilizingStart,
     NotStabilizable,
+    OdeLti,
+    StabilizableRestriction,
     Trajectory,
     associate,
     closed_loop_replay,
@@ -109,6 +112,16 @@ class TestSolveDre:
             diff = P_samples[j + 50] - P_samples[j]
             assert np.linalg.eigvalsh(diff)[0] >= -1e-10
 
+    def test_long_horizon_reaches_are_solution(self, ex1, ex1_assoc):
+        w = LqWeights(np.eye(3), np.eye(1), np.zeros((2, 2)))
+        restr = stabilizable_restriction(ex1_assoc)
+        assert restr.l == ex1_assoc.n_hat == 2
+        P_are, _ = solve_are(restr, w)
+        W = restr.projector.T
+        P_dre = solve_dre(ex1_assoc, w, 10.0)[0][-1]
+        want = W @ P_are @ W.T
+        assert np.linalg.norm(P_dre - want) <= 1e-9 * np.linalg.norm(want)
+
     def test_invalid_horizon_rejected(self, ex1_assoc):
         w = LqWeights(np.eye(3), np.eye(1), np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -199,6 +212,25 @@ class TestSolveAre:
         csc = (restr.C_g.T @ w.S @ restr.C_g).item()
         assert abs(P[0, 0] - csc / (-2.0 * a)) <= 1e-10
         assert np.all(K == 0.0)
+
+    def test_unstabilizable_restriction_raises_package_error(self):
+        # An unstable, unactuated mode: the Hamiltonian has no stable
+        # invariant subspace of full dimension.
+        restr = StabilizableRestriction(
+            OdeLti(
+                np.array([[1.0]]),
+                np.array([[0.0]]),
+                np.array([[1.0], [0.0]]),
+                np.array([[0.0], [1.0]]),
+            ),
+            M_g=np.eye(1),
+            projector=np.eye(1),
+            n=1,
+            m=1,
+        )
+        w = LqWeights(np.eye(1), np.eye(1), np.zeros((1, 1)))
+        with pytest.raises(NoStabilizingStart):
+            solve_are(restr, w)
 
     def test_random_stabilizable_population(self):
         rng = np.random.default_rng(1234)
