@@ -32,6 +32,7 @@ from scipy.integrate import simpson
 from .associate import AssociatedOdeLti, associate
 from .dae import DaeLti, Trajectory
 from .lq import InfiniteHorizonSolution, LqWeights, infinite_horizon
+from .odesys import OdeLti, simulate
 
 __all__ = [
     "HeatConfig",
@@ -297,28 +298,14 @@ class LiftedSimulation:
     traj: Trajectory
 
 
-def _rk4_closed_loop(A_cl: np.ndarray, x0: np.ndarray, times: np.ndarray) -> np.ndarray:
-    dt = times[1] - times[0]
-    out = np.empty((times.size, x0.size))
-    out[0] = x = np.asarray(x0, dtype=float)
-    for idx in range(times.size - 1):
-        k1 = A_cl @ x
-        k2 = A_cl @ (x + 0.5 * dt * k1)
-        k3 = A_cl @ (x + 0.5 * dt * k2)
-        k4 = A_cl @ (x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[idx + 1] = x
-    return out
-
-
 def _simulate_lifted(models: HeatModels, lifted_gain: np.ndarray) -> LiftedSimulation:
     cfg = models.config
     A_cl = models.eig_A + models.eig_B @ lifted_gain
+    no_feedthrough = np.zeros((cfg.N_u, cfg.N_u))
     z0 = np.zeros(cfg.N)
     z0[cfg.mode - 1] = cfg.lam
     times = _time_grid(cfg.T)
-    z = _rk4_closed_loop(A_cl, z0, times)
-    u = z @ lifted_gain.T
+    z, u = simulate(OdeLti(A_cl, models.eig_B, lifted_gain, no_feedthrough), z0, None, times)
     integrand = np.sum(z * z, axis=1) + np.sum(u * u, axis=1)
     cost = float(simpson(integrand, x=times))
     return LiftedSimulation(cost, lifted_gain, Trajectory(times, z, u))
@@ -334,8 +321,9 @@ def lift_and_simulate_closed_loop(
     A function V with sine coordinates z has moment vector X z against the
     phi basis, hence consistent value Lambda X z; column j of the lifted
     gain is therefore gain_on_value @ Lambda @ X[:, j] for j = 1..N.  The
-    closed loop dz/dt = (A_e + B_e K_lift) z runs from lam * e_mode by RK4
-    with step 1e-3, and the truncated cost uses composite Simpson.
+    closed loop dz/dt = (A_e + B_e K_lift) z runs from lam * e_mode, sampled
+    exactly by ``simulate`` at step 1e-3, and the truncated cost uses
+    composite Simpson.
     """
     models = build_heat_models(cfg) if models is None else models
     lifted = np.asarray(gain_on_value, dtype=float) @ models.lambda_diag @ models.sine_overlap
@@ -409,8 +397,8 @@ def error_curves(
     overlap = models.sine_overlap_accurate
 
     def phi_vs_sine(a: np.ndarray, z: np.ndarray) -> np.ndarray:
-        quad = np.einsum("ti,ij,tj->t", a, gram, a)
-        cross = np.einsum("ti,ij,tj->t", a, overlap, z)
+        quad = np.sum((a @ gram) * a, axis=1)
+        cross = np.sum((a @ overlap) * z, axis=1)
         return quad - 2.0 * cross + np.sum(z * z, axis=1)
 
     e_sol = phi_vs_sine(dae_result.coords, z_opt)

@@ -37,6 +37,7 @@ from .errors import (
     NoStabilizingStart,
     NotStabilizable,
 )
+from .odesys import OdeLti, simulate
 from .subspaces import ensure_matrix
 
 __all__ = [
@@ -164,6 +165,33 @@ def _gain_kernel(D, C, S):
     return cho, D.T @ S @ C
 
 
+def _dre_hamiltonian(assoc: AssociatedOdeLti, w: LqWeights, h: float):
+    """Gain kernel and step of the DRE: (cho, DSC, Phi) with cho the Cholesky
+    factor of W = D_l'SD_l and DSC = D_l'SC_l (both None when D_l = 0, where
+    the gain is zero), and Phi the Hamiltonian exponential of ``solve_dre``.
+    """
+    A, B, C, D = assoc.A_l, assoc.B_l, assoc.C_l, assoc.D_l
+    n_hat = assoc.n_hat
+    S = w.S
+    if S.shape[0] != C.shape[0]:
+        raise ValueError(
+            f"weights are for signal dimensions n={w.n}, m={w.m}, "
+            f"but the system outputs {C.shape[0]} rows"
+        )
+    CSC = C.T @ S @ C
+    if np.linalg.norm(D) == 0.0:
+        cho = DSC = None
+        A_r, G, Q_r = A, np.zeros((n_hat, n_hat)), CSC
+    else:
+        cho, DSC = _gain_kernel(D, C, S)
+        F = scipy.linalg.cho_solve(cho, np.hstack([DSC, B.T]))
+        A_r = A - B @ F[:, :n_hat]
+        G = B @ F[:, n_hat:]
+        Q_r = CSC - DSC.T @ F[:, :n_hat]
+    Phi = scipy.linalg.expm(h * np.block([[-A_r, G], [Q_r, A_r.T]]))
+    return cho, DSC, Phi
+
+
 def solve_dre(
     assoc: AssociatedOdeLti, w: LqWeights, t1: float, steps: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -193,32 +221,12 @@ def solve_dre(
     if steps < 100:
         raise ValueError("steps must be at least 100")
 
-    A, B, C, D = assoc.A_l, assoc.B_l, assoc.C_l, assoc.D_l
     n_hat, k = assoc.n_hat, assoc.k
-    S = w.S
-    if S.shape[0] != C.shape[0]:
-        raise ValueError(
-            f"weights are for signal dimensions n={w.n}, m={w.m}, "
-            f"but the system outputs {C.shape[0]} rows"
-        )
-    CSC = C.T @ S @ C
-    P0 = assoc.EC_s.T @ w.Q0 @ assoc.EC_s
-
-    zero_D = np.linalg.norm(D) == 0.0
-    if zero_D:
-        A_r, G, Q_r = A, np.zeros((n_hat, n_hat)), CSC
-    else:
-        cho, DSC = _gain_kernel(D, C, S)
-        F = scipy.linalg.cho_solve(cho, np.hstack([DSC, B.T]))
-        A_r = A - B @ F[:, :n_hat]
-        G = B @ F[:, n_hat:]
-        Q_r = CSC - DSC.T @ F[:, :n_hat]
-
     h = t1 / steps
-    Phi = scipy.linalg.expm(h * np.block([[-A_r, G], [Q_r, A_r.T]]))
+    cho, DSC, Phi = _dre_hamiltonian(assoc, w, h)
     Phi11, Phi12 = Phi[:n_hat, :n_hat], Phi[:n_hat, n_hat:]
     Phi21, Phi22 = Phi[n_hat:, :n_hat], Phi[n_hat:, n_hat:]
-    P = P0
+    P = assoc.EC_s.T @ w.Q0 @ assoc.EC_s
     P_samples = np.empty((steps + 1, n_hat, n_hat))
     P_samples[0] = P
     for j in range(steps):
@@ -229,11 +237,11 @@ def solve_dre(
             raise NonFiniteP(f"Riccati state lost finiteness at tau = {(j + 1) * h:.6g}")
         P_samples[j + 1] = P
 
-    if zero_D:
+    if cho is None:
         K_samples = np.zeros((steps + 1, k, n_hat))
     else:
         # One solve for every node: K_j = W^{-1}(B'P_j + D'SC).
-        rhs = (B.T @ P_samples + DSC).transpose(1, 0, 2).reshape(k, -1)
+        rhs = (assoc.B_l.T @ P_samples + DSC).transpose(1, 0, 2).reshape(k, -1)
         K_samples = scipy.linalg.cho_solve(cho, rhs).reshape(k, steps + 1, n_hat)
         K_samples = K_samples.transpose(1, 0, 2)
     return P_samples, K_samples
@@ -263,41 +271,26 @@ def finite_horizon(
     P_samples, K_samples = solve_dre(assoc, w, t1, steps)
     n_nodes = P_samples.shape[0]
     grid = np.linspace(0.0, t1, n_nodes)
-    h = t1 / (n_nodes - 1)
+    n_hat = assoc.n_hat
 
-    A, B, C, D = assoc.A_l, assoc.B_l, assoc.C_l, assoc.D_l
+    # The DRE step's X block is a fundamental matrix of the closed loop
+    # v' = (A_l - B_l K(t1 - s)) v in tau = t1 - s: from X = I at tau_j it
+    # reaches Phi11 + Phi12 P_j at tau_{j+1}, so real time steps back with its
+    # inverse, exactly on the nodes.
+    _, _, Phi = _dre_hamiltonian(assoc, w, t1 / (n_nodes - 1))
     v0 = assoc.M @ z
-    v = v0.copy()
-    v_samples = np.empty((n_nodes, assoc.n_hat))
-    v_samples[0] = v
-    # Closed loop v' = (A - B K(t1 - s)) v; the reversed gain lands exactly
-    # on grid nodes, RK4 midpoint stages use the node average.
+    v_samples = np.empty((n_nodes, n_hat))
+    v_samples[0] = v0
+    back = np.linalg.inv(Phi[:n_hat, :n_hat] + Phi[:n_hat, n_hat:] @ P_samples[-2::-1])
     for i in range(n_nodes - 1):
-        K0 = K_samples[n_nodes - 1 - i]
-        K1_ = K_samples[n_nodes - 2 - i]
-        Km = 0.5 * (K0 + K1_)
-        a0 = A @ v - B @ (K0 @ v)
-        vm = v + 0.5 * h * a0
-        a1 = A @ vm - B @ (Km @ vm)
-        vm = v + 0.5 * h * a1
-        a2 = A @ vm - B @ (Km @ vm)
-        vend = v + h * a2
-        a3 = A @ vend - B @ (K1_ @ vend)
-        v = v + (h / 6.0) * (a0 + 2.0 * a1 + 2.0 * a2 + a3)
-        v_samples[i + 1] = v
+        v_samples[i + 1] = back[i] @ v_samples[i]
 
-    ME = assoc.M @ dae.E
+    C_cl = assoc.C_l - assoc.D_l @ K_samples[::-1]
+    outputs = np.einsum("ijk,ik->ij", C_cl, v_samples)
     n, m = assoc.n, assoc.m
-    outputs = np.empty((n_nodes, n + m))
-    K_f_samples = np.empty((n_nodes, m, n))
-    K1_samples = np.empty((n_nodes, n + m, n))
-    state_selector = np.vstack([np.eye(n), np.zeros((m, n))])
-    for i in range(n_nodes):
-        K_rev = K_samples[n_nodes - 1 - i]
-        C_cl = C - D @ K_rev
-        outputs[i] = C_cl @ v_samples[i]
-        K_f_samples[i] = C_cl[n:] @ ME
-        K1_samples[i] = C_cl @ ME - state_selector
+    C_cl_ME = C_cl @ (assoc.M @ dae.E)
+    K_f_samples = C_cl_ME[:, n:]
+    K1_samples = C_cl_ME - np.vstack([np.eye(n), np.zeros((m, n))])
     K2 = np.vstack([np.zeros((n, m)), -np.eye(m)])
 
     traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
@@ -401,18 +394,6 @@ def _stabilizable_value(restr: StabilizableRestriction, v: np.ndarray) -> bool:
     return bool(np.linalg.norm(defect) <= 1e-8 * max(1.0, np.linalg.norm(v)))
 
 
-def _expm_samples(A_cl: np.ndarray, v0: np.ndarray, h: float, n_samples: int) -> np.ndarray:
-    """Samples of v' = A_cl v from v0 at spacing h by exact exponential stepping."""
-    v_samples = np.empty((n_samples, v0.shape[0]))
-    if v0.shape[0] == 0:
-        return v_samples
-    stepper = scipy.linalg.expm(A_cl * h)
-    v_samples[0] = v0
-    for i in range(n_samples - 1):
-        v_samples[i + 1] = stepper @ v_samples[i]
-    return v_samples
-
-
 def infinite_horizon(
     dae: DaeLti,
     assoc: AssociatedOdeLti,
@@ -427,8 +408,7 @@ def infinite_horizon(
     the ARE there, and forms the optimal pair
     (x*, u*)(s) = (C_g - D_g K) e^{(A_g - B_g K)s} M_g z with cost
     (M_g z)' P (M_g z).  The trajectory field samples [0, T_sim] (default
-    50/|closed-loop abscissa|, capped at 1e4) by exact matrix-exponential
-    stepping.
+    50/|closed-loop abscissa|, capped at 1e4) exactly, through ``simulate``.
 
     Raises NotStabilizable exactly when no behavior trajectory from z decays.
     """
@@ -457,8 +437,7 @@ def infinite_horizon(
         a_scale = np.linalg.norm(A_cl, 2) if A_cl.size else 0.0
         steps = int(max(2000, min(np.ceil(10.0 * T_sim * (1.0 + a_scale)), 200_000)))
     grid = np.linspace(0.0, T_sim, steps + 1)
-    v_samples = _expm_samples(A_cl, v0, T_sim / steps, steps + 1)
-    outputs = v_samples @ C_cl.T
+    _, outputs = simulate(OdeLti(A_cl, restr.B_g, C_cl, restr.D_g), v0, None, grid)
     n, m = assoc.n, assoc.m
     traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
 
@@ -481,8 +460,8 @@ def trajectory_cost(
     when ``terminal`` is set."""
     if traj.times.shape[0] < 2:
         raise ValueError("trajectory must have at least two samples")
-    integrand = np.einsum("ij,jk,ik->i", traj.x, w.Q, traj.x) + np.einsum(
-        "ij,jk,ik->i", traj.u, w.R, traj.u
+    integrand = np.sum((traj.x @ w.Q) * traj.x, axis=1) + np.sum(
+        (traj.u @ w.R) * traj.u, axis=1
     )
     total = float(scipy.integrate.simpson(integrand, x=traj.times))
     if terminal:
@@ -518,8 +497,7 @@ def closed_loop_replay(
         C_cl = restr.C_g - restr.D_g @ solution.K
         grid = solution.traj.times
         v0 = restr.projector @ (assoc.M @ z)
-        v_samples = _expm_samples(A_cl, v0, grid[1] - grid[0], grid.shape[0])
-        outputs = v_samples @ C_cl.T
+        _, outputs = simulate(OdeLti(A_cl, restr.B_g, C_cl, restr.D_g), v0, None, grid)
         n = assoc.n
         traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
         defect = traj.x @ solution.K1.T + traj.u @ solution.K2.T

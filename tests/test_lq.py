@@ -168,6 +168,17 @@ class TestFiniteHorizon:
         defect += sol.traj.u @ sol.K2.T
         assert np.max(np.abs(defect)) <= 1e-8
 
+    def test_solution_does_not_depend_on_the_grid(self, ex1, ex1_assoc):
+        # The closed loop steps with the DRE's exact transition, so a coarse
+        # grid samples the same solution as a fine one.
+        w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
+        z = np.array([1.0, 7.0])
+        coarse = finite_horizon(ex1, ex1_assoc, w, z, 1.0, steps=200)
+        fine = finite_horizon(ex1, ex1_assoc, w, z, 1.0, steps=2000)
+        for a, b in ((coarse.v_samples, fine.v_samples[::10]),
+                     (coarse.traj.x, fine.traj.x[::10])):
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
     def test_inconsistent_start_rejected(self):
         dae = DaeLti(
             np.array([[1.0, 0.0], [0.0, 0.0]]), np.eye(2), np.array([[0.0], [1.0]])

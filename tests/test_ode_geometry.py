@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.signal
 
 from dae2ode import (
     NotInvariant,
@@ -88,20 +89,42 @@ class TestSimulate:
             exact = scipy.linalg.expm(A * times[k]) @ v0
             assert np.linalg.norm(states[k] - exact) <= 1e-8
 
-    def test_fourth_order_convergence(self):
+    def test_exact_on_coarse_grids(self):
+        # Every sample, not just the last, matches expm on 20 and 40 steps.
         rng = np.random.default_rng(4)
         A = rng.standard_normal((3, 3)) - 2.0 * np.eye(3)
         sys = OdeLti(A, np.zeros((3, 1)), np.eye(3), np.zeros((3, 1)))
         v0 = rng.standard_normal(3)
-        exact = scipy.linalg.expm(A) @ v0
-
-        def err(steps):
+        for steps in (20, 40):
             t = np.linspace(0.0, 1.0, steps + 1)
             states, _ = simulate(sys, v0, None, t)
-            return np.linalg.norm(states[-1] - exact)
+            exact = np.array([scipy.linalg.expm(A * tk) @ v0 for tk in t])
+            assert np.max(np.abs(states - exact)) <= 1e-12
 
-        ratio = err(20) / err(40)
-        assert ratio > 8.0
+    def test_forced_decay_with_linear_input_is_exact(self):
+        # v' = -v + t from v(0) = 0 is t - 1 + e^{-t}; first-order hold is
+        # exact for a linear input, however coarse the grid.
+        sys = OdeLti(-np.eye(1), np.eye(1), np.eye(1), np.zeros((1, 1)))
+        for steps in (20, 40):
+            t = np.linspace(0.0, 2.0, steps + 1)
+            states, _ = simulate(sys, np.array([0.0]), t.reshape(-1, 1), t)
+            assert np.max(np.abs(states[:, 0] - (t - 1.0 + np.exp(-t)))) <= 1e-12
+
+    def test_forced_outputs_match_lsim_first_order_hold(self):
+        # scipy.signal.lsim with interp=True steps the same first-order hold
+        # one sample at a time, a reference for the doubling scan.
+        rng = np.random.default_rng(7)
+        A = rng.standard_normal((4, 4)) - np.eye(4)
+        B = rng.standard_normal((4, 2))
+        C = rng.standard_normal((3, 4))
+        D = rng.standard_normal((3, 2))
+        t = np.linspace(0.0, 3.0, 301)
+        q = np.column_stack([np.sin(4.0 * t), t**2 * np.exp(-t)])
+        v0 = rng.standard_normal(4)
+        states, outputs = simulate(OdeLti(A, B, C, D), v0, q, t)
+        _, y_ref, x_ref = scipy.signal.lsim((A, B, C, D), q, t, X0=v0, interp=True)
+        assert np.max(np.abs(states - x_ref)) <= 1e-12
+        assert np.max(np.abs(outputs - y_ref)) <= 1e-12
 
     def test_nonuniform_grid_rejected(self):
         sys = OdeLti(np.zeros((1, 1)), np.zeros((1, 1)), np.eye(1), np.zeros((1, 1)))
