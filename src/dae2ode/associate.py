@@ -39,7 +39,7 @@ from .odesys import (
     stabilizability_subspace,
     weakly_unobservable,
 )
-from .subspaces import Subspace, image, pinv, rank
+from .subspaces import _rank_from_singular_values, pinv, rank
 
 __all__ = [
     "AssociatedOdeLti",
@@ -157,7 +157,7 @@ def associate(
     c, n, m = dae.c, dae.n, dae.m
 
     U, sigma, Vh = np.linalg.svd(E)
-    r = rank(E, tol)
+    r = _rank_from_singular_values(E, sigma, tol)
     T = Vh.T
     inv_sigma = np.concatenate([1.0 / sigma[:r], np.ones(c - r)])
     S = np.diag(inv_sigma) @ U.T

@@ -5,8 +5,8 @@ c x n and B of shape c x m; no regularity or squareness is assumed.  The
 solution concept is behavioral: locally integrable (x, u) such that Ex is
 absolutely continuous and the equation holds almost everywhere.  This module
 provides the data types, the augmented Wong sequence, the consistency set,
-the impulse-controllability rank test, a pencil-based stabilizability test
-and a numerical membership test for the behavior.
+the impulse-controllability rank test, the stabilizability test of the
+associated pair (A_l, B_l) and a numerical membership test for the behavior.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import numpy as np
 
 from .subspaces import (
     Subspace,
+    _rank_from_singular_values,
     ensure_matrix,
     full_space,
     image,
@@ -141,9 +142,11 @@ def impulse_controllable(dae: DaeLti, tol: float | None = None) -> bool:
 def pencil_stabilizability_test(dae: DaeLti, assoc, tol: float | None = None) -> bool:
     """True iff the associated pair (A_l, B_l) is stabilizable.
 
-    Equivalent to rank [lambda E - A, B] = nrank [s E - A, B] for every
-    lambda with nonnegative real part; the pencil probe itself is exercised
-    by the test suite as an independent cross-check.
+    Computes the stabilizability subspace of (A_l, B_l) and compares its
+    dimension with n_hat; ``dae`` is not consulted.  For a pencil view,
+    stabilizability of (A_l, B_l) is equivalent to rank [lambda E - A, B] =
+    nrank [s E - A, B] for every lambda with nonnegative real part, which the
+    test suite checks independently with ``pencil_rank_probe``.
     """
     from .odesys import stabilizability_subspace
 
@@ -154,12 +157,7 @@ def pencil_stabilizability_test(dae: DaeLti, assoc, tol: float | None = None) ->
 def pencil_rank_probe(dae: DaeLti, lam: complex, tol: float | None = None) -> int:
     """rank [lambda E - A, B] at a single complex lambda (cross-check helper)."""
     M = np.hstack([lam * dae.E - dae.A, dae.B.astype(complex)])
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0:
-        return 0
-    if tol is None:
-        tol = max(M.shape) * np.finfo(float).eps
-    return int(np.count_nonzero(s > tol * s[0])) if s[0] > 0 else 0
+    return _rank_from_singular_values(M, np.linalg.svd(M, compute_uv=False), tol)
 
 
 def behavior_residual(dae: DaeLti, traj: Trajectory) -> float:

@@ -38,7 +38,7 @@ from .errors import (
     NotStabilizable,
 )
 from .odesys import OdeLti, simulate
-from .subspaces import ensure_matrix
+from .subspaces import Subspace, ensure_matrix
 
 __all__ = [
     "LqWeights",
@@ -341,8 +341,13 @@ def solve_are(
         return P, K
 
     cho, DSC = _gain_kernel(D, C, S)
+    # scipy insists on exactly symmetric q and r, which C'SC and D'SD miss by
+    # rounding once S and C come from a change of coordinates.
+    CSC, DSD = C.T @ S @ C, D.T @ S @ D
     try:
-        P = scipy.linalg.solve_continuous_are(A, B, C.T @ S @ C, D.T @ S @ D, s=DSC.T)
+        P = scipy.linalg.solve_continuous_are(
+            A, B, 0.5 * (CSC + CSC.T), 0.5 * (DSD + DSD.T), s=DSC.T
+        )
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NoStabilizingStart(f"Schur ARE solver failed: {exc}") from exc
     P = 0.5 * (P + P.T)
@@ -390,8 +395,7 @@ def is_behaviorally_stabilizable(dae: DaeLti, assoc: AssociatedOdeLti, z) -> boo
 
 def _stabilizable_value(restr: StabilizableRestriction, v: np.ndarray) -> bool:
     """Membership of v in the stabilizability subspace, via its projector."""
-    defect = v - restr.projector.T @ (restr.projector @ v)
-    return bool(np.linalg.norm(defect) <= 1e-8 * max(1.0, np.linalg.norm(v)))
+    return Subspace(restr.projector.T).contains_vector(v)
 
 
 def infinite_horizon(

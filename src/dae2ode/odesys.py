@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from .dae import DaeLti, wong_limit
 from .errors import NotInvariant, ResidualTooLarge
 from .subspaces import (
     Subspace,
     ensure_matrix,
-    full_space,
     image,
     intersect,
     kernel,
@@ -162,23 +162,17 @@ def simulate(
 def weakly_unobservable(sys: OdeLti, tol: float | None = None) -> Subspace:
     """Largest subspace V with (A + B F)V in V and (C + D F)V = 0 for some F.
 
-    Computed by the standard decreasing recursion
-    V_{i+1} = { x : (A x, C x) in (V_i x {0}) + im [B; D] },
-    terminating on dimension stagnation (at most n_states + 1 steps).
+    This is the Wong limit of the stacked pencil d([I; 0] v)/dt = [A; C] v +
+    [B; D] q: its recursion V_{i+1} = { x : (A x, C x) in (V_i x {0}) +
+    im [B; D] } is the standard decreasing recursion for V.
     """
-    r, s, p = sys.n_states, sys.n_inputs, sys.n_outputs
-    H = np.vstack([sys.A, sys.C])
-    BD = np.vstack([sys.B, sys.D])
-    im_BD = image(BD, tol)
-    V = full_space(r)
-    for _ in range(r + 1):
-        lifted = np.vstack([V.basis, np.zeros((p, V.dim))])
-        target = subspace_sum(image(lifted), im_BD)
-        V_next = preimage(H, target, tol)
-        if V_next.dim == V.dim and V.equals(V_next):
-            return V_next
-        V = V_next
-    return V
+    r, p = sys.n_states, sys.n_outputs
+    stacked = DaeLti(
+        np.vstack([np.eye(r), np.zeros((p, r))]),
+        np.vstack([sys.A, sys.C]),
+        np.vstack([sys.B, sys.D]),
+    )
+    return wong_limit(stacked, tol)
 
 
 def output_nulling_friend(
@@ -235,7 +229,10 @@ def output_nulling_friend(
 def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
     """Reachable subspace of (A, B) plus the stable modal subspace of A.
 
-    The stable modal subspace is taken from an ordered real Schur form;
+    The reachable subspace is grown orthogonally from R = im B by
+    R <- im [R, A R] until its dimension stops growing (Paige 1981), so the
+    Krylov matrix [B, AB, ..., A^{r-1} B] and its overflow never arise.  The
+    stable modal subspace is taken from an ordered real Schur form;
     eigenvalues with real part >= -STABLE_EIG_TOL (marginal included) count
     as unstable.
     """
@@ -249,12 +246,12 @@ def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
     if r == 0:
         return zero_space(0)
 
-    blocks = []
-    block = B
-    for _ in range(r):
-        blocks.append(block)
-        block = A @ block
-    reachable = image(np.hstack(blocks), tol)
+    reachable = image(B, tol)
+    while 0 < reachable.dim < r:
+        grown = image(np.hstack([reachable.basis, A @ reachable.basis]), tol)
+        if grown.dim == reachable.dim:
+            break
+        reachable = grown
 
     stable: Subspace
     _, Z, sdim = scipy.linalg.schur(

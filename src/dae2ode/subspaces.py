@@ -8,19 +8,19 @@ the zero subspace is represented by a basis with zero columns.
 
 Conventions
 -----------
-* Numerical rank counts singular values above ``tol * max(sigma_max, scale)``
-  where ``tol`` defaults to ``max(rows, cols) * machine epsilon``.  The
-  optional ``scale`` argument supplies an external reference scale so that
-  matrices that are numerically zero relative to the data they came from
-  (e.g. a map composed with an orthogonal projector) do not acquire spurious
-  rank from round-off residue.
+* One rank rule, ``_rank_from_singular_values``, makes every rank decision
+  in the package: it counts singular values above ``tol * sigma_max`` where
+  ``tol`` defaults to ``max(rows, cols) * machine epsilon``.  Only
+  ``preimage`` passes a larger reference scale (through ``kernel``), so
+  that a map composed with an orthogonal projector does not acquire
+  spurious rank from round-off residue.
 * Subspace equality and containment are tested at ``EQUALITY_TOL = 1e-8``:
   a vector w belongs to span(B) when ``||(I - B B^T) w|| <= tol * max(1, ||w||)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,23 +64,10 @@ def _singular_values(M: np.ndarray) -> np.ndarray:
     return np.linalg.svd(M, compute_uv=False)
 
 
-def rank(M, tol: float | None = None, scale: float | None = None) -> int:
-    """Numerical rank of ``M``.
-
-    Counts singular values above ``tol * max(sigma_max, scale)``; with
-    ``scale`` unset the reference is ``sigma_max`` itself (absolute zero
-    matrices have rank 0 regardless).
-    """
+def rank(M, tol: float | None = None) -> int:
+    """Numerical rank of ``M``: singular values above ``tol * sigma_max``."""
     M = ensure_matrix(M)
-    s = _singular_values(M)
-    if s.size == 0:
-        return 0
-    if tol is None:
-        tol = default_rank_tol(M)
-    ref = s[0] if scale is None else max(s[0], scale)
-    if ref == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol * ref))
+    return _rank_from_singular_values(M, _singular_values(M), tol)
 
 
 def pinv(M, tol: float | None = None) -> np.ndarray:
@@ -101,12 +88,12 @@ class Subspace:
     ----------
     basis : ndarray, shape (ambient_dim, dim)
         Orthonormal columns; zero columns encode the zero subspace.
-    tol : float
-        Membership tolerance used by containment and equality tests.
+
+    Containment and equality tests use ``EQUALITY_TOL`` unless given a
+    tolerance.
     """
 
     basis: np.ndarray
-    tol: float = EQUALITY_TOL
 
     def __post_init__(self):
         B = ensure_matrix(self.basis, "basis")
@@ -133,13 +120,13 @@ class Subspace:
         v = np.asarray(v, dtype=float).reshape(-1)
         if v.shape[0] != self.ambient_dim:
             raise ValueError("vector does not live in the ambient space")
-        tol = self.tol if tol is None else tol
+        tol = EQUALITY_TOL if tol is None else tol
         resid = v - self.basis @ (self.basis.T @ v)
         return bool(np.linalg.norm(resid) <= tol * max(1.0, np.linalg.norm(v)))
 
     def contains(self, other: "Subspace", tol: float | None = None) -> bool:
         _check_same_ambient(self, other)
-        tol = self.tol if tol is None else tol
+        tol = EQUALITY_TOL if tol is None else tol
         if other.dim == 0:
             return True
         resid = other.basis - self.basis @ (self.basis.T @ other.basis)
@@ -156,22 +143,22 @@ def _check_same_ambient(U: Subspace, W: Subspace) -> None:
         )
 
 
-def full_space(n: int, tol: float = EQUALITY_TOL) -> Subspace:
-    return Subspace(np.eye(n), tol)
+def full_space(n: int) -> Subspace:
+    return Subspace(np.eye(n))
 
 
-def zero_space(n: int, tol: float = EQUALITY_TOL) -> Subspace:
-    return Subspace(np.zeros((n, 0)), tol)
+def zero_space(n: int) -> Subspace:
+    return Subspace(np.zeros((n, 0)))
 
 
-def image(M, tol: float | None = None, scale: float | None = None) -> Subspace:
+def image(M, tol: float | None = None) -> Subspace:
     """Orthonormal basis of the column space of ``M``."""
     M = ensure_matrix(M)
     m, n = M.shape
     if min(m, n) == 0:
         return zero_space(m)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = _rank_from_singular_values(M, s, tol, scale)
+    r = _rank_from_singular_values(M, s, tol)
     return Subspace(U[:, :r])
 
 
@@ -189,8 +176,10 @@ def kernel(M, tol: float | None = None, scale: float | None = None) -> Subspace:
 
 
 def _rank_from_singular_values(
-    M: np.ndarray, s: np.ndarray, tol: float | None, scale: float | None
+    M: np.ndarray, s: np.ndarray, tol: float | None, scale: float | None = None
 ) -> int:
+    """The package's rank rule: count the singular values ``s`` of ``M``
+    (descending) above ``tol * max(sigma_max, scale)``."""
     if s.size == 0:
         return 0
     if tol is None:

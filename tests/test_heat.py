@@ -257,6 +257,13 @@ class TestBenchmark:
             )
 
 
+class TestLargeGalerkinDimension:
+    def test_pipeline_runs_beyond_the_default_size(self):
+        costs = run_heat_benchmark(HeatConfig(N=160)).costs
+        assert all(np.isfinite(value) for value in costs.values())
+        assert costs["J_T"] == pytest.approx(costs["J_e"], rel=0.01)
+
+
 class TestFunctionSpaceNorm:
     def test_mixed_basis_norm_matches_quadrature(self):
         N = 8

@@ -18,7 +18,9 @@ from dae2ode import (
     Trajectory,
     associate,
     closed_loop_replay,
+    consistency_space,
     finite_horizon,
+    impulse_controllable,
     infinite_horizon,
     is_behaviorally_stabilizable,
     solve_are,
@@ -26,7 +28,9 @@ from dae2ode import (
     spectral_abscissa,
     stabilizable_restriction,
     trajectory_cost,
+    wong_limit,
 )
+from dae2ode.dae import pencil_stabilizability_test
 
 from conftest import random_dae, random_spd
 
@@ -378,6 +382,61 @@ class TestInfiniteHorizon:
             quad = trajectory_cost(w, dae.E, sol.traj)
             assert abs(sol.cost - quad) <= 1e-3 * (1.0 + abs(sol.cost))
             done += 1
+
+
+def conditioned(k, cond, rng):
+    """Random k x k matrix with singular values logspace(0, log10 cond)."""
+    Q1 = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    return Q1 @ np.diag(np.logspace(0.0, np.log10(cond), k)) @ Q2
+
+
+class TestCoordinateInvariance:
+    """x = T x~ with the equations premultiplied by S changes no structure and
+    no cost: the transformed problem with Q~ = T'QT from z~ = S z is the same
+    problem."""
+
+    @staticmethod
+    def structure_and_cost(dae, w, z):
+        assoc = associate(dae)
+        structure = (
+            consistency_space(dae, assoc).dim,
+            wong_limit(dae).dim,
+            impulse_controllable(dae),
+            pencil_stabilizability_test(dae, assoc),
+        )
+        try:
+            cost = infinite_horizon(dae, assoc, w, z).cost
+        except NotStabilizable:
+            cost = None
+        return structure, cost
+
+    def test_random_population_with_conditioned_changes(self):
+        rng = np.random.default_rng(5)
+        solved = refused = 0
+        for idx in range(100):
+            dae = random_dae(rng)
+            S = conditioned(dae.c, 300.0, rng)
+            T = conditioned(dae.n, 300.0, rng)
+            Q, R = random_spd(dae.n, rng), random_spd(dae.m, rng)
+            Q0 = np.zeros((dae.c, dae.c))
+            Qt = T.T @ Q @ T
+            moved = DaeLti(S @ dae.E @ T, S @ dae.A @ T, S @ dae.B)
+            assoc = associate(dae)
+            z = assoc.EC_s @ rng.standard_normal(assoc.n_hat)
+
+            want, cost = self.structure_and_cost(dae, LqWeights(Q, R, Q0), z)
+            got, moved_cost = self.structure_and_cost(
+                moved, LqWeights(0.5 * (Qt + Qt.T), R, Q0), S @ z
+            )
+            assert got == want, f"instance {idx}: structure changed"
+            assert (moved_cost is None) == (cost is None), f"instance {idx}: refusal changed"
+            if cost is None:
+                refused += 1
+                continue
+            solved += 1
+            assert abs(moved_cost - cost) <= 1e-8 * abs(cost), f"instance {idx}: cost moved"
+        assert solved > 0 and refused > 0, "population must exercise both outcomes"
 
 
 class TestTrajectoryCost:

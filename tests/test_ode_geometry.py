@@ -264,6 +264,11 @@ class TestStabilizabilitySubspace:
                 )
             assert np.linalg.norm(P_perp @ B) <= 1e-8 * (1.0 + np.linalg.norm(B))
 
+    def test_badly_scaled_chain_is_reachable(self):
+        # [B, AB, ..., A^39 B] would hold entries up to 1e390 and overflow.
+        V = stabilizability_subspace(1e10 * np.eye(40, k=-1), np.eye(40, 1))
+        assert V.dim == 40
+
     def test_mixed_spectrum_splits(self):
         A = np.diag([-1.0, 2.0])
         V = stabilizability_subspace(A, np.zeros((2, 1)))
