@@ -7,9 +7,11 @@ The DAE-LTI cost
 is minimized over the behavior by rewriting every solution as an output of
 the associated ODE-LTI and solving a Riccati problem in the internal state:
 
-* finite horizon: a differential Riccati equation stepped from
-  P(0) = (EC_s)' Q0 (EC_s) with the exponential of its Hamiltonian matrix,
-  used with the time-reversed gain, optimal cost M(z)' P(t1) M(z);
+* finite horizon: a differential Riccati equation from
+  P(0) = (EC_s)' Q0 (EC_s), whose exact step, the exponential of its
+  Hamiltonian matrix, is applied over the whole grid by structure-preserving
+  doubling; the closed loop runs with the time-reversed gain, its transition
+  matrices composed by a prefix-product scan, optimal cost M(z)' P(t1) M(z);
 * infinite horizon: an algebraic Riccati equation on the restriction of the
   associated system to its stabilizability subspace, solved by the Schur
   method and polished by Kleinman-Newton steps, optimal cost
@@ -192,6 +194,11 @@ def _dre_hamiltonian(assoc: AssociatedOdeLti, w: LqWeights, h: float):
     return cho, DSC, Phi
 
 
+def _sym(X: np.ndarray) -> np.ndarray:
+    """Symmetric part of a matrix, or of each matrix in a stack."""
+    return 0.5 * (X + X.swapaxes(-1, -2))
+
+
 def solve_dre(
     assoc: AssociatedOdeLti, w: LqWeights, t1: float, steps: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -204,15 +211,28 @@ def solve_dre(
         P(0) = (EC_s)'Q0(EC_s),
         K = (D_l'SD_l)^{-1}(B_l'P + D_l'SC_l), or K = 0 when D_l = 0.
 
-    Each step of length h applies the exponential of the Hamiltonian
+    One step of length h applies the exponential of the Hamiltonian,
 
         Phi = expm(h [[-A_r, G], [Q_r, A_r']]),
         P <- (Phi_21 + Phi_22 P)(Phi_11 + Phi_12 P)^{-1},
 
     with A_r = A_l - B_l W^{-1}D_l'SC_l, G = B_l W^{-1}B_l',
-    Q_r = C_l'SC_l - C_l'SD_l W^{-1}D_l'SC_l and W = D_l'SD_l.  The step is
-    exact up to rounding; P is symmetrized after each one.  ``steps``
+    Q_r = C_l'SC_l - C_l'SD_l W^{-1}D_l'SC_l and W = D_l'SD_l.  Since Phi is
+    symplectic, the step is f(P) = H_1 + A_1'P(I + G_1 P)^{-1}A_1 with
+    A_1 = Phi_11^{-1}, G_1 = Phi_11^{-1}Phi_12 and H_1 = Phi_21 Phi_11^{-1},
+    G_1 and H_1 symmetric, and the structure-preserving doubling algorithm
+    (Chu, Fan & Lin 2005, Linear Algebra Appl. 396) gives f^{2d} from f^d:
+
+        A_2d = A_d (I + G_d H_d)^{-1} A_d,
+        G_2d = G_d + A_d (I + G_d H_d)^{-1} G_d A_d',
+        H_2d = H_d + A_d'H_d (I + G_d H_d)^{-1} A_d.
+
+    The grid is filled by doubling, P_samples[d:2d] = f^d(P_samples[:d]) in
+    one batched solve for d = 1, 2, 4, ..., so there is no per-step loop.
+    The steps are exact up to rounding; every P is symmetrized.  ``steps``
     defaults to max(2000, ceil(1000 t1)).
+
+    Raises NonFiniteP, naming the first node, when P overflows.
     """
     if t1 <= 0:
         raise ValueError("t1 must be positive")
@@ -224,25 +244,41 @@ def solve_dre(
     n_hat, k = assoc.n_hat, assoc.k
     h = t1 / steps
     cho, DSC, Phi = _dre_hamiltonian(assoc, w, h)
-    Phi11, Phi12 = Phi[:n_hat, :n_hat], Phi[:n_hat, n_hat:]
-    Phi21, Phi22 = Phi[n_hat:, :n_hat], Phi[n_hat:, n_hat:]
-    P = assoc.EC_s.T @ w.Q0 @ assoc.EC_s
-    P_samples = np.empty((steps + 1, n_hat, n_hat))
-    P_samples[0] = P
-    for j in range(steps):
-        # P_new (Phi11 + Phi12 P) = Phi21 + Phi22 P, solved transposed.
-        P = np.linalg.solve((Phi11 + Phi12 @ P).T, (Phi21 + Phi22 @ P).T).T
-        P = 0.5 * (P + P.T)
-        if not np.all(np.isfinite(P)):
-            raise NonFiniteP(f"Riccati state lost finiteness at tau = {(j + 1) * h:.6g}")
-        P_samples[j + 1] = P
+    n_nodes = steps + 1
+    P_samples = np.empty((n_nodes, n_hat, n_hat))
+    P_samples[0] = assoc.EC_s.T @ w.Q0 @ assoc.EC_s
+    I = np.eye(n_hat)
+    # Overflow is reported by NonFiniteP alone, not by a warning first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = np.linalg.inv(Phi[:n_hat, :n_hat])
+        G = _sym(A @ Phi[:n_hat, n_hat:])
+        H = _sym(Phi[n_hat:, :n_hat] @ A)
+        d = 1
+        while d < n_nodes:
+            P = P_samples[: min(d, n_nodes - d)]
+            P_new = _sym(H + A.T @ P @ np.linalg.solve(I + G @ P, A))
+            finite = np.isfinite(P_new).all(axis=(1, 2))
+            if not finite.all():
+                node = d + int(np.argmin(finite))
+                raise NonFiniteP(f"Riccati state lost finiteness at tau = {node * h:.6g}")
+            P_samples[d : d + P.shape[0]] = P_new
+            d *= 2
+            if d < n_nodes:
+                # A, G, H of f^d become those of f^{2d}.
+                IGH = I + G @ H
+                X = np.linalg.solve(IGH, A)
+                A, G, H = (
+                    A @ X,
+                    _sym(G + A @ np.linalg.solve(IGH, G @ A.T)),
+                    _sym(H + A.T @ H @ X),
+                )
 
     if cho is None:
-        K_samples = np.zeros((steps + 1, k, n_hat))
+        K_samples = np.zeros((n_nodes, k, n_hat))
     else:
         # One solve for every node: K_j = W^{-1}(B'P_j + D'SC).
         rhs = (assoc.B_l.T @ P_samples + DSC).transpose(1, 0, 2).reshape(k, -1)
-        K_samples = scipy.linalg.cho_solve(cho, rhs).reshape(k, steps + 1, n_hat)
+        K_samples = scipy.linalg.cho_solve(cho, rhs).reshape(k, n_nodes, n_hat)
         K_samples = K_samples.transpose(1, 0, 2)
     return P_samples, K_samples
 
@@ -276,14 +312,18 @@ def finite_horizon(
     # The DRE step's X block is a fundamental matrix of the closed loop
     # v' = (A_l - B_l K(t1 - s)) v in tau = t1 - s: from X = I at tau_j it
     # reaches Phi11 + Phi12 P_j at tau_{j+1}, so real time steps back with its
-    # inverse, exactly on the nodes.
+    # inverse, exactly on the nodes.  Pi starts as these steps back_i and
+    # becomes their prefix products back_i ... back_0 in place, by doubling:
+    # after the pass with offset d, Pi_i holds the last min(2d, i + 1)
+    # factors.  Then v_{i+1} = Pi_i v_0.
     _, _, Phi = _dre_hamiltonian(assoc, w, t1 / (n_nodes - 1))
     v0 = assoc.M @ z
-    v_samples = np.empty((n_nodes, n_hat))
-    v_samples[0] = v0
-    back = np.linalg.inv(Phi[:n_hat, :n_hat] + Phi[:n_hat, n_hat:] @ P_samples[-2::-1])
-    for i in range(n_nodes - 1):
-        v_samples[i + 1] = back[i] @ v_samples[i]
+    Pi = np.linalg.inv(Phi[:n_hat, :n_hat] + Phi[:n_hat, n_hat:] @ P_samples[-2::-1])
+    d = 1
+    while d < n_nodes - 1:
+        Pi[d:] = Pi[d:] @ Pi[:-d]
+        d *= 2
+    v_samples = np.vstack([v0, Pi @ v0])
 
     C_cl = assoc.C_l - assoc.D_l @ K_samples[::-1]
     outputs = np.einsum("ijk,ik->ij", C_cl, v_samples)

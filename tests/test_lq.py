@@ -1,6 +1,7 @@
 """Finite and infinite horizon LQ solvers on the associated realization."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from dae2ode import (
     DaeLti,
     InconsistentInitialState,
     LqWeights,
+    NonFiniteP,
     NoStabilizingStart,
     NotStabilizable,
     OdeLti,
@@ -31,6 +33,7 @@ from dae2ode import (
     wong_limit,
 )
 from dae2ode.dae import pencil_stabilizability_test
+from dae2ode.lq import _dre_hamiltonian
 
 from conftest import random_dae, random_spd
 
@@ -39,6 +42,52 @@ def scalar_integrator():
     """x' = u with unit weights; the Riccati flow is P' = 1 - P^2."""
     dae = DaeLti(np.eye(1), np.zeros((1, 1)), np.eye(1))
     return dae, associate(dae)
+
+
+@pytest.fixture(scope="module")
+def dre_population():
+    """16 random systems with D_l != 0 (seed 11), each with unit weights and
+    a consistent start z."""
+    rng = np.random.default_rng(11)
+    cases = []
+    while len(cases) < 16:
+        dae = random_dae(rng)
+        assoc = associate(dae)
+        if np.linalg.norm(assoc.D_l) == 0.0:
+            continue
+        w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.eye(dae.c))
+        cases.append((dae, assoc, w, assoc.EC_s @ rng.standard_normal(assoc.n_hat)))
+    return cases
+
+
+def stepped_dre(cases, t1):
+    """Reference (P_samples, K_samples) for each case on solve_dre's default
+    grid, stepping P <- (Phi21 + Phi22 P)(Phi11 + Phi12 P)^{-1} node by node.
+    All cases step together, each padded to the largest state dimension with
+    Phi11 = Phi22 = I and P = 0 on the padding, where the step keeps P = 0."""
+    steps = max(2000, int(np.ceil(1000.0 * t1)))
+    N = max(assoc.n_hat for _, assoc, _, _ in cases)
+    Phi = np.zeros((len(cases), 2, N, 2, N))
+    P = np.zeros((len(cases), N, N))
+    for i, (_, assoc, w, _) in enumerate(cases):
+        n = assoc.n_hat
+        Phi[i, :, :n, :, :n] = _dre_hamiltonian(assoc, w, t1 / steps)[2].reshape(2, n, 2, n)
+        Phi[i, 0, n:, 0, n:] = Phi[i, 1, n:, 1, n:] = np.eye(N - n)
+        P[i, :n, :n] = assoc.EC_s.T @ w.Q0 @ assoc.EC_s
+    P_samples = np.empty((steps + 1,) + P.shape)
+    P_samples[0] = P
+    (Phi11, Phi12), (Phi21, Phi22) = [[Phi[:, a, :, b].copy() for b in (0, 1)] for a in (0, 1)]
+    for j in range(steps):
+        X, Y = Phi11 + Phi12 @ P, Phi21 + Phi22 @ P
+        P = np.linalg.solve(X.swapaxes(1, 2), Y.swapaxes(1, 2)).swapaxes(1, 2)
+        P = 0.5 * (P + P.swapaxes(1, 2))
+        P_samples[j + 1] = P
+    results = []
+    for i, (_, assoc, w, _) in enumerate(cases):
+        n, B, C, D, S = assoc.n_hat, assoc.B_l, assoc.C_l, assoc.D_l, w.S
+        P_i = P_samples[:, i, :n, :n]
+        results.append((P_i, np.linalg.solve(D.T @ S @ D, B.T @ P_i + D.T @ S @ C)))
+    return results
 
 
 class TestWeights:
@@ -126,6 +175,25 @@ class TestSolveDre:
         want = W @ P_are @ W.T
         assert np.linalg.norm(P_dre - want) <= 1e-9 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("t1", [1.0, 20.0])
+    def test_doubling_matches_node_by_node_stepping(self, dre_population, t1):
+        reference = stepped_dre(dre_population, t1)
+        for (_, assoc, w, _), want in zip(dre_population, reference):
+            for got, ref in zip(solve_dre(assoc, w, t1), want):
+                gap = np.linalg.norm(got - ref, axis=(1, 2))
+                assert np.all(gap <= 1e-10 * np.linalg.norm(ref, axis=(1, 2)))
+
+    @pytest.mark.parametrize("a, tau", [(400.0, "0.8865"), (1000.0, "0.355")])
+    def test_overflow_raises_non_finite_p_at_the_first_node(self, a, tau):
+        # P(tau) grows like e^{2 a tau}; the overflow must surface as the
+        # package error alone, even where warnings are errors.
+        dae = DaeLti(np.eye(1), [[a]], np.zeros((1, 1)))
+        w = LqWeights(np.eye(1), np.eye(1), np.eye(1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteP, match=f"tau = {tau}$"):
+                finite_horizon(dae, associate(dae), w, [1.0], 1.0)
+
     def test_invalid_horizon_rejected(self, ex1_assoc):
         w = LqWeights(np.eye(3), np.eye(1), np.zeros((2, 2)))
         with pytest.raises(ValueError):
@@ -182,6 +250,17 @@ class TestFiniteHorizon:
         for a, b in ((coarse.v_samples, fine.v_samples[::10]),
                      (coarse.traj.x, fine.traj.x[::10])):
             assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
+
+    def test_back_stepping_scan_matches_sequential_product(self, dre_population):
+        for dae, assoc, w, z in dre_population:
+            sol = finite_horizon(dae, assoc, w, z, 1.0)
+            n = assoc.n_hat
+            Phi = _dre_hamiltonian(assoc, w, 1.0 / (sol.grid.shape[0] - 1))[2]
+            back = np.linalg.inv(Phi[:n, :n] + Phi[:n, n:] @ sol.P_samples[-2::-1])
+            v = [assoc.M @ z]
+            for step in back:
+                v.append(step @ v[-1])
+            assert np.linalg.norm(sol.v_samples - v) <= 1e-11 * np.linalg.norm(v)
 
     def test_inconsistent_start_rejected(self):
         dae = DaeLti(
