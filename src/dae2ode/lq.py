@@ -256,7 +256,10 @@ def solve_dre(
         d = 1
         while d < n_nodes:
             P = P_samples[: min(d, n_nodes - d)]
-            P_new = _sym(H + A.T @ P @ np.linalg.solve(I + G @ P, A))
+            # A is broadcast by hand: NumPy 1.x would read a 2-D right-hand
+            # side against a stack of matrices as a stack of vectors.
+            A_stack = np.broadcast_to(A, P.shape)
+            P_new = _sym(H + A.T @ P @ np.linalg.solve(I + G @ P, A_stack))
             finite = np.isfinite(P_new).all(axis=(1, 2))
             if not finite.all():
                 node = d + int(np.argmin(finite))
