@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dae import DaeLti, Trajectory, behavior_residual
+from .dae import DaeLti, Trajectory, behavior_residual, wong_limit
 from .errors import NotEquivalent
 from .odesys import (
     OdeLti,
@@ -39,7 +39,7 @@ from .odesys import (
     stabilizability_subspace,
     weakly_unobservable,
 )
-from .subspaces import _rank_from_singular_values, pinv, rank
+from .subspaces import EQUALITY_TOL, _rank_from_singular_values, image, pinv, rank
 
 __all__ = [
     "AssociatedOdeLti",
@@ -210,6 +210,8 @@ class AssociationReport:
     ec_s_full_rank: bool
     state_map_ok: bool
     state_dim_bound_ok: bool
+    identity_residual: float
+    consistency_ok: bool
     max_lift_residual: float
     realization_ok: bool
     failures: list[str] = field(default_factory=list)
@@ -219,27 +221,30 @@ class AssociationReport:
         return not self.failures
 
 
-def verify_associated(
-    dae: DaeLti,
-    sys: AssociatedOdeLti,
-    tol: float = 1e-8,
-    n_sims: int = 20,
-    horizon: float = 0.25,
-    seed: int = 0,
-) -> AssociationReport:
-    """Check the defining invariants plus a behavioral round trip.
+def _zero_input_branch(sys: AssociatedOdeLti) -> bool:
+    """Whether ``sys`` has no free input: B_l and D_l are zero."""
+    return np.linalg.norm(sys.D_l) == 0.0 and np.linalg.norm(sys.B_l) == 0.0
 
-    The round trip simulates ``n_sims`` random (v0, g) pairs and requires the
-    lifted trajectories to satisfy the DAE within a central-difference
-    residual of 1e-5 (one direction of the realization property).
+
+def verify_associated(
+    dae: DaeLti, sys: AssociatedOdeLti, tol: float = 1e-8, seed: int = 0
+) -> AssociationReport:
+    """Check the defining invariants and decide realization exactly.
+
+    Given E D_s = 0, every output of ``sys`` solves the DAE if and only if
+    E C_s A_l = A C_s + B C_u and E C_s B_l = A D_s + B D_u; the larger
+    residual, relative to (1 + the largest norm of E, A, B, A_l, B_l, C_l,
+    D_l)^2, must not exceed ``tol``.  Every solution is an output if and
+    only if im(E C_s) equals E times the Wong limit, the consistency set
+    computed independently of ``sys``.  One simulated round trip from a
+    random (v0, g) drawn with ``seed`` checks ``lift_solution`` as well:
+    the lifted trajectory must satisfy the DAE within a central-difference
+    residual of 1e-5.
     """
     failures: list[str] = []
-    E = dae.E
+    E, A, B = dae.E, dae.A, dae.B
 
-    zero_input = (
-        np.linalg.norm(sys.D_l) == 0.0 and np.linalg.norm(sys.B_l) == 0.0
-    )
-    if zero_input:
+    if _zero_input_branch(sys):
         input_maps_ok = sys.k == 1
     else:
         input_maps_ok = rank(sys.D_l) == sys.k
@@ -268,6 +273,46 @@ def verify_associated(
     if not state_dim_bound_ok:
         failures.append("state dimension exceeds rank E")
 
+    # Formed again rather than read from the cache, so that the exact checks
+    # below judge the quadruple (A_l, B_l, C_l, D_l) itself.
+    EC_s = E @ sys.C_s
+    largest_norm = max(
+        np.linalg.norm(M) for M in (E, A, B, sys.A_l, sys.B_l, sys.C_l, sys.D_l)
+    )
+    identity_residual = float(
+        max(
+            np.linalg.norm(EC_s @ sys.A_l - A @ sys.C_s - B @ sys.C_u),
+            np.linalg.norm(EC_s @ sys.B_l - A @ sys.D_s - B @ sys.D_u),
+        )
+        / (1.0 + largest_norm) ** 2
+    )
+    identity_ok = identity_residual <= tol
+    if not identity_ok:
+        failures.append(
+            f"forward identities residual {identity_residual:.3e} > {tol:.0e}: "
+            "some outputs do not solve the DAE"
+        )
+
+    # im(E C_s) = E V, tested as two containments by residuals against
+    # ||E||, so that E V gets no rank decision of its own: along ker E its
+    # singular values are rounding residue of size eps ||E||, which can pass
+    # a threshold taken relative to its own largest singular value when E is
+    # badly scaled.
+    V = wong_limit(dae).basis
+    EV = E @ V
+    Q = image(EC_s).basis
+    norm_E = np.linalg.norm(E)
+    consistency_ok = bool(
+        np.linalg.norm(EC_s - EV @ (V.T @ sys.C_s))
+        <= EQUALITY_TOL * norm_E * np.linalg.norm(sys.C_s)
+        and np.linalg.norm(EV - Q @ (Q.T @ EV)) <= EQUALITY_TOL * norm_E
+    )
+    if not consistency_ok:
+        failures.append(
+            "im(E C_s) differs from E times the Wong limit: "
+            "some solutions are not outputs"
+        )
+
     rng = np.random.default_rng(seed)
     # The residual check differentiates Ex numerically, so its truncation
     # error grows with the cube of the system norms and with e^(|A_l| t).
@@ -280,32 +325,31 @@ def verify_associated(
     )
     amp_scale = 1.0 / ((1.0 + np.linalg.norm(E, 2)) * (1.0 + norms) ** 3)
     a_norm = np.linalg.norm(sys.A_l, 2) if sys.A_l.size else 0.0
-    span = min(horizon, 3.0 / (1.0 + a_norm))
+    span = min(0.25, 3.0 / (1.0 + a_norm))
     steps = max(int(round(span / 1e-3)), 10)
     times = np.linspace(0.0, span, steps + 1)
-    max_resid = 0.0
-    for _ in range(n_sims):
-        v0 = amp_scale * rng.standard_normal(sys.n_hat)
-        # Smooth random inputs with bounded derivatives.
-        offs, slope, amp = amp_scale * rng.standard_normal((3, sys.k))
-        freq = rng.uniform(0.5, 3.0, sys.k)
-        phase = rng.uniform(0.0, 2.0 * np.pi, sys.k)
-        g = offs + slope * times[:, None] + amp * np.sin(freq * times[:, None] + phase)
-        traj = lift_solution(dae, sys, v0, g, times)
-        max_resid = max(max_resid, behavior_residual(dae, traj))
-    realization_ok = max_resid <= 1e-5
-    if not realization_ok:
-        failures.append(f"behavioral round trip residual {max_resid:.3e} > 1e-5")
+    v0 = amp_scale * rng.standard_normal(sys.n_hat)
+    # A smooth random input with bounded derivatives.
+    offs, slope, amp = amp_scale * rng.standard_normal((3, sys.k))
+    freq = rng.uniform(0.5, 3.0, sys.k)
+    phase = rng.uniform(0.0, 2.0 * np.pi, sys.k)
+    g = offs + slope * times[:, None] + amp * np.sin(freq * times[:, None] + phase)
+    lift_residual = behavior_residual(dae, lift_solution(dae, sys, v0, g, times))
+    lift_ok = lift_residual <= 1e-5
+    if not lift_ok:
+        failures.append(f"behavioral round trip residual {lift_residual:.3e} > 1e-5")
 
     return AssociationReport(
-        input_maps_ok,
-        ed_s_zero,
-        ec_s_full_rank,
-        state_map_ok,
-        state_dim_bound_ok,
-        max_resid,
-        realization_ok,
-        failures,
+        input_maps_ok=input_maps_ok,
+        ed_s_zero=ed_s_zero,
+        ec_s_full_rank=ec_s_full_rank,
+        state_map_ok=state_map_ok,
+        state_dim_bound_ok=state_dim_bound_ok,
+        identity_residual=identity_residual,
+        consistency_ok=consistency_ok,
+        max_lift_residual=lift_residual,
+        realization_ok=identity_ok and consistency_ok and lift_ok,
+        failures=failures,
     )
 
 
@@ -363,9 +407,8 @@ def feedback_equivalence(
     K = D1_pinv @ (s2.C_l @ T - s1.C_l)
     U = D1_pinv @ s2.D_l
     if s1.k != s2.k or rank(U) != s1.k:
-        zero1 = np.linalg.norm(s1.D_l) == 0 and np.linalg.norm(s1.B_l) == 0
-        zero2 = np.linalg.norm(s2.D_l) == 0 and np.linalg.norm(s2.B_l) == 0
-        if zero1 and zero2 and s1.k == 1 and s2.k == 1:
+        zero_branch = _zero_input_branch(s1) and _zero_input_branch(s2)
+        if zero_branch and s1.k == 1 and s2.k == 1:
             U = np.eye(1)
         else:
             raise NotEquivalent("recovered input change U is singular")

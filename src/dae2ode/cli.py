@@ -13,8 +13,8 @@ One executable, subcommand style::
 Problem files are JSON objects with members "E", "A", "B" and optional
 "Q", "R", "Q0", "z", "t1" (see `dae2ode.matio`).  Matrices are emitted in
 the matrix text format, trajectories as CSV.  Runs are deterministic for
-fixed flags; --seed only affects the randomized round-trip checks of
-`associate`.
+fixed flags; --seed only draws the random (v0, g) of the one simulated
+round trip that `associate` runs after its exact checks.
 
 Exit codes: 0 success; 1 parse, shape, or usage error; 2 the problem is
 not behaviorally stabilizable; 3 the initial value is not consistent.
@@ -39,6 +39,7 @@ from .errors import Dae2OdeError, InconsistentInitialState, NotStabilizable
 from .heat import HeatConfig, error_curves, run_heat_benchmark
 from .lq import finite_horizon, infinite_horizon
 from .matio import (
+    _format_rows,
     format_matrix,
     format_trajectory,
     load_problem,
@@ -163,6 +164,8 @@ def _cmd_associate(args) -> int:
     print(f"ec_s_full_rank: {str(report.ec_s_full_rank).lower()}")
     print(f"state_map_ok: {str(report.state_map_ok).lower()}")
     print(f"state_dim_bound_ok: {str(report.state_dim_bound_ok).lower()}")
+    print(f"identity_residual: {report.identity_residual:.3e}")
+    print(f"consistency_ok: {str(report.consistency_ok).lower()}")
     print(f"max_lift_residual: {report.max_lift_residual:.3e}")
     print(f"realization_ok: {str(report.realization_ok).lower()}")
     print(f"verified: {str(report.ok).lower()}")
@@ -263,7 +266,7 @@ def _cmd_heat_demo(args) -> int:
     (out / "costs.txt").write_text("\n".join(cost_lines) + "\n")
 
     header = "t,e_sol,e_sim,e_g,e_sim_g"
-    rows = [",".join(format(v, ".17g") for v in row) for row in bench.curves]
+    rows = _format_rows(bench.curves, ",")
     (out / "errors.csv").write_text("\n".join([header] + rows) + "\n")
 
     models = bench.models

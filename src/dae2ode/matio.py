@@ -36,8 +36,12 @@ __all__ = [
 ]
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".17g")
+def _format_rows(M: np.ndarray, sep: str) -> list[str]:
+    """The rows of the 2-D float array ``M`` as decimals with 17 significant
+    digits joined by ``sep``: the strings of ``format(v, ".17g")``, made
+    with one ``%`` template per row instead of one call per element."""
+    template = sep.join(["%.17g"] * M.shape[1])
+    return [template % tuple(row) for row in M.tolist()]
 
 
 def format_matrix(M) -> str:
@@ -45,9 +49,8 @@ def format_matrix(M) -> str:
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={M.ndim}")
-    rows = [" ".join(_fmt(v) for v in row) for row in M]
     header = f"{M.shape[0]} {M.shape[1]}"
-    return "\n".join([header] + rows) + "\n"
+    return "\n".join([header] + _format_rows(M, " ")) + "\n"
 
 
 def parse_matrix(text: str) -> np.ndarray:
@@ -140,11 +143,8 @@ def format_trajectory(traj: Trajectory) -> str:
     header = ",".join(
         ["t"] + [f"x{i}" for i in range(1, n + 1)] + [f"u{j}" for j in range(1, m + 1)]
     )
-    lines = [header]
-    for k in range(traj.times.shape[0]):
-        row = [traj.times[k], *traj.x[k], *traj.u[k]]
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    rows = _format_rows(np.column_stack([traj.times, traj.x, traj.u]), ",")
+    return "\n".join([header] + rows) + "\n"
 
 
 def parse_trajectory(text: str) -> Trajectory:

@@ -112,6 +112,48 @@ class TestVerifyAssociated:
             assert report.ok, report.failures
             assert report.max_lift_residual <= 1e-5
 
+    def test_forward_identities_hold_on_criterion_3_stream(self):
+        rng = np.random.default_rng(20260814)
+        for idx in range(100):
+            dae = random_dae(rng)
+            report = verify_associated(dae, associate(dae))
+            assert report.identity_residual <= 1e-12, f"instance {idx}"
+
+    @pytest.mark.parametrize(
+        "name, index", [("A_l", (0, 1)), ("B_l", (1, 0)), ("C_l", (3, 0))]
+    )
+    def test_tainted_dynamics_break_forward_identities(self, ex1, ex1_assoc, name, index):
+        # C_l row 3 is C_u: the input output map.
+        M = getattr(ex1_assoc, name).copy()
+        M[index] += 0.5
+        tainted = dataclasses.replace(ex1_assoc, **{name: M})
+        report = verify_associated(ex1, tainted)
+        assert report.identity_residual > 1e-8
+        assert not report.realization_ok
+        assert not report.ok
+
+    def test_partial_realization_fails_the_converse(self, ex1):
+        # Realizes only the solutions with x2 = 0: x = (v, 0, 0), u = g - v
+        # with v' = g.  Every output solves the DAE, but not every solution
+        # is an output, which no simulated round trip can reveal.
+        C_l = np.array([[1.0], [0.0], [0.0], [-1.0]])
+        partial = AssociatedOdeLti(
+            np.zeros((1, 1)),
+            np.ones((1, 1)),
+            C_l,
+            np.array([[0.0], [0.0], [0.0], [1.0]]),
+            np.array([[1.0, 0.0]]),
+            ex1.E @ C_l[:3],
+            3,
+            1,
+        )
+        report = verify_associated(ex1, partial)
+        assert report.identity_residual <= 1e-15
+        assert report.max_lift_residual <= 1e-5
+        assert not report.consistency_ok
+        assert not report.realization_ok
+        assert not report.ok
+
     def test_tainted_feedthrough_detected(self, ex1, ex1_assoc):
         D_bad = ex1_assoc.D_l.copy()
         D_bad[0, 0] += 0.5

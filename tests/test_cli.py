@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from dae2ode import Trajectory, associate, behavior_residual
 from dae2ode.cli import main
 from dae2ode.matio import (
+    _format_rows,
     format_matrix,
     format_trajectory,
     load_matrix,
@@ -65,6 +66,8 @@ class TestAssociate:
         assert rc == 0
         assert "verified: true" in out
         assert "realization_ok: true" in out
+        assert "consistency_ok: true" in out
+        assert float(out.split("identity_residual: ")[1].split()[0]) <= 1e-12
 
     def test_out_dir_matches_library(self, tmp_path, capsys):
         out_dir = tmp_path / "assoc"
@@ -317,6 +320,18 @@ class TestMatio:
         assert np.array_equal(back.times, traj.times)
         assert np.array_equal(back.x, traj.x)
         assert np.array_equal(back.u, traj.u)
+
+    def test_row_formatter_matches_per_element_format(self):
+        special = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.797e308]
+        rng = np.random.default_rng(31)
+        M = np.vstack([
+            np.array(special).reshape(2, 4),
+            rng.standard_normal((50, 4)) * 10.0 ** rng.integers(-300, 300, (50, 4)),
+        ])
+        for sep in (" ", ","):
+            expected = [sep.join(format(v, ".17g") for v in row) for row in M]
+            assert _format_rows(M, sep) == expected
+        assert _format_rows(np.zeros((2, 0)), ",") == ["", ""]
 
     def test_matrix_header_must_match_body(self):
         with pytest.raises(ValueError):
