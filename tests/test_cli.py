@@ -66,6 +66,11 @@ class TestAssociate:
         assert rc == 0
         assert "verified: true" in out
         assert "realization_ok: true" in out
+
+    def test_prints_exact_checks(self, tmp_path, capsys):
+        rc = main(["associate", ex1_problem(tmp_path)])
+        out = capsys.readouterr().out
+        assert rc == 0
         assert "consistency_ok: true" in out
         assert float(out.split("identity_residual: ")[1].split()[0]) <= 1e-12
 
