@@ -135,14 +135,6 @@ class StabilizableRestriction:
     def D_g(self) -> np.ndarray:
         return self.sys_g.D
 
-    @property
-    def C_u(self) -> np.ndarray:
-        return self.sys_g.C[self.n :]
-
-    @property
-    def D_u(self) -> np.ndarray:
-        return self.sys_g.D[self.n :]
-
 
 def associate(
     dae: DaeLti, tol: float | None = None, basis_seed: int | None = None

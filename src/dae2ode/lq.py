@@ -14,9 +14,12 @@ the associated ODE-LTI and solving a Riccati problem in the internal state:
   matrices composed by a prefix-product scan, optimal cost M(z)' P(t1) M(z);
 * infinite horizon: an algebraic Riccati equation on the restriction of the
   associated system to its stabilizability subspace, solved by the Schur
-  method and polished by Kleinman-Newton steps, optimal cost
-  (M_g z)' P (M_g z), solvable exactly for behaviorally stabilizable z.
+  method on the DRE's reduced Hamiltonian data and polished by
+  Kleinman-Newton steps (for D = 0 the first step gives the Gramian),
+  optimal cost (M_g z)' P (M_g z), solvable exactly for behaviorally
+  stabilizable z.
 
+Both equations share one builder of that data and one gain routine.
 Both solvers return the optimal trajectory together with the feedback forms
 u* = K_f x* and the pointwise constraint description K1 x + K2 u = 0 whose
 solutions are exactly the optimal pair.
@@ -25,6 +28,7 @@ solutions are exactly the optimal pair.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.integrate
@@ -93,7 +97,7 @@ class LqWeights:
     def m(self) -> int:
         return self.R.shape[0]
 
-    @property
+    @cached_property
     def S(self) -> np.ndarray:
         """Output weight diag(Q, R) of the associated system."""
         return scipy.linalg.block_diag(self.Q, self.R)
@@ -154,26 +158,15 @@ def spectral_abscissa(A: np.ndarray) -> float:
     return float(np.max(np.real(np.linalg.eigvals(A))))
 
 
-def _gain_kernel(D, C, S):
-    """W = D'SD (Cholesky-factored), plus the constant part D'SC of the gain."""
-    W = D.T @ S @ D
-    try:
-        cho = scipy.linalg.cho_factor(W)
-    except scipy.linalg.LinAlgError as exc:
-        raise ValueError(
-            "D'SD is not positive definite; the LQ gain is undefined "
-            "(requires full column rank D and positive definite Q, R)"
-        ) from exc
-    return cho, D.T @ S @ C
-
-
-def _dre_hamiltonian(assoc: AssociatedOdeLti, w: LqWeights, h: float):
-    """Gain kernel and step of the DRE: (cho, DSC, Phi) with cho the Cholesky
-    factor of W = D_l'SD_l and DSC = D_l'SC_l (both None when D_l = 0, where
-    the gain is zero), and Phi the Hamiltonian exponential of ``solve_dre``.
+def _hamiltonian(sys: OdeLti, w: LqWeights):
+    """Reduced Hamiltonian data of the LQ problem on (A, B, C, D) with output
+    weight S = diag(Q, R): (cho, DSC, A_r, G, Q_r) with cho the Cholesky
+    factor of W = D'SD, DSC = D'SC, A_r = A - B W^{-1}D'SC,
+    G = B W^{-1}B' and Q_r = C'SC - C'SD W^{-1}D'SC.  When D = 0 (which an
+    associated system allows only with B = 0) cho and DSC are None, the gain
+    is zero, A_r = A, G = 0 and Q_r = C'SC.
     """
-    A, B, C, D = assoc.A_l, assoc.B_l, assoc.C_l, assoc.D_l
-    n_hat = assoc.n_hat
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
     S = w.S
     if S.shape[0] != C.shape[0]:
         raise ValueError(
@@ -182,16 +175,68 @@ def _dre_hamiltonian(assoc: AssociatedOdeLti, w: LqWeights, h: float):
         )
     CSC = C.T @ S @ C
     if np.linalg.norm(D) == 0.0:
-        cho = DSC = None
-        A_r, G, Q_r = A, np.zeros((n_hat, n_hat)), CSC
-    else:
-        cho, DSC = _gain_kernel(D, C, S)
-        F = scipy.linalg.cho_solve(cho, np.hstack([DSC, B.T]))
-        A_r = A - B @ F[:, :n_hat]
-        G = B @ F[:, n_hat:]
-        Q_r = CSC - DSC.T @ F[:, :n_hat]
+        if np.linalg.norm(B) != 0.0:
+            raise ValueError("zero-feedthrough branch requires B = 0 as well")
+        return None, None, A, np.zeros_like(A), CSC
+    try:
+        cho = scipy.linalg.cho_factor(D.T @ S @ D)
+    except scipy.linalg.LinAlgError as exc:
+        raise ValueError(
+            "D'SD is not positive definite; the LQ gain is undefined "
+            "(requires full column rank D and positive definite Q, R)"
+        ) from exc
+    DSC = D.T @ S @ C
+    n = A.shape[0]
+    F = scipy.linalg.cho_solve(cho, np.hstack([DSC, B.T]))
+    return cho, DSC, A - B @ F[:, :n], B @ F[:, n:], CSC - DSC.T @ F[:, :n]
+
+
+def _dre_hamiltonian(assoc: AssociatedOdeLti, w: LqWeights, h: float):
+    """Gain data and step of the DRE: (cho, DSC, Phi) with cho and DSC as
+    in ``_hamiltonian`` and Phi the Hamiltonian exponential of ``solve_dre``.
+    """
+    cho, DSC, A_r, G, Q_r = _hamiltonian(assoc.as_ode(), w)
     Phi = scipy.linalg.expm(h * np.block([[-A_r, G], [Q_r, A_r.T]]))
     return cho, DSC, Phi
+
+
+def _gain(cho, DSC, B: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """K = W^{-1}(B'P + D'SC) for one P or, in one solve, for each P of a
+    stack; K = 0 when D = 0 (cho is None)."""
+    if cho is None:
+        return np.zeros(P.shape[:-2] + (B.shape[1], P.shape[-1]))
+    rhs = B.T @ P + DSC
+    k = rhs.shape[-2]
+    K = scipy.linalg.cho_solve(cho, rhs.swapaxes(0, -2).reshape(k, -1))
+    return K.reshape(k, *rhs.shape[:-2], rhs.shape[-1]).swapaxes(0, -2)
+
+
+def _closed_loop(sys: OdeLti, K: np.ndarray) -> OdeLti:
+    """The system under the feedback q = -K v."""
+    return OdeLti(sys.A - sys.B @ K, sys.B, sys.C - sys.D @ K, sys.D)
+
+
+def _feedback_forms(C_cl: np.ndarray, ME: np.ndarray, n: int):
+    """(K_f, K1, K2) from the closed-loop output map C_cl, or a stack of
+    them, and the map ME from x to the internal state: u = K_f x, and
+    K1 x + K2 u = 0 holds exactly for the optimal pair."""
+    C_cl_ME = C_cl @ ME
+    m = C_cl.shape[-2] - n
+    K1 = C_cl_ME - np.vstack([np.eye(n), np.zeros((m, n))])
+    K2 = np.vstack([np.zeros((n, m)), -np.eye(m)])
+    return C_cl_ME[..., n:, :], K1, K2
+
+
+def _internal_start(dae: DaeLti, assoc: AssociatedOdeLti, z) -> np.ndarray:
+    """The internal state M z of a consistent initial value z = Ex(0)."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    if z.shape[0] != dae.c:
+        raise ValueError(f"z must have length {dae.c}")
+    if not is_consistent(dae, assoc, z):
+        raise InconsistentInitialState(
+            "z is not in the consistency set image(E C_s); no solution starts there"
+        )
+    return assoc.M @ z
 
 
 def _sym(X: np.ndarray) -> np.ndarray:
@@ -241,7 +286,7 @@ def solve_dre(
     if steps < 100:
         raise ValueError("steps must be at least 100")
 
-    n_hat, k = assoc.n_hat, assoc.k
+    n_hat = assoc.n_hat
     h = t1 / steps
     cho, DSC, Phi = _dre_hamiltonian(assoc, w, h)
     n_nodes = steps + 1
@@ -276,14 +321,7 @@ def solve_dre(
                     _sym(H + A.T @ H @ X),
                 )
 
-    if cho is None:
-        K_samples = np.zeros((n_nodes, k, n_hat))
-    else:
-        # One solve for every node: K_j = W^{-1}(B'P_j + D'SC).
-        rhs = (assoc.B_l.T @ P_samples + DSC).transpose(1, 0, 2).reshape(k, -1)
-        K_samples = scipy.linalg.cho_solve(cho, rhs).reshape(k, n_nodes, n_hat)
-        K_samples = K_samples.transpose(1, 0, 2)
-    return P_samples, K_samples
+    return P_samples, _gain(cho, DSC, assoc.B_l, P_samples)
 
 
 def finite_horizon(
@@ -299,14 +337,7 @@ def finite_horizon(
     The optimal pair is (x*, u*)(s) = (C_l - D_l K(t1 - s)) v(s) with
     v' = (A_l - B_l K(t1 - s)) v, v(0) = M z; the cost is M(z)'P(t1)M(z).
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != dae.c:
-        raise ValueError(f"z must have length {dae.c}")
-    if not is_consistent(dae, assoc, z):
-        raise InconsistentInitialState(
-            "z is not in the consistency set image(E C_s); no solution starts there"
-        )
-
+    v0 = _internal_start(dae, assoc, z)
     P_samples, K_samples = solve_dre(assoc, w, t1, steps)
     n_nodes = P_samples.shape[0]
     grid = np.linspace(0.0, t1, n_nodes)
@@ -320,7 +351,6 @@ def finite_horizon(
     # after the pass with offset d, Pi_i holds the last min(2d, i + 1)
     # factors.  Then v_{i+1} = Pi_i v_0.
     _, _, Phi = _dre_hamiltonian(assoc, w, t1 / (n_nodes - 1))
-    v0 = assoc.M @ z
     Pi = np.linalg.inv(Phi[:n_hat, :n_hat] + Phi[:n_hat, n_hat:] @ P_samples[-2::-1])
     d = 1
     while d < n_nodes - 1:
@@ -330,12 +360,8 @@ def finite_horizon(
 
     C_cl = assoc.C_l - assoc.D_l @ K_samples[::-1]
     outputs = np.einsum("ijk,ik->ij", C_cl, v_samples)
-    n, m = assoc.n, assoc.m
-    C_cl_ME = C_cl @ (assoc.M @ dae.E)
-    K_f_samples = C_cl_ME[:, n:]
-    K1_samples = C_cl_ME - np.vstack([np.eye(n), np.zeros((m, n))])
-    K2 = np.vstack([np.zeros((n, m)), -np.eye(m)])
-
+    n = assoc.n
+    K_f_samples, K1_samples, K2 = _feedback_forms(C_cl, assoc.M @ dae.E, n)
     traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
     cost = float(v0 @ P_samples[-1] @ v0)
     return FiniteHorizonSolution(
@@ -351,76 +377,61 @@ def solve_are(
         0 = P A_g + A_g'P - K'(D_g'SD_g)K + C_g'SC_g,
         K = (D_g'SD_g)^{-1}(B_g'P + D_g'SC_g),
 
-    by the Schur method of ``scipy.linalg.solve_continuous_are`` with the
-    cross term D_g'SC_g, followed by at most three Kleinman-Newton polish
-    steps, each one Lyapunov solve on the closed loop A_g - B_g K.  The
-    restricted associated system has no invariant zeros, so the Hamiltonian
-    has no eigenvalues on the imaginary axis.
-    When D_g = 0 (and hence B_g = 0 for an associated system) P is the
-    observability Gramian from a single Lyapunov solve and K = 0.
+    by the Schur method of ``scipy.linalg.solve_continuous_are`` on the
+    reduced data of the DRE's Hamiltonian, 0 = P A_r + A_r'P - P G P + Q_r
+    with G = B_g W^{-1} B_g' and W = D_g'SD_g, followed by at most three
+    Kleinman-Newton polish steps, each one Lyapunov solve on the closed loop
+    A_g - B_g K.  The restricted associated system has no invariant zeros,
+    so the Hamiltonian has no eigenvalues on the imaginary axis.
+    When D_g = 0 (and hence B_g = 0 for an associated system) the polish
+    starts from K = 0 without the Schur step: its first Lyapunov solve gives
+    the observability Gramian P, and K stays 0.
 
     Returns (P, K) with P symmetric, relative ARE residual <= tol and
     A_g - B_g K stable; raises NoStabilizingStart otherwise.
     """
-    A, B = restr.A_g, restr.B_g
-    C, D = restr.C_g, restr.D_g
-    S = w.S
-    l, k = restr.l, B.shape[1]
-    if S.shape[0] != C.shape[0]:
-        raise ValueError(
-            f"weights are for signal dimensions n={w.n}, m={w.m}, "
-            f"but the system outputs {C.shape[0]} rows"
-        )
+    sys, S = restr.sys_g, w.S
+    cho, DSC, A_r, _, Q_r = _hamiltonian(sys, w)
+    l, k = restr.l, sys.n_inputs
     if l == 0:
         return np.zeros((0, 0)), np.zeros((k, 0))
 
-    if np.linalg.norm(D) == 0.0:
-        if np.linalg.norm(B) != 0.0:
-            raise ValueError("zero-feedthrough branch requires B_g = 0 as well")
-        P = scipy.linalg.solve_continuous_lyapunov(A.T, -(C.T @ S @ C))
-        P = 0.5 * (P + P.T)
-        K = np.zeros((k, l))
-        _check_are_residual(restr, S, P, K, tol)
-        return P, K
-
-    cho, DSC = _gain_kernel(D, C, S)
-    # scipy insists on exactly symmetric q and r, which C'SC and D'SD miss by
-    # rounding once S and C come from a change of coordinates.
-    CSC, DSD = C.T @ S @ C, D.T @ S @ D
-    try:
-        P = scipy.linalg.solve_continuous_are(
-            A, B, 0.5 * (CSC + CSC.T), 0.5 * (DSD + DSD.T), s=DSC.T
-        )
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NoStabilizingStart(f"Schur ARE solver failed: {exc}") from exc
-    P = 0.5 * (P + P.T)
-    K = scipy.linalg.cho_solve(cho, B.T @ P + DSC)
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    W = D.T @ S @ D
+    if cho is None:
+        P, K = None, np.zeros((k, l))
+    else:
+        # scipy insists on exactly symmetric q and r, which Q_r and W miss by
+        # rounding once S and C come from a change of coordinates.
+        try:
+            P = scipy.linalg.solve_continuous_are(A_r, B, _sym(Q_r), _sym(W))
+        except (scipy.linalg.LinAlgError, ValueError) as exc:
+            raise NoStabilizingStart(f"Schur ARE solver failed: {exc}") from exc
+        P = _sym(P)
+        K = _gain(cho, DSC, B, P)
     for _ in range(3):
         C_cl = C - D @ K
         P_new = scipy.linalg.solve_continuous_lyapunov((A - B @ K).T, -(C_cl.T @ S @ C_cl))
-        P_new = 0.5 * (P_new + P_new.T)
+        P_new = _sym(P_new)
         if not np.all(np.isfinite(P_new)):
             raise NoStabilizingStart("Kleinman-Newton polish diverged")
-        converged = np.linalg.norm(P_new - P) <= 1e-13 * (1.0 + np.linalg.norm(P_new))
+        # With K = 0 fixed (D_g = 0) one step is already exact.
+        converged = cho is None or np.linalg.norm(P_new - P) <= 1e-13 * (
+            1.0 + np.linalg.norm(P_new)
+        )
         P = P_new
-        K = scipy.linalg.cho_solve(cho, B.T @ P + DSC)
+        K = _gain(cho, DSC, B, P)
         if converged:
             break
 
-    _check_are_residual(restr, S, P, K, tol)
-    return P, K
-
-
-def _check_are_residual(restr, S, P, K, tol):
-    A, B, C, D = restr.A_g, restr.B_g, restr.C_g, restr.D_g
-    W = D.T @ S @ D
     resid = P @ A + A.T @ P - K.T @ W @ K + C.T @ S @ C
     rel = np.linalg.norm(resid) / (1.0 + np.linalg.norm(P))
     if rel > tol:
         raise NoStabilizingStart(f"ARE residual {rel:.3e} exceeds tolerance {tol:.1e}")
     abscissa = spectral_abscissa(A - B @ K)
-    if P.size and abscissa >= 0.0:
+    if abscissa >= 0.0:
         raise NoStabilizingStart(f"closed loop is not stable (abscissa {abscissa:.3e})")
+    return P, K
 
 
 def is_behaviorally_stabilizable(dae: DaeLti, assoc: AssociatedOdeLti, z) -> bool:
@@ -429,11 +440,8 @@ def is_behaviorally_stabilizable(dae: DaeLti, assoc: AssociatedOdeLti, z) -> boo
     Requires z consistent; the criterion is membership of M(z) in the
     stabilizability subspace of (A_l, B_l).
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if not is_consistent(dae, assoc, z):
-        raise InconsistentInitialState("z is not in the consistency set image(E C_s)")
-    restr = stabilizable_restriction(assoc)
-    return _stabilizable_value(restr, assoc.M @ z)
+    v = _internal_start(dae, assoc, z)
+    return _stabilizable_value(stabilizable_restriction(assoc), v)
 
 
 def _stabilizable_value(restr: StabilizableRestriction, v: np.ndarray) -> bool:
@@ -459,14 +467,8 @@ def infinite_horizon(
 
     Raises NotStabilizable exactly when no behavior trajectory from z decays.
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != dae.c:
-        raise ValueError(f"z must have length {dae.c}")
-    if not is_consistent(dae, assoc, z):
-        raise InconsistentInitialState("z is not in the consistency set image(E C_s)")
-
+    v_full = _internal_start(dae, assoc, z)
     restr = stabilizable_restriction(assoc)
-    v_full = assoc.M @ z
     if not _stabilizable_value(restr, v_full):
         raise NotStabilizable(
             "z is not behaviorally stabilizable: M(z) leaves the stabilizability subspace"
@@ -474,26 +476,21 @@ def infinite_horizon(
     v0 = restr.projector @ v_full
 
     P, K = solve_are(restr, w)
-    A_cl = restr.A_g - restr.B_g @ K
-    C_cl = restr.C_g - restr.D_g @ K
-    abscissa = spectral_abscissa(A_cl)
+    cl = _closed_loop(restr.sys_g, K)
+    abscissa = spectral_abscissa(cl.A)
 
     if T_sim is None:
         T_sim = min(50.0 / abs(abscissa), 1e4) if np.isfinite(abscissa) else 1.0
     if steps is None:
-        a_scale = np.linalg.norm(A_cl, 2) if A_cl.size else 0.0
+        a_scale = np.linalg.norm(cl.A, 2) if cl.A.size else 0.0
         steps = int(max(2000, min(np.ceil(10.0 * T_sim * (1.0 + a_scale)), 200_000)))
     grid = np.linspace(0.0, T_sim, steps + 1)
-    _, outputs = simulate(OdeLti(A_cl, restr.B_g, C_cl, restr.D_g), v0, None, grid)
-    n, m = assoc.n, assoc.m
+    _, outputs = simulate(cl, v0, None, grid)
+    n = assoc.n
     traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
 
-    M_g = restr.M_g
-    K_z = C_cl[n:] @ M_g
-    K_f = K_z @ dae.E
-    state_selector = np.vstack([np.eye(n), np.zeros((m, n))])
-    K1 = C_cl @ M_g @ dae.E - state_selector
-    K2 = np.vstack([np.zeros((n, m)), -np.eye(m)])
+    K_z = cl.C[n:] @ restr.M_g
+    K_f, K1, K2 = _feedback_forms(cl.C, restr.M_g @ dae.E, n)
     cost = float(v0 @ P @ v0)
     return InfiniteHorizonSolution(
         P, K, K_f, K_z, K1, K2, traj, cost, abscissa, restr, v0
@@ -540,11 +537,9 @@ def closed_loop_replay(
     z = np.asarray(z, dtype=float).reshape(-1)
     if isinstance(solution, InfiniteHorizonSolution):
         restr = solution.restriction
-        A_cl = restr.A_g - restr.B_g @ solution.K
-        C_cl = restr.C_g - restr.D_g @ solution.K
         grid = solution.traj.times
         v0 = restr.projector @ (assoc.M @ z)
-        _, outputs = simulate(OdeLti(A_cl, restr.B_g, C_cl, restr.D_g), v0, None, grid)
+        _, outputs = simulate(_closed_loop(restr.sys_g, solution.K), v0, None, grid)
         n = assoc.n
         traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
         defect = traj.x @ solution.K1.T + traj.u @ solution.K2.T

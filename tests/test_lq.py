@@ -8,6 +8,7 @@ import pytest
 import scipy.linalg
 
 from dae2ode import (
+    AssociatedOdeLti,
     ConstraintViolated,
     DaeLti,
     InconsistentInitialState,
@@ -461,6 +462,70 @@ class TestInfiniteHorizon:
             quad = trajectory_cost(w, dae.E, sol.traj)
             assert abs(sol.cost - quad) <= 1e-3 * (1.0 + abs(sol.cost))
             done += 1
+
+
+
+RICCATI_CALLS = pytest.mark.parametrize(
+    "solve",
+    [
+        lambda dae, assoc, w: solve_dre(assoc, w, 1.0),
+        lambda dae, assoc, w: finite_horizon(dae, assoc, w, np.ones(1), 1.0),
+        lambda dae, assoc, w: solve_are(stabilizable_restriction(assoc), w),
+    ],
+    ids=["solve_dre", "finite_horizon", "solve_are"],
+)
+
+INITIAL_VALUE_CALLS = pytest.mark.parametrize(
+    "start",
+    [
+        lambda dae, assoc, w, z: finite_horizon(dae, assoc, w, z, 1.0),
+        lambda dae, assoc, w, z: infinite_horizon(dae, assoc, w, z),
+        lambda dae, assoc, w, z: is_behaviorally_stabilizable(dae, assoc, z),
+    ],
+    ids=["finite_horizon", "infinite_horizon", "is_behaviorally_stabilizable"],
+)
+
+
+class TestSharedChecks:
+    """Checks that both Riccati solvers and every initial value go through."""
+
+    @RICCATI_CALLS
+    def test_weights_for_other_signal_dimensions_rejected(self, solve):
+        dae, assoc = scalar_integrator()
+        w = LqWeights(np.eye(2), np.eye(1), np.eye(1))
+        with pytest.raises(ValueError, match="weights are for signal dimensions"):
+            solve(dae, assoc, w)
+
+    @RICCATI_CALLS
+    def test_zero_feedthrough_with_actuated_state_rejected(self, solve):
+        # D_l = 0 with B_l != 0 is no associated system; a zero gain would
+        # silently drop the input.
+        dae = DaeLti(np.eye(1), np.zeros((1, 1)), np.eye(1))
+        assoc = AssociatedOdeLti(
+            np.zeros((1, 1)),
+            np.eye(1),
+            np.array([[1.0], [0.0]]),
+            np.zeros((2, 1)),
+            M=np.eye(1),
+            EC_s=np.eye(1),
+            n=1,
+            m=1,
+        )
+        w = LqWeights(np.eye(1), np.eye(1), np.eye(1))
+        with pytest.raises(ValueError, match="requires B"):
+            solve(dae, assoc, w)
+
+    @INITIAL_VALUE_CALLS
+    def test_initial_value_checked(self, start):
+        dae = DaeLti(
+            np.array([[1.0, 0.0], [0.0, 0.0]]), np.eye(2), np.array([[0.0], [1.0]])
+        )
+        assoc = associate(dae)
+        w = LqWeights(np.eye(2), np.eye(1), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="z must have length"):
+            start(dae, assoc, w, np.zeros(3))
+        with pytest.raises(InconsistentInitialState):
+            start(dae, assoc, w, np.array([0.0, 1.0]))
 
 
 def conditioned(k, cond, rng):
