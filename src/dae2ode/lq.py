@@ -14,7 +14,8 @@ the associated ODE-LTI and solving a Riccati problem in the internal state:
   matrices composed by a prefix-product scan, optimal cost M(z)' P(t1) M(z);
 * infinite horizon: an algebraic Riccati equation on the restriction of the
   associated system to its stabilizability subspace, solved by the Schur
-  method on the DRE's reduced Hamiltonian data and polished by
+  method (Laub 1979) from the ordered real Schur form of the 2l x 2l
+  Hamiltonian built on the DRE's reduced data and polished by
   Kleinman-Newton steps (for D = 0 the first step gives the Gramian),
   optimal cost (M_g z)' P (M_g z), solvable exactly for behaviorally
   stabilizable z.
@@ -377,12 +378,16 @@ def solve_are(
         0 = P A_g + A_g'P - K'(D_g'SD_g)K + C_g'SC_g,
         K = (D_g'SD_g)^{-1}(B_g'P + D_g'SC_g),
 
-    by the Schur method of ``scipy.linalg.solve_continuous_are`` on the
-    reduced data of the DRE's Hamiltonian, 0 = P A_r + A_r'P - P G P + Q_r
-    with G = B_g W^{-1} B_g' and W = D_g'SD_g, followed by at most three
-    Kleinman-Newton polish steps, each one Lyapunov solve on the closed loop
-    A_g - B_g K.  The restricted associated system has no invariant zeros,
-    so the Hamiltonian has no eigenvalues on the imaginary axis.
+    by the Schur method (Laub 1979, "A Schur method for solving algebraic
+    Riccati equations", IEEE TAC 24) on the reduced data of the DRE's
+    Hamiltonian, 0 = P A_r + A_r'P - P G P + Q_r with G = B_g W^{-1} B_g'
+    and W = D_g'SD_g: the ordered real Schur form U'HU of the 2l x 2l
+    Hamiltonian H = [[A_r, -G], [-Q_r, -A_r']] puts its l stable
+    eigenvalues first, and P = U_21 U_11^{-1} from the first l Schur
+    vectors.  At most three Kleinman-Newton polish steps follow, each one
+    Lyapunov solve on the closed loop A_g - B_g K.  The restricted
+    associated system has no invariant zeros, so the Hamiltonian has no
+    eigenvalues on the imaginary axis and exactly l stable ones.
     When D_g = 0 (and hence B_g = 0 for an associated system) the polish
     starts from K = 0 without the Schur step: its first Lyapunov solve gives
     the observability Gramian P, and K stays 0.
@@ -391,7 +396,7 @@ def solve_are(
     A_g - B_g K stable; raises NoStabilizingStart otherwise.
     """
     sys, S = restr.sys_g, w.S
-    cho, DSC, A_r, _, Q_r = _hamiltonian(sys, w)
+    cho, DSC, A_r, G, Q_r = _hamiltonian(sys, w)
     l, k = restr.l, sys.n_inputs
     if l == 0:
         return np.zeros((0, 0)), np.zeros((k, 0))
@@ -401,12 +406,22 @@ def solve_are(
     if cho is None:
         P, K = None, np.zeros((k, l))
     else:
-        # scipy insists on exactly symmetric q and r, which Q_r and W miss by
-        # rounding once S and C come from a change of coordinates.
+        H = np.block([[A_r, -_sym(G)], [-_sym(Q_r), -A_r.T]])
         try:
-            P = scipy.linalg.solve_continuous_are(A_r, B, _sym(Q_r), _sym(W))
+            _, U, sdim = scipy.linalg.schur(H, output="real", sort="lhp")
         except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise NoStabilizingStart(f"Schur ARE solver failed: {exc}") from exc
+            raise NoStabilizingStart(f"Hamiltonian Schur form failed: {exc}") from exc
+        if sdim != l:
+            raise NoStabilizingStart(
+                f"Hamiltonian has {sdim} stable eigenvalues, not {l}"
+            )
+        try:
+            P = np.linalg.solve(U[:l, :l].T, U[l:, :l].T).T
+        except np.linalg.LinAlgError:
+            P = None
+        # A U11 that is singular to working precision may overflow instead.
+        if P is None or not np.all(np.isfinite(P)):
+            raise NoStabilizingStart("stable Schur basis has a singular U11")
         P = _sym(P)
         K = _gain(cho, DSC, B, P)
     for _ in range(3):
@@ -532,13 +547,14 @@ def closed_loop_replay(
     Finite-horizon replays re-run the time-varying loop and therefore need
     the original weights ``w``.
 
-    Raises ConstraintViolated when the check fails.
+    Raises ConstraintViolated when the check fails, and, as the solvers do,
+    ValueError for a z of the wrong length and InconsistentInitialState for
+    a z outside the consistency set.
     """
-    z = np.asarray(z, dtype=float).reshape(-1)
     if isinstance(solution, InfiniteHorizonSolution):
         restr = solution.restriction
         grid = solution.traj.times
-        v0 = restr.projector @ (assoc.M @ z)
+        v0 = restr.projector @ _internal_start(dae, assoc, z)
         _, outputs = simulate(_closed_loop(restr.sys_g, solution.K), v0, None, grid)
         n = assoc.n
         traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])

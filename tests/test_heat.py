@@ -257,11 +257,25 @@ class TestBenchmark:
             )
 
 
+@pytest.fixture(scope="module")
+def bench_160():
+    return run_heat_benchmark(HeatConfig(N=160))
+
+
 class TestLargeGalerkinDimension:
-    def test_pipeline_runs_beyond_the_default_size(self):
-        costs = run_heat_benchmark(HeatConfig(N=160)).costs
+    def test_pipeline_runs_beyond_the_default_size(self, bench_160):
+        costs = bench_160.costs
         assert all(np.isfinite(value) for value in costs.values())
         assert costs["J_T"] == pytest.approx(costs["J_e"], rel=0.01)
+
+    def test_cost_table_at_n_160(self, bench_160):
+        # Both ARE solves here run on 320 x 320 Hamiltonians.
+        costs = bench_160.costs
+        assert [f"{costs[key]:.4f}" for key in ("J_e", "J_T", "J_T_g")] == [
+            "3.9380",
+            "3.9407",
+            "3.9380",
+        ]
 
 
 class TestFunctionSpaceNorm:

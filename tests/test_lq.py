@@ -34,9 +34,10 @@ from dae2ode import (
     wong_limit,
 )
 from dae2ode.dae import pencil_stabilizability_test
+from dae2ode.heat import HeatConfig, build_heat_models
 from dae2ode.lq import _dre_hamiltonian
 
-from conftest import random_dae, random_spd
+from conftest import random_autonomous_unstable, random_dae, random_spd
 
 
 def scalar_integrator():
@@ -283,6 +284,32 @@ class TestFiniteHorizon:
         assert np.max(np.abs(traj.u - sol.traj.u)) <= 1e-8
 
 
+def care_oracle(restr, w):
+    """scipy's CARE on the cross-term form of the restricted problem."""
+    A, B, C, D, S = restr.A_g, restr.B_g, restr.C_g, restr.D_g, w.S
+    CSC, DSD = C.T @ S @ C, D.T @ S @ D
+    return scipy.linalg.solve_continuous_are(
+        A, B, 0.5 * (CSC + CSC.T), 0.5 * (DSD + DSD.T), s=C.T @ S @ D
+    )
+
+
+def heat_restrictions(N):
+    """The descriptor and the naive Galerkin LQ problems of the heat
+    benchmark, as (restriction, weights)."""
+    cfg = HeatConfig(N=N)
+    models = build_heat_models(cfg)
+    A = np.linalg.solve(models.gram, models.stiffness)
+    B = np.linalg.solve(models.gram, models.sine_overlap[:, : cfg.N_u])
+    naive = DaeLti(np.eye(N), A, B)
+    return [
+        (stabilizable_restriction(associate(models.dae)), models.weights),
+        (
+            stabilizable_restriction(associate(naive)),
+            LqWeights(models.gram, np.eye(cfg.N_u), np.zeros((N, N))),
+        ),
+    ]
+
+
 class TestSolveAre:
     def test_scalar_integrator(self):
         _, assoc = scalar_integrator()
@@ -325,6 +352,25 @@ class TestSolveAre:
         )
         w = LqWeights(np.eye(1), np.eye(1), np.zeros((1, 1)))
         with pytest.raises(NoStabilizingStart):
+            solve_are(restr, w)
+
+    def test_imaginary_axis_hamiltonian_raises_package_error(self):
+        # An unactuated, unweighted oscillator: the Hamiltonian's eigenvalues
+        # +-i lie on the axis, so it has fewer than l stable ones.
+        restr = StabilizableRestriction(
+            OdeLti(
+                np.array([[0.0, 1.0], [-1.0, 0.0]]),
+                np.zeros((2, 1)),
+                np.zeros((2, 2)),
+                np.array([[0.0], [1.0]]),
+            ),
+            M_g=np.eye(2),
+            projector=np.eye(2),
+            n=1,
+            m=1,
+        )
+        w = LqWeights(np.eye(1), np.eye(1), np.zeros((1, 1)))
+        with pytest.raises(NoStabilizingStart, match="0 stable eigenvalues, not 2"):
             solve_are(restr, w)
 
     def test_random_stabilizable_population(self):
@@ -371,6 +417,35 @@ class TestSolveAre:
             assert np.linalg.norm(sol.K_f + K_care) <= 1e-6 * (
                 1.0 + np.linalg.norm(K_care)
             )
+
+    def test_matches_care_oracle_on_heat_restrictions(self):
+        dims = []
+        for restr, w in heat_restrictions(40):
+            P, _ = solve_are(restr, w)
+            P_care = care_oracle(restr, w)
+            assert np.linalg.norm(P - P_care) <= 1e-10 * np.linalg.norm(P_care)
+            dims.append((restr.l, restr.sys_g.n_inputs))
+        assert dims == [(40, 75), (40, 35)]
+
+    def test_matches_care_oracle_on_criterion_5_stream(self):
+        rng = np.random.default_rng(424242)
+        compared = 0
+        for idx in range(90):
+            if idx % 3 == 2:
+                dae = random_autonomous_unstable(rng)
+            else:
+                dae = random_dae(rng)
+            assoc = associate(dae)
+            z = assoc.EC_s @ rng.standard_normal(assoc.n_hat)
+            restr = stabilizable_restriction(assoc)
+            if restr.l == 0 or not is_behaviorally_stabilizable(dae, assoc, z):
+                continue
+            w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.zeros((dae.c, dae.c)))
+            P, _ = solve_are(restr, w)
+            P_care = care_oracle(restr, w)
+            assert np.linalg.norm(P - P_care) <= 1e-10 * np.linalg.norm(P_care)
+            compared += 1
+        assert compared == 38
 
 
 class TestStabilizability:
@@ -481,8 +556,16 @@ INITIAL_VALUE_CALLS = pytest.mark.parametrize(
         lambda dae, assoc, w, z: finite_horizon(dae, assoc, w, z, 1.0),
         lambda dae, assoc, w, z: infinite_horizon(dae, assoc, w, z),
         lambda dae, assoc, w, z: is_behaviorally_stabilizable(dae, assoc, z),
+        lambda dae, assoc, w, z: closed_loop_replay(
+            dae, assoc, infinite_horizon(dae, assoc, w, np.array([0.5, 0.0])), z
+        ),
     ],
-    ids=["finite_horizon", "infinite_horizon", "is_behaviorally_stabilizable"],
+    ids=[
+        "finite_horizon",
+        "infinite_horizon",
+        "is_behaviorally_stabilizable",
+        "closed_loop_replay",
+    ],
 )
 
 
@@ -517,8 +600,9 @@ class TestSharedChecks:
 
     @INITIAL_VALUE_CALLS
     def test_initial_value_checked(self, start):
+        # A = -I so that the replay has a solution from z = (0.5, 0) to replay.
         dae = DaeLti(
-            np.array([[1.0, 0.0], [0.0, 0.0]]), np.eye(2), np.array([[0.0], [1.0]])
+            np.array([[1.0, 0.0], [0.0, 0.0]]), -np.eye(2), np.array([[0.0], [1.0]])
         )
         assoc = associate(dae)
         w = LqWeights(np.eye(2), np.eye(1), np.zeros((2, 2)))

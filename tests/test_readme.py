@@ -30,7 +30,7 @@ def test_problem_json_example_drives_check_and_lq(tmp_path, capsys):
 
     assert main(["lq-infinite", str(path)]) == 0
     out = capsys.readouterr().out
-    assert out.strip().splitlines()[-1] == "cost: 120.71067811865474"
+    assert out.strip().splitlines()[-1] == "cost: 120.71067811865477"
 
 
 def test_heat_demo_prints_documented_table(tmp_path, capsys):
