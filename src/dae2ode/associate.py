@@ -60,6 +60,8 @@ class AssociatedOdeLti:
 
     The output dimension is n + m and splits into the state part (first n
     rows, maps C_s / D_s) and the input part (last m rows, maps C_u / D_u).
+    The input g has k components; a behavior with no free input has k = 0,
+    and B_l and D_l then have no columns.
     ``M`` is the state map pinv(E C_s) and ``EC_s`` caches the product
     E @ C_s (full column rank by construction).
     """
@@ -213,11 +215,6 @@ class AssociationReport:
         return not self.failures
 
 
-def _zero_input_branch(sys: AssociatedOdeLti) -> bool:
-    """Whether ``sys`` has no free input: B_l and D_l are zero."""
-    return np.linalg.norm(sys.D_l) == 0.0 and np.linalg.norm(sys.B_l) == 0.0
-
-
 def verify_associated(
     dae: DaeLti, sys: AssociatedOdeLti, tol: float = 1e-8, seed: int = 0
 ) -> AssociationReport:
@@ -236,12 +233,9 @@ def verify_associated(
     failures: list[str] = []
     E, A, B = dae.E, dae.A, dae.B
 
-    if _zero_input_branch(sys):
-        input_maps_ok = sys.k == 1
-    else:
-        input_maps_ok = rank(sys.D_l) == sys.k
+    input_maps_ok = rank(sys.D_l) == sys.k
     if not input_maps_ok:
-        failures.append("input maps: D_l not full column rank and not the zero branch")
+        failures.append("input maps: D_l not full column rank")
 
     scale = 1.0 + np.linalg.norm(E) * (1.0 + np.linalg.norm(sys.D_l))
     ed_s_zero = bool(np.linalg.norm(E @ sys.D_s) <= tol * scale)
@@ -399,11 +393,7 @@ def feedback_equivalence(
     K = D1_pinv @ (s2.C_l @ T - s1.C_l)
     U = D1_pinv @ s2.D_l
     if s1.k != s2.k or rank(U) != s1.k:
-        zero_branch = _zero_input_branch(s1) and _zero_input_branch(s2)
-        if zero_branch and s1.k == 1 and s2.k == 1:
-            U = np.eye(1)
-        else:
-            raise NotEquivalent("recovered input change U is singular")
+        raise NotEquivalent("recovered input change U is singular")
 
     scale = 1.0 + max(np.linalg.norm(M) for M in (s1.A_l, s1.C_l, s2.A_l, s2.C_l))
     checks = [
@@ -413,7 +403,7 @@ def feedback_equivalence(
         ("D", s1.D_l @ U - s2.D_l),
     ]
     for name, resid in checks:
-        if resid.size and np.linalg.norm(resid) > tol * scale:
+        if np.linalg.norm(resid) > tol * scale:
             raise NotEquivalent(
                 f"identity for {name} fails with residual {np.linalg.norm(resid):.3e}"
             )

@@ -128,12 +128,10 @@ def is_consistent(dae: DaeLti, assoc, z, tol: float | None = None) -> bool:
 def impulse_controllable(dae: DaeLti, tol: float | None = None) -> bool:
     """Rank test rank [E, A, B] == rank [E, A Z, B] with im Z = ker E.
 
-    Z is the orthonormal kernel basis of E; when ker E = 0, Z is the n x 1
-    zero matrix and the test trivially passes.
+    Z is the orthonormal kernel basis of E; when ker E = 0, Z has no columns
+    and the test compares rank [E, A, B] with rank [E, B].
     """
     Z = kernel(dae.E, tol).basis
-    if Z.shape[1] == 0:
-        Z = np.zeros((dae.n, 1))
     full = rank(np.hstack([dae.E, dae.A, dae.B]), tol)
     constrained = rank(np.hstack([dae.E, dae.A @ Z, dae.B]), tol)
     return full == constrained

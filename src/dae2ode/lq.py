@@ -16,9 +16,8 @@ the associated ODE-LTI and solving a Riccati problem in the internal state:
   associated system to its stabilizability subspace, solved by the Schur
   method (Laub 1979) from the ordered real Schur form of the 2l x 2l
   Hamiltonian built on the DRE's reduced data and polished by
-  Kleinman-Newton steps (for D = 0 the first step gives the Gramian),
-  optimal cost (M_g z)' P (M_g z), solvable exactly for behaviorally
-  stabilizable z.
+  Kleinman-Newton steps, optimal cost (M_g z)' P (M_g z), solvable exactly
+  for behaviorally stabilizable z.
 
 Both equations share one builder of that data and one gain routine.
 Both solvers return the optimal trajectory together with the feedback forms
@@ -28,6 +27,7 @@ solutions are exactly the optimal pair.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -163,9 +163,8 @@ def _hamiltonian(sys: OdeLti, w: LqWeights):
     """Reduced Hamiltonian data of the LQ problem on (A, B, C, D) with output
     weight S = diag(Q, R): (cho, DSC, A_r, G, Q_r) with cho the Cholesky
     factor of W = D'SD, DSC = D'SC, A_r = A - B W^{-1}D'SC,
-    G = B W^{-1}B' and Q_r = C'SC - C'SD W^{-1}D'SC.  When D = 0 (which an
-    associated system allows only with B = 0) cho and DSC are None, the gain
-    is zero, A_r = A, G = 0 and Q_r = C'SC.
+    G = B W^{-1}B' and Q_r = C'SC - C'SD W^{-1}D'SC.  With no input (k = 0)
+    W is 0 x 0, A_r = A, G = 0 and Q_r = C'SC.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     S = w.S
@@ -174,11 +173,6 @@ def _hamiltonian(sys: OdeLti, w: LqWeights):
             f"weights are for signal dimensions n={w.n}, m={w.m}, "
             f"but the system outputs {C.shape[0]} rows"
         )
-    CSC = C.T @ S @ C
-    if np.linalg.norm(D) == 0.0:
-        if np.linalg.norm(B) != 0.0:
-            raise ValueError("zero-feedthrough branch requires B = 0 as well")
-        return None, None, A, np.zeros_like(A), CSC
     try:
         cho = scipy.linalg.cho_factor(D.T @ S @ D)
     except scipy.linalg.LinAlgError as exc:
@@ -189,7 +183,7 @@ def _hamiltonian(sys: OdeLti, w: LqWeights):
     DSC = D.T @ S @ C
     n = A.shape[0]
     F = scipy.linalg.cho_solve(cho, np.hstack([DSC, B.T]))
-    return cho, DSC, A - B @ F[:, :n], B @ F[:, n:], CSC - DSC.T @ F[:, :n]
+    return cho, DSC, A - B @ F[:, :n], B @ F[:, n:], C.T @ S @ C - DSC.T @ F[:, :n]
 
 
 def _dre_hamiltonian(assoc: AssociatedOdeLti, w: LqWeights, h: float):
@@ -203,13 +197,11 @@ def _dre_hamiltonian(assoc: AssociatedOdeLti, w: LqWeights, h: float):
 
 def _gain(cho, DSC, B: np.ndarray, P: np.ndarray) -> np.ndarray:
     """K = W^{-1}(B'P + D'SC) for one P or, in one solve, for each P of a
-    stack; K = 0 when D = 0 (cho is None)."""
-    if cho is None:
-        return np.zeros(P.shape[:-2] + (B.shape[1], P.shape[-1]))
-    rhs = B.T @ P + DSC
-    k = rhs.shape[-2]
-    K = scipy.linalg.cho_solve(cho, rhs.swapaxes(0, -2).reshape(k, -1))
-    return K.reshape(k, *rhs.shape[:-2], rhs.shape[-1]).swapaxes(0, -2)
+    stack; K has no rows when there is no input (k = 0)."""
+    rhs = (B.T @ P + DSC).swapaxes(0, -2)
+    k, rest = rhs.shape[0], rhs.shape[1:]
+    K = scipy.linalg.cho_solve(cho, rhs.reshape(k, math.prod(rest)))
+    return K.reshape(k, *rest).swapaxes(0, -2)
 
 
 def _closed_loop(sys: OdeLti, K: np.ndarray) -> OdeLti:
@@ -255,7 +247,9 @@ def solve_dre(
 
         dP/dtau = A_l'P + PA_l - K'(D_l'SD_l)K + C_l'SC_l,
         P(0) = (EC_s)'Q0(EC_s),
-        K = (D_l'SD_l)^{-1}(B_l'P + D_l'SC_l), or K = 0 when D_l = 0.
+        K = (D_l'SD_l)^{-1}(B_l'P + D_l'SC_l),
+
+    which has no rows when the behavior has no free input (k = 0).
 
     One step of length h applies the exponential of the Hamiltonian,
 
@@ -387,10 +381,9 @@ def solve_are(
     vectors.  At most three Kleinman-Newton polish steps follow, each one
     Lyapunov solve on the closed loop A_g - B_g K.  The restricted
     associated system has no invariant zeros, so the Hamiltonian has no
-    eigenvalues on the imaginary axis and exactly l stable ones.
-    When D_g = 0 (and hence B_g = 0 for an associated system) the polish
-    starts from K = 0 without the Schur step: its first Lyapunov solve gives
-    the observability Gramian P, and K stays 0.
+    eigenvalues on the imaginary axis and exactly l stable ones.  With no
+    input (k = 0) G = 0, K has no rows and the first polish step is the
+    Lyapunov solve for the observability Gramian.
 
     Returns (P, K) with P symmetric, relative ARE residual <= tol and
     A_g - B_g K stable; raises NoStabilizingStart otherwise.
@@ -403,37 +396,29 @@ def solve_are(
 
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     W = D.T @ S @ D
-    if cho is None:
-        P, K = None, np.zeros((k, l))
-    else:
-        H = np.block([[A_r, -_sym(G)], [-_sym(Q_r), -A_r.T]])
-        try:
-            _, U, sdim = scipy.linalg.schur(H, output="real", sort="lhp")
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise NoStabilizingStart(f"Hamiltonian Schur form failed: {exc}") from exc
-        if sdim != l:
-            raise NoStabilizingStart(
-                f"Hamiltonian has {sdim} stable eigenvalues, not {l}"
-            )
-        try:
-            P = np.linalg.solve(U[:l, :l].T, U[l:, :l].T).T
-        except np.linalg.LinAlgError:
-            P = None
-        # A U11 that is singular to working precision may overflow instead.
-        if P is None or not np.all(np.isfinite(P)):
-            raise NoStabilizingStart("stable Schur basis has a singular U11")
-        P = _sym(P)
-        K = _gain(cho, DSC, B, P)
+    H = np.block([[A_r, -_sym(G)], [-_sym(Q_r), -A_r.T]])
+    try:
+        _, U, sdim = scipy.linalg.schur(H, output="real", sort="lhp")
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise NoStabilizingStart(f"Hamiltonian Schur form failed: {exc}") from exc
+    if sdim != l:
+        raise NoStabilizingStart(f"Hamiltonian has {sdim} stable eigenvalues, not {l}")
+    try:
+        P = np.linalg.solve(U[:l, :l].T, U[l:, :l].T).T
+    except np.linalg.LinAlgError:
+        P = None
+    # A U11 that is singular to working precision may overflow instead.
+    if P is None or not np.all(np.isfinite(P)):
+        raise NoStabilizingStart("stable Schur basis has a singular U11")
+    P = _sym(P)
+    K = _gain(cho, DSC, B, P)
     for _ in range(3):
         C_cl = C - D @ K
         P_new = scipy.linalg.solve_continuous_lyapunov((A - B @ K).T, -(C_cl.T @ S @ C_cl))
         P_new = _sym(P_new)
         if not np.all(np.isfinite(P_new)):
             raise NoStabilizingStart("Kleinman-Newton polish diverged")
-        # With K = 0 fixed (D_g = 0) one step is already exact.
-        converged = cho is None or np.linalg.norm(P_new - P) <= 1e-13 * (
-            1.0 + np.linalg.norm(P_new)
-        )
+        converged = np.linalg.norm(P_new - P) <= 1e-13 * (1.0 + np.linalg.norm(P_new))
         P = P_new
         K = _gain(cho, DSC, B, P)
         if converged:

@@ -62,8 +62,10 @@ def parse_matrix(text: str) -> np.ndarray:
     if len(head) != 2:
         raise ValueError(f"matrix header must be 'rows cols', got {lines[0]!r}")
     rows, cols = int(head[0]), int(head[1])
-    if len(lines) - 1 != rows:
-        raise ValueError(f"expected {rows} matrix rows, got {len(lines) - 1}")
+    # The rows of an r x 0 matrix are blank lines, dropped above.
+    expected = rows if cols else 0
+    if len(lines) - 1 != expected:
+        raise ValueError(f"expected {expected} matrix rows, got {len(lines) - 1}")
     data = np.zeros((rows, cols))
     for i, ln in enumerate(lines[1:]):
         vals = ln.split()

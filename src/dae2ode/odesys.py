@@ -184,8 +184,8 @@ def output_nulling_friend(
     = 0 and C v_i + D f_i = 0, with P_V the orthogonal projector onto V) are
     solved for the minimum-norm f_i, so F = 0 whenever the zero feedback is
     admissible; F acts as the zero map on the orthogonal complement of V.
-    L is a full-column-rank orthonormal basis of ker D intersected with the
-    preimage of V under B, or the s x 1 zero matrix when that space is zero.
+    L is an orthonormal basis of ker D intersected with the preimage of V
+    under B; it has no columns (shape s x 0) when that space is zero.
 
     Raises
     ------
@@ -221,9 +221,7 @@ def output_nulling_friend(
             F_on_basis[:, i] = sol
         F = F_on_basis @ V.basis.T
 
-    L_space = intersect(kernel(sys.D), preimage(sys.B, V))
-    L = L_space.basis if L_space.dim else np.zeros((s, 1))
-    return F, L
+    return F, intersect(kernel(sys.D), preimage(sys.B, V)).basis
 
 
 def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:

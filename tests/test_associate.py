@@ -23,6 +23,12 @@ from dae2ode.subspaces import pinv, rank
 from conftest import random_dae
 
 
+def tall_autonomous() -> DaeLti:
+    """x' = -0.5 x + 0.3 u, 0 = 0.4 x + u: the input is fixed by the state,
+    so the behavior has no free input."""
+    return DaeLti([[1.0], [0.0]], [[-0.5], [0.4]], [[0.3], [1.0]])
+
+
 def printed_example_system() -> AssociatedOdeLti:
     """The realization listed for the worked two-by-three example."""
     return AssociatedOdeLti(
@@ -86,6 +92,14 @@ class TestSpecialShapes:
         resid = dae.A @ assoc.D_s + dae.B @ assoc.D_u
         assert np.linalg.norm(resid) <= 1e-12
         assert np.allclose(assoc.D_l.T @ assoc.D_l, np.eye(2), atol=1e-12)
+
+    def test_no_free_input_gives_empty_input(self):
+        dae = tall_autonomous()
+        assoc = associate(dae)
+        assert assoc.k == 0
+        assert assoc.B_l.shape == (1, 0)
+        assert assoc.D_l.shape == (2, 0)
+        assert verify_associated(dae, assoc).ok
 
     def test_state_dimension_bounded_by_rank(self):
         rng = np.random.default_rng(22)
@@ -211,8 +225,6 @@ class TestProjectLift:
         while done < 20:
             dae = random_dae(rng)
             assoc = associate(dae)
-            if np.linalg.norm(assoc.D_l) == 0.0:
-                continue  # input coordinate is vacuous for these systems
             times = np.linspace(0.0, 0.25, 251)
             v0 = rng.standard_normal(assoc.n_hat)
             g = rng.standard_normal((times.size, assoc.k)) * 0.1
@@ -258,6 +270,11 @@ class TestFeedbackEquivalence:
             scale = 1.0 + np.linalg.norm(s1.A_l)
             resid = T @ (s1.A_l + s1.B_l @ K) @ np.linalg.inv(T) - s2.A_l
             assert np.linalg.norm(resid) <= 1e-8 * scale
+
+    def test_no_free_input_gives_empty_input_change(self):
+        dae = tall_autonomous()
+        _, _, U = feedback_equivalence(associate(dae), associate(dae, basis_seed=3), dae)
+        assert U.shape == (0, 0)
 
     def test_dimension_mismatch_rejected(self, ex1, ex1_assoc):
         other = associate(DaeLti(np.eye(3), np.eye(3), np.ones((3, 1))))

@@ -75,19 +75,27 @@ class TestAssociate:
         assert float(out.split("identity_residual: ")[1].split()[0]) <= 1e-12
 
     def test_out_dir_matches_library(self, tmp_path, capsys):
-        out_dir = tmp_path / "assoc"
-        rc = main(["associate", ex1_problem(tmp_path), "--out-dir", str(out_dir)])
-        capsys.readouterr()
-        assert rc == 0
-        assoc = associate(example_one())
-        for name, M in (
-            ("A_l", assoc.A_l),
-            ("B_l", assoc.B_l),
-            ("C_l", assoc.C_l),
-            ("D_l", assoc.D_l),
-            ("M", assoc.M),
+        # The worked example, a system with n_hat = 0 (C_l is 3 x 0) and one
+        # with no free input (B_l is 1 x 0, D_l is 2 x 0).
+        for tag, body in (
+            ("ex1", EX1),
+            ("no_state", {"E": [[0.0, 0.0]], "A": [[1.0, 1.0]], "B": [[1.0]]}),
+            ("no_input", {"E": [[1.0], [0.0]], "A": [[-0.5], [0.4]], "B": [[0.3], [1.0]]}),
         ):
-            assert np.array_equal(load_matrix(out_dir / f"{name}.txt"), M)
+            out_dir = tmp_path / tag
+            path = write_problem(tmp_path / f"{tag}.json", body)
+            rc = main(["associate", path, "--out-dir", str(out_dir)])
+            capsys.readouterr()
+            assert rc == 0
+            assoc = associate(load_problem(path).dae)
+            for name, M in (
+                ("A_l", assoc.A_l),
+                ("B_l", assoc.B_l),
+                ("C_l", assoc.C_l),
+                ("D_l", assoc.D_l),
+                ("M", assoc.M),
+            ):
+                assert np.array_equal(load_matrix(out_dir / f"{name}.txt"), M)
 
 
 class TestLqInfinite:
@@ -294,7 +302,7 @@ class TestMatio:
     @given(
         M=arrays(
             np.float64,
-            st.tuples(st.integers(1, 6), st.integers(1, 6)),
+            st.tuples(st.integers(0, 6), st.integers(0, 6)),
             elements=finite_floats,
         )
     )

@@ -140,15 +140,15 @@ class TestSolveDre:
 
     def test_autonomous_branch_matches_lyapunov_flow(self):
         # Tall E with an invertible algebraic constraint forces u = -0.4 x,
-        # so the realization has no free input and the flow is linear in P.
+        # so the realization has no free input (k = 0) and the flow is linear
+        # in P.
         dae = DaeLti(
             np.array([[1.0], [0.0]]),
             np.array([[-0.5], [0.4]]),
             np.array([[0.3], [1.0]]),
         )
         assoc = associate(dae)
-        assert np.linalg.norm(assoc.D_l) == 0.0
-        assert np.linalg.norm(assoc.B_l) == 0.0
+        assert assoc.k == 0
         w = LqWeights(2.0 * np.eye(1), np.eye(1), np.diag([0.7, 0.3]))
         t1 = 1.5
         P_samples, K_samples = solve_dre(assoc, w, t1)
@@ -158,7 +158,7 @@ class TestSolveDre:
         tau = np.linspace(0.0, t1, P_samples.shape[0])
         exact = np.exp(2 * a * tau) * (p0 + csc / (2 * a)) - csc / (2 * a)
         assert np.max(np.abs(P_samples[:, 0, 0] - exact)) <= 1e-9
-        assert np.all(K_samples == 0.0)
+        assert K_samples.shape == (P_samples.shape[0], 0, 1)
 
     def test_monotone_growth_without_terminal_weight(self, ex1, ex1_assoc):
         w = LqWeights(np.eye(3), np.eye(1), np.zeros((2, 2)))
@@ -333,7 +333,7 @@ class TestSolveAre:
         a = restr.A_g[0, 0]
         csc = (restr.C_g.T @ w.S @ restr.C_g).item()
         assert abs(P[0, 0] - csc / (-2.0 * a)) <= 1e-10
-        assert np.all(K == 0.0)
+        assert K.shape == (0, 1)
 
     def test_unstabilizable_restriction_raises_package_error(self):
         # An unstable, unactuated mode: the Hamiltonian has no stable
@@ -581,8 +581,8 @@ class TestSharedChecks:
 
     @RICCATI_CALLS
     def test_zero_feedthrough_with_actuated_state_rejected(self, solve):
-        # D_l = 0 with B_l != 0 is no associated system; a zero gain would
-        # silently drop the input.
+        # D_l = 0 with B_l != 0 is no associated system (D_l is injective);
+        # the Cholesky factorization of D_l'SD_l refuses it.
         dae = DaeLti(np.eye(1), np.zeros((1, 1)), np.eye(1))
         assoc = AssociatedOdeLti(
             np.zeros((1, 1)),
@@ -595,7 +595,7 @@ class TestSharedChecks:
             m=1,
         )
         w = LqWeights(np.eye(1), np.eye(1), np.eye(1))
-        with pytest.raises(ValueError, match="requires B"):
+        with pytest.raises(ValueError, match="D'SD is not positive definite"):
             solve(dae, assoc, w)
 
     @INITIAL_VALUE_CALLS
