@@ -63,11 +63,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="dae2ode", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_problem_cmd(name: str, help_: str, z: bool = False) -> argparse.ArgumentParser:
+    def add_problem_cmd(
+        name: str, help_: str, z: bool = False, writes: bool = True
+    ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("problem", help="problem JSON file")
         p.add_argument("--tol", type=float, default=None, help="rank/consistency tolerance")
-        p.add_argument("--out-dir", default=None, help="directory for output files")
+        if writes:
+            p.add_argument("--out-dir", default=None, help="directory for output files")
         if z:
             p.add_argument("--z", default=None, help="initial value Ex(0), comma-separated")
             p.add_argument("--steps", type=int, default=None, help="time grid steps")
@@ -75,7 +78,8 @@ def _build_parser() -> _Parser:
 
     p = add_problem_cmd("associate", "construct and verify the associated ODE system")
     p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    add_problem_cmd("check", "report impulse controllability, stabilizability, dim V(E,A,B)")
+    check_help = "report impulse controllability, stabilizability, dim V(E,A,B)"
+    add_problem_cmd("check", check_help, writes=False)
 
     p = add_problem_cmd("lq-finite", "finite-horizon LQ optimal control", z=True)
     p.add_argument("--t1", type=float, default=None, help="horizon (overrides problem t1)")

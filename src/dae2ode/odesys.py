@@ -2,9 +2,12 @@
 
 The geometric algorithms here are the engine of the DAE-to-ODE construction:
 the weakly unobservable subspace (largest output-nulling controlled-invariant
-subspace), a friend feedback together with the kernel matrix L, the
-stabilizability subspace (reachable plus stable modal subspace), and the
-restriction of a system to an invariant subspace.
+subspace), by an orthogonal staircase deflation of the pencil
+[[A - lambda I, B], [C, D]] (Van Dooren 1981, IEEE TAC 26; Emami-Naeini &
+Van Dooren 1982, Automatica 18); a friend feedback and the kernel matrix L,
+from the staircase's input block at its limit; the stabilizability subspace
+(reachable plus stable modal subspace); and the restriction of a system to an
+invariant subspace.
 """
 
 from __future__ import annotations
@@ -14,15 +17,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .dae import DaeLti, wong_limit
 from .errors import NotInvariant, ResidualTooLarge
 from .subspaces import (
     Subspace,
+    _orthonormal,
+    _projection_rule,
+    _rank_from_singular_values,
     ensure_matrix,
     image,
-    intersect,
-    kernel,
-    preimage,
     subspace_sum,
     zero_space,
 )
@@ -159,69 +161,70 @@ def simulate(
     return states, outputs
 
 
+def _input_block(sys: OdeLti, W: np.ndarray, W_out: np.ndarray):
+    """M = [W_out^T B; D] and R = [W_out^T A W; C W] for the state basis W."""
+    M = np.vstack([W_out.T @ sys.B, sys.D])
+    return M, np.vstack([W_out.T @ (sys.A @ W), sys.C @ W])
+
+
 def weakly_unobservable(sys: OdeLti, tol: float | None = None) -> Subspace:
     """Largest subspace V with (A + B F)V in V and (C + D F)V = 0 for some F.
 
-    This is the Wong limit of the stacked pencil d([I; 0] v)/dt = [A; C] v +
-    [B; D] q: its recursion V_{i+1} = { x : (A x, C x) in (V_i x {0}) +
-    im [B; D] } is the standard decreasing recursion for V.
+    An orthogonal staircase (Van Dooren 1981; Emami-Naeini & Van Dooren
+    1982) keeps Q = [W | W_perp], starting from W = I.  Each step takes the
+    SVD of the input block M = [W_perp^T B; D], with left null space N, and
+    the SVD of N^T [W_perp^T A W; C W], whose row space (the part of W that
+    leaves W or reaches the output whatever the input) is rotated out of W.
+    It stops when that rank is zero; W then spans V.  The ranks are decided
+    against ||[B; D]||_2 and ||[A; C]||_2, as ``preimage`` decides its own.
     """
-    r, p = sys.n_states, sys.n_outputs
-    stacked = DaeLti(
-        np.vstack([np.eye(r), np.zeros((p, r))]),
-        np.vstack([sys.A, sys.C]),
-        np.vstack([sys.B, sys.D]),
-    )
-    return wong_limit(stacked, tol)
+    rule_BD = _projection_rule(np.vstack([sys.B, sys.D]), tol)
+    rule_AC = _projection_rule(np.vstack([sys.A, sys.C]), tol)
+    Q, d = np.eye(sys.n_states), sys.n_states
+    while d:
+        W = Q[:, :d]
+        M, R = _input_block(sys, W, Q[:, d:])
+        U, s, _ = np.linalg.svd(M)
+        rho = _rank_from_singular_values(M, s, *rule_BD)
+        X = U[:, rho:].T @ R
+        _, s, Vh = np.linalg.svd(X)
+        tau = _rank_from_singular_values(X, s, *rule_AC)
+        if tau == 0:
+            break
+        Q[:, :d] = W @ np.vstack([Vh[tau:], Vh[:tau]]).T
+        d -= tau
+    return _orthonormal(Q[:, :d])
 
 
 def output_nulling_friend(
     sys: OdeLti, V: Subspace, tol: float = 1e-8
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Friend F and kernel matrix L for an output-nulling subspace V.
+    """Friend F and kernel matrix L, read from the staircase's input block at W = V.
 
-    For each basis vector v_i of V the constraints ((I - P_V)(A v_i + B f_i)
-    = 0 and C v_i + D f_i = 0, with P_V the orthogonal projector onto V) are
-    solved for the minimum-norm f_i, so F = 0 whenever the zero feedback is
-    admissible; F acts as the zero map on the orthogonal complement of V.
-    L is an orthonormal basis of ker D intersected with the preimage of V
-    under B; it has no columns (shape s x 0) when that space is zero.
+    With M = [W_perp^T B; D] of rank decided as in ``weakly_unobservable``,
+    F = F_V V^T, where F_V is the minimum-norm solution of M F_V =
+    -[W_perp^T A W; C W] in one pseudo-inverse solve, so F = 0 whenever the
+    zero feedback is admissible.  L, the right null space of M, is an
+    orthonormal basis of ker D intersected with B^{-1} V (s x 0 when that is
+    zero).  I - V V^T stands in for W_perp^T; it keeps M's right singular
+    vectors and minimum-norm solutions.
 
     Raises
     ------
     ResidualTooLarge
-        If some per-vector system has no solution within ``tol``, which
-        signals that V is not output-nulling for this system.
+        If a column's residual exceeds ``tol`` (1 + its right-hand side's
+        norm): V is then not output-nulling for this system.
     """
-    r, s, p = sys.n_states, sys.n_inputs, sys.n_outputs
-    F = np.zeros((s, r))
-    if V.dim:
-        P_perp = np.eye(r) - V.basis @ V.basis.T
-        lhs = np.vstack([P_perp @ sys.B, sys.D])
-        # When the projected constraint matrix sits at rounding level relative
-        # to the unprojected maps (e.g. V is the full space and D = 0), lstsq
-        # would amplify that noise into an O(1) solution; the minimum-norm
-        # friend there is exactly zero.
-        lhs_scale = max(np.linalg.norm(sys.B), np.linalg.norm(sys.D), 1.0)
-        lhs_is_noise = np.linalg.norm(lhs) <= 100 * np.finfo(float).eps * lhs_scale
-        PA = P_perp @ sys.A
-        F_on_basis = np.zeros((s, V.dim))
-        for i in range(V.dim):
-            v_i = V.basis[:, i]
-            rhs = -np.concatenate([PA @ v_i, sys.C @ v_i])
-            if lhs_is_noise:
-                sol = np.zeros(s)
-            else:
-                sol, *_ = np.linalg.lstsq(lhs, rhs, rcond=None)
-            resid = lhs @ sol - rhs
-            if np.linalg.norm(resid) > tol * (1.0 + np.linalg.norm(rhs)):
-                raise ResidualTooLarge(
-                    f"no friend for basis vector {i}: residual {np.linalg.norm(resid):.3e}"
-                )
-            F_on_basis[:, i] = sol
-        F = F_on_basis @ V.basis.T
-
-    return F, intersect(kernel(sys.D), preimage(sys.B, V)).basis
+    W = V.basis
+    M, R = _input_block(sys, W, np.eye(sys.n_states) - W @ W.T)
+    U, s, Vh = np.linalg.svd(M)
+    rho = _rank_from_singular_values(M, s, *_projection_rule(np.vstack([sys.B, sys.D]), None))
+    F_V = -Vh[:rho].T @ ((U[:, :rho].T @ R) / s[:rho, None])
+    resid = np.linalg.norm(M @ F_V + R, axis=0)
+    bad = np.flatnonzero(resid > tol * (1.0 + np.linalg.norm(R, axis=0)))
+    if bad.size:
+        raise ResidualTooLarge(f"no friend for basis vector {bad[0]}: residual {resid[bad[0]]:.3e}")
+    return F_V @ W.T, Vh[rho:].T
 
 
 def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
@@ -251,7 +254,6 @@ def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
             break
         reachable = grown
 
-    stable: Subspace
     _, Z, sdim = scipy.linalg.schur(
         A, output="real", sort=lambda re, im: re < -STABLE_EIG_TOL
     )
@@ -276,10 +278,7 @@ def restrict_to_invariant(sys: OdeLti, V: Subspace, tol: float = 1e-8) -> OdeLti
     P_out = np.eye(V.ambient_dim) - W @ W.T
     scale_A = 1.0 + np.linalg.norm(sys.A)
     scale_B = 1.0 + np.linalg.norm(sys.B)
-    if V.dim:
-        resid_A = np.linalg.norm(P_out @ sys.A @ W)
-    else:
-        resid_A = 0.0
+    resid_A = np.linalg.norm(P_out @ sys.A @ W)
     resid_B = np.linalg.norm(P_out @ sys.B)
     if resid_A > tol * scale_A or resid_B > tol * scale_B:
         raise NotInvariant(

@@ -1,19 +1,20 @@
 """Rank-revealing subspace algebra built on the singular value decomposition.
 
-Every geometric computation in this package (weakly unobservable subspaces,
-Wong sequences, consistency sets, stabilizability subspaces) reduces to a
-small set of primitives over orthonormal bases: image, kernel, sum,
-intersection and preimage.  All bases returned here have orthonormal columns;
-the zero subspace is represented by a basis with zero columns.
+Every geometric computation in this package (Wong sequences, consistency
+sets, stabilizability subspaces) reduces to a small set of primitives over
+orthonormal bases: image, kernel, sum, intersection and preimage.  All bases
+returned here have orthonormal columns; the zero subspace is represented by
+a basis with zero columns.  Only a caller's ``Subspace(basis)`` is checked.
 
 Conventions
 -----------
 * One rank rule, ``_rank_from_singular_values``, makes every rank decision
   in the package: it counts singular values above ``tol * sigma_max`` where
   ``tol`` defaults to ``max(rows, cols) * machine epsilon``.  Only
-  ``preimage`` passes a larger reference scale (through ``kernel``), so
-  that a map composed with an orthogonal projector does not acquire
-  spurious rank from round-off residue.
+  ``preimage`` and the staircase pass a larger reference scale, the norm
+  of the unprojected map (``_projection_rule``), so that a map composed
+  with an orthogonal projector does not acquire spurious rank from
+  round-off residue.
 * Subspace equality and containment are tested at ``EQUALITY_TOL = 1e-8``:
   a vector w belongs to span(B) when ``||(I - B B^T) w|| <= tol * max(1, ||w||)``.
 """
@@ -58,16 +59,10 @@ def default_rank_tol(M: np.ndarray) -> float:
     return max(M.shape) * np.finfo(float).eps if M.size else np.finfo(float).eps
 
 
-def _singular_values(M: np.ndarray) -> np.ndarray:
-    if min(M.shape) == 0:
-        return np.zeros(0)
-    return np.linalg.svd(M, compute_uv=False)
-
-
 def rank(M, tol: float | None = None) -> int:
     """Numerical rank of ``M``: singular values above ``tol * sigma_max``."""
     M = ensure_matrix(M)
-    return _rank_from_singular_values(M, _singular_values(M), tol)
+    return _rank_from_singular_values(M, np.linalg.svd(M, compute_uv=False), tol)
 
 
 def pinv(M, tol: float | None = None) -> np.ndarray:
@@ -98,12 +93,8 @@ class Subspace:
     def __post_init__(self):
         B = ensure_matrix(self.basis, "basis")
         object.__setattr__(self, "basis", B)
-        if B.shape[1] > B.shape[0]:
-            raise ValueError("basis has more columns than the ambient dimension")
-        if B.shape[1]:
-            gram = B.T @ B
-            if np.max(np.abs(gram - np.eye(B.shape[1]))) > 1e-10:
-                raise ValueError("basis columns are not orthonormal")
+        if np.max(np.abs(B.T @ B - np.eye(B.shape[1])), initial=0.0) > 1e-10:
+            raise ValueError("basis columns are not orthonormal")
 
     @property
     def ambient_dim(self) -> int:
@@ -112,9 +103,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.shape[1]
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
 
     def contains_vector(self, v, tol: float | None = None) -> bool:
         v = np.asarray(v, dtype=float).reshape(-1)
@@ -143,23 +131,27 @@ def _check_same_ambient(U: Subspace, W: Subspace) -> None:
         )
 
 
+def _orthonormal(basis: np.ndarray) -> Subspace:
+    """A Subspace on a basis built orthonormal from SVD factors, left unchecked."""
+    S = object.__new__(Subspace)
+    object.__setattr__(S, "basis", basis)
+    return S
+
+
 def full_space(n: int) -> Subspace:
-    return Subspace(np.eye(n))
+    return _orthonormal(np.eye(n))
 
 
 def zero_space(n: int) -> Subspace:
-    return Subspace(np.zeros((n, 0)))
+    return _orthonormal(np.zeros((n, 0)))
 
 
 def image(M, tol: float | None = None) -> Subspace:
     """Orthonormal basis of the column space of ``M``."""
     M = ensure_matrix(M)
-    m, n = M.shape
-    if min(m, n) == 0:
-        return zero_space(m)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
     r = _rank_from_singular_values(M, s, tol)
-    return Subspace(U[:, :r])
+    return _orthonormal(U[:, :r])
 
 
 def kernel(M, tol: float | None = None, scale: float | None = None) -> Subspace:
@@ -172,7 +164,7 @@ def kernel(M, tol: float | None = None, scale: float | None = None) -> Subspace:
         return full_space(n)
     _, s, Vh = np.linalg.svd(M, full_matrices=True)
     r = _rank_from_singular_values(M, s, tol, scale)
-    return Subspace(Vh[r:].T)
+    return _orthonormal(Vh[r:].T)
 
 
 def _rank_from_singular_values(
@@ -210,8 +202,6 @@ def intersect(U: Subspace, W: Subspace) -> Subspace:
     if W.dim == W.ambient_dim:
         return U
     N = kernel(np.hstack([U.basis, -W.basis]))
-    if N.dim == 0:
-        return zero_space(U.ambient_dim)
     return image(U.basis @ N.basis[: U.dim, :])
 
 
@@ -232,7 +222,13 @@ def preimage(M, W: Subspace, tol: float | None = None) -> Subspace:
     if W.dim == 0:
         return kernel(M, tol)
     proj_out = M - W.basis @ (W.basis.T @ M)
-    scale = float(_singular_values(M)[0]) if min(M.shape) else 0.0
+    return kernel(proj_out, *_projection_rule(M, tol))
+
+
+def _projection_rule(M: np.ndarray, tol: float | None) -> tuple[float, float]:
+    """(tol, scale) of the rank rule for a projection of ``M``: ||M||_2, and
+    a default tol of 64 * max(rows, cols) * eps for the projection's rounding."""
+    scale = float(np.linalg.svd(M, compute_uv=False)[0]) if min(M.shape) else 0.0
     if tol is None:
         tol = 64.0 * max(M.shape) * np.finfo(float).eps
-    return kernel(proj_out, tol, scale=max(scale, 1e-300))
+    return tol, max(scale, 1e-300)

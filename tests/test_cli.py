@@ -228,6 +228,14 @@ class TestUsageErrors:
             main(["check", ex1_problem(tmp_path), "--nope"])
         assert exc.value.code == 1
 
+    def test_check_rejects_out_dir(self, tmp_path, capsys):
+        # check writes no file, so it takes no --out-dir
+        with pytest.raises(SystemExit) as exc:
+            main(["check", ex1_problem(tmp_path), "--out-dir", str(tmp_path / "d")])
+        assert exc.value.code == 1
+        assert "--out-dir" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
+
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main([])

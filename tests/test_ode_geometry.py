@@ -8,6 +8,7 @@ import scipy.signal
 from dae2ode import (
     NotInvariant,
     OdeLti,
+    ResidualTooLarge,
     Subspace,
     output_nulling_friend,
     restrict_to_invariant,
@@ -156,6 +157,31 @@ class TestWeaklyUnobservable:
         D = np.eye(2) + 0.1 * rng.standard_normal((2, 2))
         assert weakly_unobservable(OdeLti(A, B, C, D)).dim == 4
 
+    def test_no_inputs_gives_unobservable_subspace(self):
+        # s = 0: V is the unobservable subspace, here the last 3 coordinates.
+        rng = np.random.default_rng(14)
+        A = rng.standard_normal((5, 5))
+        A[:2, 2:] = 0.0
+        C = np.hstack([rng.standard_normal((2, 2)), np.zeros((2, 3))])
+        sys = OdeLti(A, np.zeros((5, 0)), C, np.zeros((2, 0)))
+        V = weakly_unobservable(sys)
+        ref = _brute_weakly_unobservable(sys)
+        assert V.dim == ref.shape[1] == 3
+        assert V.equals(Subspace(ref))
+        assert V.equals(Subspace(np.eye(5)[:, 2:]))
+        F, L = output_nulling_friend(sys, V)
+        assert F.shape == (0, 5) and L.shape == (0, 0)
+
+    def test_zero_output_map_matches_reference(self):
+        rng = np.random.default_rng(15)
+        for D in (rng.standard_normal((2, 3)), np.zeros((2, 3))):
+            A, B = rng.standard_normal((4, 4)), rng.standard_normal((4, 3))
+            sys = OdeLti(A, B, np.zeros((2, 4)), D)
+            V = weakly_unobservable(sys)
+            ref = _brute_weakly_unobservable(sys)
+            assert V.dim == ref.shape[1] == 4
+            assert V.equals(Subspace(ref))
+
     def test_matches_reference_recursion(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
@@ -178,6 +204,29 @@ class TestOutputNullingFriend:
         # kernel of the zero feedthrough is everything, so L spans the inputs
         assert L.shape == (2, 2)
         assert np.allclose(L @ L.T, np.eye(2), atol=1e-10)
+
+    def test_full_space_with_zero_feedthrough_gives_exact_zero_friend(self):
+        # V = R^r with B != 0 and D = 0: the input block [W_perp^T B; D] is
+        # rounding residue next to ||[B; D]||, so its rank is 0 and the
+        # friend is exactly zero, not amplified noise.
+        rng = np.random.default_rng(16)
+        A, B = rng.standard_normal((4, 4)), rng.standard_normal((4, 2))
+        sys = OdeLti(A, B, np.zeros((3, 4)), np.zeros((3, 2)))
+        V = weakly_unobservable(sys)
+        assert V.dim == _brute_weakly_unobservable(sys).shape[1] == 4
+        rotated = Subspace(np.linalg.qr(rng.standard_normal((4, 4)))[0])
+        for basis in (V, rotated):
+            F, L = output_nulling_friend(sys, basis)
+            assert np.all(F == 0.0)
+            assert L.shape == (2, 2)
+
+    def test_non_output_nulling_subspace_raises(self):
+        # The full space is not output-nulling when C != 0 and D = 0.
+        rng = np.random.default_rng(17)
+        A, B, C = (rng.standard_normal(shape) for shape in ((3, 3), (3, 2), (2, 3)))
+        sys = OdeLti(A, B, C, np.zeros((2, 2)))
+        with pytest.raises(ResidualTooLarge):
+            output_nulling_friend(sys, Subspace(np.eye(3)))
 
     def test_zero_subspace_friend_is_kernel_of_b(self):
         A = np.eye(3)

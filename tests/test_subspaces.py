@@ -2,8 +2,24 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dae2ode import Subspace, image, intersect, kernel, pinv, preimage, rank, subspace_sum
+from dae2ode import (
+    DaeLti,
+    OdeLti,
+    Subspace,
+    image,
+    intersect,
+    kernel,
+    pinv,
+    preimage,
+    rank,
+    stabilizability_subspace,
+    subspace_sum,
+    weakly_unobservable,
+    wong_limit,
+)
 
 
 def axis(ambient: int, *indices: int) -> Subspace:
@@ -150,6 +166,48 @@ class TestSubspaceInvariants:
             if S.dim:
                 G = S.basis.T @ S.basis
                 assert np.max(np.abs(G - np.eye(S.dim))) <= 1e-10
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_every_producer_returns_orthonormal_bases(self, seed):
+        # The bases built inside the package skip Subspace's re-check, so
+        # their orthonormality is asserted here for every producer.
+        rng = np.random.default_rng(seed)
+
+        def random_rank(rows, cols):
+            k = int(rng.integers(0, min(rows, cols) + 1))
+            return rng.standard_normal((rows, k)) @ rng.standard_normal((k, cols))
+
+        n, s, p = (int(v) for v in rng.integers([1, 0, 0], [8, 4, 4]))
+        A = rng.standard_normal((n, n))
+        B = random_rank(n, s)
+        U = image(random_rank(n, 5))
+        W = kernel(random_rank(4, n))
+        c = p + 1
+        dae = DaeLti(random_rank(c, n), rng.standard_normal((c, n)), random_rank(c, s))
+        produced = [
+            U,
+            W,
+            subspace_sum(U, W),
+            intersect(U, W),
+            preimage(random_rank(n, n), U),
+            wong_limit(dae),
+            weakly_unobservable(OdeLti(A, B, random_rank(p, n), random_rank(p, s))),
+            stabilizability_subspace(A, B),
+        ]
+        for S in produced:
+            G = S.basis.T @ S.basis
+            assert np.max(np.abs(G - np.eye(S.dim)), initial=0.0) <= 1e-10
+
+    def test_caller_bases_are_still_validated(self):
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace(np.array([[2.0], [0.0]]))
+        with pytest.raises(ValueError, match="orthonormal"):
+            Subspace(np.array([[1.0, 0.0]]))
+        with pytest.raises(ValueError, match="non-finite"):
+            Subspace(np.array([[np.nan], [1.0]]))
 
     def test_basis_column_bound(self):
         rng = np.random.default_rng(8)
