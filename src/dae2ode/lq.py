@@ -10,8 +10,9 @@ the associated ODE-LTI and solving a Riccati problem in the internal state:
 * finite horizon: a differential Riccati equation from
   P(0) = (EC_s)' Q0 (EC_s), whose exact step, the exponential of its
   Hamiltonian matrix, is applied over the whole grid by structure-preserving
-  doubling; the closed loop runs with the time-reversed gain, its transition
-  matrices composed by a prefix-product scan, optimal cost M(z)' P(t1) M(z);
+  doubling; the closed loop runs with the time-reversed gain, its back steps
+  read off in closed form from the symplectic inverse of that one exponential
+  and composed by a prefix-product scan, optimal cost M(z)' P(t1) M(z);
 * infinite horizon: an algebraic Riccati equation on the restriction of the
   associated system to its stabilizability subspace, solved by the Schur
   method (Laub 1979) from the ordered real Schur form of the 2l x 2l
@@ -274,6 +275,15 @@ def solve_dre(
 
     Raises NonFiniteP, naming the first node, when P overflows.
     """
+    P_samples, K_samples, _ = _solve_dre(assoc, w, t1, steps)
+    return P_samples, K_samples
+
+
+def _solve_dre(
+    assoc: AssociatedOdeLti, w: LqWeights, t1: float, steps: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``solve_dre``'s (P_samples, K_samples) and the Hamiltonian exponential
+    Phi of its step."""
     if t1 <= 0:
         raise ValueError("t1 must be positive")
     if steps is None:
@@ -316,7 +326,7 @@ def solve_dre(
                     _sym(H + A.T @ H @ X),
                 )
 
-    return P_samples, _gain(cho, DSC, assoc.B_l, P_samples)
+    return P_samples, _gain(cho, DSC, assoc.B_l, P_samples), Phi
 
 
 def finite_horizon(
@@ -333,7 +343,7 @@ def finite_horizon(
     v' = (A_l - B_l K(t1 - s)) v, v(0) = M z; the cost is M(z)'P(t1)M(z).
     """
     v0 = _internal_start(dae, assoc, z)
-    P_samples, K_samples = solve_dre(assoc, w, t1, steps)
+    P_samples, K_samples, Phi = _solve_dre(assoc, w, t1, steps)
     n_nodes = P_samples.shape[0]
     grid = np.linspace(0.0, t1, n_nodes)
     n_hat = assoc.n_hat
@@ -341,12 +351,14 @@ def finite_horizon(
     # The DRE step's X block is a fundamental matrix of the closed loop
     # v' = (A_l - B_l K(t1 - s)) v in tau = t1 - s: from X = I at tau_j it
     # reaches Phi11 + Phi12 P_j at tau_{j+1}, so real time steps back with its
-    # inverse, exactly on the nodes.  Pi starts as these steps back_i and
-    # becomes their prefix products back_i ... back_0 in place, by doubling:
-    # after the pass with offset d, Pi_i holds the last min(2d, i + 1)
-    # factors.  Then v_{i+1} = Pi_i v_0.
-    _, _, Phi = _dre_hamiltonian(assoc, w, t1 / (n_nodes - 1))
-    Pi = np.linalg.inv(Phi[:n_hat, :n_hat] + Phi[:n_hat, n_hat:] @ P_samples[-2::-1])
+    # inverse, exactly on the nodes.  Phi is symplectic, and its inverse
+    # [[Phi22', -Phi12'], [-Phi21', Phi11']] maps [I; P_{j+1}] X back to
+    # [I; P_j], so that inverse is Phi22' - Phi12' P_{j+1}: one batched
+    # product over the DRE's own samples.  Pi starts as these steps back_i
+    # and becomes their prefix products back_i ... back_0 in place, by
+    # doubling: after the pass with offset d, Pi_i holds the last
+    # min(2d, i + 1) factors.  Then v_{i+1} = Pi_i v_0.
+    Pi = Phi[n_hat:, n_hat:].T - Phi[:n_hat, n_hat:].T @ P_samples[:0:-1]
     d = 1
     while d < n_nodes - 1:
         Pi[d:] = Pi[d:] @ Pi[:-d]

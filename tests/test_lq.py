@@ -253,16 +253,35 @@ class TestFiniteHorizon:
                      (coarse.traj.x, fine.traj.x[::10])):
             assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(b))
 
-    def test_back_stepping_scan_matches_sequential_product(self, dre_population):
+    @pytest.mark.parametrize("t1", [1.0, 5.0])
+    def test_back_stepping_scan_matches_sequential_product(self, dre_population, t1):
         for dae, assoc, w, z in dre_population:
-            sol = finite_horizon(dae, assoc, w, z, 1.0)
+            sol = finite_horizon(dae, assoc, w, z, t1)
             n = assoc.n_hat
-            Phi = _dre_hamiltonian(assoc, w, 1.0 / (sol.grid.shape[0] - 1))[2]
+            Phi = _dre_hamiltonian(assoc, w, t1 / (sol.grid.shape[0] - 1))[2]
+            forward = Phi[:n, :n] + Phi[:n, n:] @ sol.P_samples[:-1]
+            # Phi is symplectic, so Phi22' - Phi12' P_{j+1} inverts each
+            # forward step Phi11 + Phi12 P_j.
+            inverse = Phi[n:, n:].T - Phi[:n, n:].T @ sol.P_samples[1:]
+            assert np.max(np.abs(forward @ inverse - np.eye(n)), initial=0.0) <= 1e-13
             back = np.linalg.inv(Phi[:n, :n] + Phi[:n, n:] @ sol.P_samples[-2::-1])
             v = [assoc.M @ z]
             for step in back:
                 v.append(step @ v[-1])
             assert np.linalg.norm(sol.v_samples - v) <= 1e-11 * np.linalg.norm(v)
+
+    def test_one_hamiltonian_exponential_per_solve(self, ex1, ex1_assoc, monkeypatch):
+        calls = []
+        expm = scipy.linalg.expm
+
+        def counted(M):
+            calls.append(M.shape)
+            return expm(M)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counted)
+        w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
+        finite_horizon(ex1, ex1_assoc, w, np.array([1.0, 7.0]), 1.0)
+        assert len(calls) == 1
 
     def test_inconsistent_start_rejected(self):
         dae = DaeLti(
