@@ -39,7 +39,15 @@ from .odesys import (
     stabilizability_subspace,
     weakly_unobservable,
 )
-from .subspaces import EQUALITY_TOL, _rank_from_singular_values, image, pinv, rank
+from .subspaces import (
+    CONDITION_BOUND,
+    EQUALITY_TOL,
+    ROUND_TRIP_TOL,
+    _rank_from_singular_values,
+    image,
+    pinv,
+    rank,
+)
 
 __all__ = [
     "AssociatedOdeLti",
@@ -63,7 +71,12 @@ class AssociatedOdeLti:
     The input g has k components; a behavior with no free input has k = 0,
     and B_l and D_l then have no columns.
     ``M`` is the state map pinv(E C_s) and ``EC_s`` caches the product
-    E @ C_s (full column rank by construction).
+    E @ C_s (full column rank by construction).  ``tol`` is the relative
+    singular-value cutoff the realization was built with (None for the
+    default rule); every later rank decision about it reads ``tol`` from
+    here: the consistency set, the stabilizability subspace and its test,
+    the pseudo-inverses of ``project_solution`` and ``feedback_equivalence``
+    and the rank checks of ``verify_associated``.
     """
 
     A_l: np.ndarray
@@ -74,6 +87,7 @@ class AssociatedOdeLti:
     EC_s: np.ndarray
     n: int
     m: int
+    tol: float | None = None
 
     @property
     def n_hat(self) -> int:
@@ -143,6 +157,8 @@ def associate(
 ) -> AssociatedOdeLti:
     """Build an associated ODE-LTI for the DAE-LTI (E, A, B).
 
+    ``tol`` is the relative singular-value cutoff of every rank decision,
+    here and later on the returned realization, which records it.
     ``basis_seed`` optionally re-orthonormalizes the internal subspace basis
     with a random rotation; different seeds give different but feedback
     equivalent realizations (useful for equivalence testing).
@@ -192,7 +208,7 @@ def associate(
     C_s = C_l[:n]
     EC_s = E @ C_s
     M = pinv(EC_s, tol)
-    return AssociatedOdeLti(A_l, B_l, C_l, D_l, M, EC_s, n, m)
+    return AssociatedOdeLti(A_l, B_l, C_l, D_l, M, EC_s, n, m, tol)
 
 
 @dataclass
@@ -215,47 +231,46 @@ class AssociationReport:
         return not self.failures
 
 
-def verify_associated(
-    dae: DaeLti, sys: AssociatedOdeLti, tol: float = 1e-8, seed: int = 0
-) -> AssociationReport:
+def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     """Check the defining invariants and decide realization exactly.
 
     Given E D_s = 0, every output of ``sys`` solves the DAE if and only if
     E C_s A_l = A C_s + B C_u and E C_s B_l = A D_s + B D_u; the larger
     residual, relative to (1 + the largest norm of E, A, B, A_l, B_l, C_l,
-    D_l)^2, must not exceed ``tol``.  Every solution is an output if and
-    only if im(E C_s) equals E times the Wong limit, the consistency set
-    computed independently of ``sys``.  One simulated round trip from a
-    random (v0, g) drawn with ``seed`` checks ``lift_solution`` as well:
-    the lifted trajectory must satisfy the DAE within a central-difference
-    residual of 1e-5.
+    D_l)^2, must not exceed ``EQUALITY_TOL``.  Every solution is an output
+    if and only if im(E C_s) equals E times the Wong limit, the consistency
+    set computed independently of ``sys``.  Ranks and the Wong limit are
+    decided at ``sys.tol``.  One simulated round trip from a random (v0, g)
+    drawn from seed 0 checks ``lift_solution`` as well: the lifted
+    trajectory must satisfy the DAE within a central-difference residual of
+    ``ROUND_TRIP_TOL``.
     """
     failures: list[str] = []
     E, A, B = dae.E, dae.A, dae.B
+    tol = sys.tol
 
-    input_maps_ok = rank(sys.D_l) == sys.k
+    input_maps_ok = rank(sys.D_l, tol) == sys.k
     if not input_maps_ok:
         failures.append("input maps: D_l not full column rank")
 
     scale = 1.0 + np.linalg.norm(E) * (1.0 + np.linalg.norm(sys.D_l))
-    ed_s_zero = bool(np.linalg.norm(E @ sys.D_s) <= tol * scale)
+    ed_s_zero = bool(np.linalg.norm(E @ sys.D_s) <= EQUALITY_TOL * scale)
     if not ed_s_zero:
         failures.append("E D_s is not zero")
 
-    ec_s_full_rank = rank(sys.EC_s) == sys.n_hat
+    ec_s_full_rank = rank(sys.EC_s, tol) == sys.n_hat
     if not ec_s_full_rank:
         failures.append("E C_s does not have full column rank n_hat")
 
     if sys.n_hat:
-        state_map_ok = bool(
-            np.linalg.norm(sys.M @ sys.EC_s - np.eye(sys.n_hat)) <= tol * sys.n_hat
-        )
+        defect = np.linalg.norm(sys.M @ sys.EC_s - np.eye(sys.n_hat))
+        state_map_ok = bool(defect <= EQUALITY_TOL * sys.n_hat)
     else:
         state_map_ok = sys.M.shape == (0, dae.c)
     if not state_map_ok:
         failures.append("state map M is not a left inverse of E C_s")
 
-    state_dim_bound_ok = sys.n_hat <= rank(E)
+    state_dim_bound_ok = sys.n_hat <= rank(E, tol)
     if not state_dim_bound_ok:
         failures.append("state dimension exceeds rank E")
 
@@ -272,10 +287,10 @@ def verify_associated(
         )
         / (1.0 + largest_norm) ** 2
     )
-    identity_ok = identity_residual <= tol
+    identity_ok = identity_residual <= EQUALITY_TOL
     if not identity_ok:
         failures.append(
-            f"forward identities residual {identity_residual:.3e} > {tol:.0e}: "
+            f"forward identities residual {identity_residual:.3e} > {EQUALITY_TOL:.0e}: "
             "some outputs do not solve the DAE"
         )
 
@@ -284,9 +299,9 @@ def verify_associated(
     # singular values are rounding residue of size eps ||E||, which can pass
     # a threshold taken relative to its own largest singular value when E is
     # badly scaled.
-    V = wong_limit(dae).basis
+    V = wong_limit(dae, tol).basis
     EV = E @ V
-    Q = image(EC_s).basis
+    Q = image(EC_s, tol).basis
     norm_E = np.linalg.norm(E)
     consistency_ok = bool(
         np.linalg.norm(EC_s - EV @ (V.T @ sys.C_s))
@@ -299,11 +314,11 @@ def verify_associated(
             "some solutions are not outputs"
         )
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     # The residual check differentiates Ex numerically, so its truncation
     # error grows with the cube of the system norms and with e^(|A_l| t).
     # Scale the test-signal amplitude and the effective horizon accordingly
-    # to keep the h^2 truncation term below the 1e-5 acceptance level
+    # to keep the h^2 truncation term below ROUND_TRIP_TOL
     # (the property being checked is scale invariant).
     norms = max(
         np.linalg.norm(M, 2) if M.size else 0.0
@@ -321,9 +336,11 @@ def verify_associated(
     phase = rng.uniform(0.0, 2.0 * np.pi, sys.k)
     g = offs + slope * times[:, None] + amp * np.sin(freq * times[:, None] + phase)
     lift_residual = behavior_residual(dae, lift_solution(dae, sys, v0, g, times))
-    lift_ok = lift_residual <= 1e-5
+    lift_ok = lift_residual <= ROUND_TRIP_TOL
     if not lift_ok:
-        failures.append(f"behavioral round trip residual {lift_residual:.3e} > 1e-5")
+        failures.append(
+            f"behavioral round trip residual {lift_residual:.3e} > {ROUND_TRIP_TOL:.0e}"
+        )
 
     return AssociationReport(
         input_maps_ok=input_maps_ok,
@@ -349,7 +366,7 @@ def project_solution(
     ME = assoc.M @ dae.E
     v = traj.x @ ME.T
     w = np.hstack([traj.x, traj.u])
-    g = (w - v @ assoc.C_l.T) @ pinv(assoc.D_l).T
+    g = (w - v @ assoc.C_l.T) @ pinv(assoc.D_l, assoc.tol).T
     return v, g
 
 
@@ -369,30 +386,30 @@ def feedback_equivalence(
     s1: AssociatedOdeLti,
     s2: AssociatedOdeLti,
     dae: DaeLti,
-    tol: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Recover (T, K, U) with s2 = (T(A1 + B1 K)T^-1, T B1 U, (C1 + D1 K)T^-1, D1 U).
 
     The state change is forced to T = M2 E C_s1 because both state maps
-    factor through Ex; K and U follow by pseudoinverse.  Raises
-    :class:`NotEquivalent` when any defining identity fails, T is singular
-    (condition number above 1e12) or U is singular.
+    factor through Ex; K and U follow by pseudoinverse, with ranks decided at
+    ``s1.tol``.  Raises :class:`NotEquivalent` when any defining identity
+    fails by more than ``EQUALITY_TOL`` relative, T is singular (condition
+    number above ``CONDITION_BOUND``) or U is singular.
     """
     if s1.n_hat != s2.n_hat or s1.n != s2.n or s1.m != s2.m:
         raise NotEquivalent("state or signal dimensions differ")
     n_hat = s1.n_hat
     T = s2.M @ dae.E @ s1.C_s
     if n_hat:
-        if np.linalg.cond(T) > 1e12:
+        if np.linalg.cond(T) > CONDITION_BOUND:
             raise NotEquivalent("recovered state change T is numerically singular")
         T_inv = np.linalg.inv(T)
     else:
         T_inv = T.T
 
-    D1_pinv = pinv(s1.D_l)
+    D1_pinv = pinv(s1.D_l, s1.tol)
     K = D1_pinv @ (s2.C_l @ T - s1.C_l)
     U = D1_pinv @ s2.D_l
-    if s1.k != s2.k or rank(U) != s1.k:
+    if s1.k != s2.k or rank(U, s1.tol) != s1.k:
         raise NotEquivalent("recovered input change U is singular")
 
     scale = 1.0 + max(np.linalg.norm(M) for M in (s1.A_l, s1.C_l, s2.A_l, s2.C_l))
@@ -403,18 +420,17 @@ def feedback_equivalence(
         ("D", s1.D_l @ U - s2.D_l),
     ]
     for name, resid in checks:
-        if np.linalg.norm(resid) > tol * scale:
+        if np.linalg.norm(resid) > EQUALITY_TOL * scale:
             raise NotEquivalent(
                 f"identity for {name} fails with residual {np.linalg.norm(resid):.3e}"
             )
     return T, K, U
 
 
-def stabilizable_restriction(
-    assoc: AssociatedOdeLti, tol: float | None = None
-) -> StabilizableRestriction:
-    """Restrict an associated system to the stabilizability subspace of (A_l, B_l)."""
-    V_g = stabilizability_subspace(assoc.A_l, assoc.B_l, tol)
+def stabilizable_restriction(assoc: AssociatedOdeLti) -> StabilizableRestriction:
+    """Restrict an associated system to the stabilizability subspace of
+    (A_l, B_l), decided at the realization's ``tol``."""
+    V_g = stabilizability_subspace(assoc.A_l, assoc.B_l, assoc.tol)
     sys_g = restrict_to_invariant(assoc.as_ode(), V_g)
     projector = V_g.basis.T
     M_g = projector @ assoc.M

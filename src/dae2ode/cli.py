@@ -2,19 +2,23 @@
 
 One executable, subcommand style::
 
-    dae2ode associate problem.json [--tol T] [--seed S] [--out-dir DIR]
+    dae2ode associate problem.json [--tol T] [--out-dir DIR]
     dae2ode check problem.json [--tol T]
-    dae2ode lq-finite problem.json [--z V] [--t1 T] [--steps K] [--out-dir DIR]
-    dae2ode lq-infinite problem.json [--z V] [--horizon T] [--steps K] [--out-dir DIR]
-    dae2ode simulate problem.json [--z V] [--horizon T] [--steps K] [--out-dir DIR]
+    dae2ode lq-finite problem.json [--tol T] [--z V] [--t1 T] [--steps K] [--out-dir DIR]
+    dae2ode lq-infinite problem.json [--tol T] [--z V] [--horizon T] [--steps K]
+                        [--out-dir DIR]
+    dae2ode simulate problem.json [--tol T] [--z V] [--horizon T] [--steps K]
+                     [--out-dir DIR]
     dae2ode heat-demo [--N ...] [--Nu ...] [--mu ...] [--c ...] [--lambda ...]
                       [--mode ...] [--T ...] [--quad-order ...] [--out-dir DIR]
 
 Problem files are JSON objects with members "E", "A", "B" and optional
 "Q", "R", "Q0", "z", "t1" (see `dae2ode.matio`).  Matrices are emitted in
 the matrix text format, trajectories as CSV.  Runs are deterministic for
-fixed flags; --seed only draws the random (v0, g) of the one simulated
-round trip that `associate` runs after its exact checks.
+fixed flags.  --tol is the relative singular-value cutoff of every rank
+decision (default max(rows, cols) * machine epsilon); it reaches
+`associate`, which records it on the realization for every later decision,
+and the impulse-controllability test, and nothing else.
 
 Exit codes: 0 success; 1 parse, shape, or usage error; 2 the problem is
 not behaviorally stabilizable; 3 the initial value is not consistent.
@@ -68,7 +72,9 @@ def _build_parser() -> _Parser:
     ) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_)
         p.add_argument("problem", help="problem JSON file")
-        p.add_argument("--tol", type=float, default=None, help="rank/consistency tolerance")
+        p.add_argument(
+            "--tol", type=float, default=None, help="relative singular-value cutoff"
+        )
         if writes:
             p.add_argument("--out-dir", default=None, help="directory for output files")
         if z:
@@ -76,8 +82,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--steps", type=int, default=None, help="time grid steps")
         return p
 
-    p = add_problem_cmd("associate", "construct and verify the associated ODE system")
-    p.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
+    add_problem_cmd("associate", "construct and verify the associated ODE system")
     check_help = "report impulse controllability, stabilizability, dim V(E,A,B)"
     add_problem_cmd("check", check_help, writes=False)
 
@@ -163,7 +168,7 @@ def _cmd_associate(args) -> int:
         ("M", assoc.M),
     ):
         _emit_matrix(name, M, out_dir)
-    report = verify_associated(problem.dae, assoc, seed=args.seed)
+    report = verify_associated(problem.dae, assoc)
     print(f"input_maps_ok: {str(report.input_maps_ok).lower()}")
     print(f"ed_s_zero: {str(report.ed_s_zero).lower()}")
     print(f"ec_s_full_rank: {str(report.ec_s_full_rank).lower()}")
@@ -181,7 +186,7 @@ def _cmd_check(args) -> int:
     problem = load_problem(args.problem)
     assoc = associate(problem.dae, tol=args.tol)
     imp = impulse_controllable(problem.dae, tol=args.tol)
-    stab = pencil_stabilizability_test(problem.dae, assoc, tol=args.tol)
+    stab = pencil_stabilizability_test(problem.dae, assoc)
     dim = consistency_space(problem.dae, assoc).dim
     print(
         f"impulse_controllable: {str(imp).lower()}, "
@@ -230,7 +235,7 @@ def _cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
     z = _require_z(args, problem)
     assoc = associate(problem.dae, tol=args.tol)
-    if not is_consistent(problem.dae, assoc, z, tol=args.tol):
+    if not is_consistent(problem.dae, assoc, z):
         raise InconsistentInitialState("z is not a consistent value Ex(0)")
     steps = args.steps if args.steps is not None else 1000
     times = np.linspace(0.0, args.horizon, steps + 1)

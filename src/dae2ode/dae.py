@@ -24,7 +24,6 @@ from .subspaces import (
     kernel,
     preimage,
     rank,
-    subspace_sum,
 )
 
 __all__ = [
@@ -102,12 +101,13 @@ def wong_limit(dae: DaeLti, tol: float | None = None) -> Subspace:
 
     The iterates are nested and decreasing, so the fixed point is reached as
     soon as an iterate reproduces itself; a hard cap of n + 1 steps applies.
+    Every rank decision, the sum E V_i + im B's included, is taken at ``tol``.
     """
     im_B = image(dae.B, tol)
     V = full_space(dae.n)
     for _ in range(dae.n + 1):
         EV = image(dae.E @ V.basis, tol)
-        target = subspace_sum(EV, im_B)
+        target = image(np.hstack([EV.basis, im_B.basis]), tol)
         V_next = preimage(dae.A, target, tol)
         if V_next.dim == V.dim and V.equals(V_next):
             return V_next
@@ -116,13 +116,17 @@ def wong_limit(dae: DaeLti, tol: float | None = None) -> Subspace:
 
 
 def consistency_space(dae: DaeLti, assoc) -> Subspace:
-    """Consistency set V(E, A, B) = image(E C_s): values z = Ex(0) of solutions."""
-    return image(dae.E @ assoc.C_s)
+    """Consistency set V(E, A, B) = image(E C_s): values z = Ex(0) of solutions.
+
+    The rank of E C_s is decided at the realization's own ``tol``.
+    """
+    return image(dae.E @ assoc.C_s, assoc.tol)
 
 
-def is_consistent(dae: DaeLti, assoc, z, tol: float | None = None) -> bool:
-    """Whether z admits a solution with Ex(0) = z (membership in image(E C_s))."""
-    return consistency_space(dae, assoc).contains_vector(z, tol)
+def is_consistent(dae: DaeLti, assoc, z) -> bool:
+    """Whether z admits a solution with Ex(0) = z: membership in image(E C_s),
+    within ``EQUALITY_TOL``."""
+    return consistency_space(dae, assoc).contains_vector(z)
 
 
 def impulse_controllable(dae: DaeLti, tol: float | None = None) -> bool:
@@ -137,25 +141,26 @@ def impulse_controllable(dae: DaeLti, tol: float | None = None) -> bool:
     return full == constrained
 
 
-def pencil_stabilizability_test(dae: DaeLti, assoc, tol: float | None = None) -> bool:
+def pencil_stabilizability_test(dae: DaeLti, assoc) -> bool:
     """True iff the associated pair (A_l, B_l) is stabilizable.
 
-    Computes the stabilizability subspace of (A_l, B_l) and compares its
-    dimension with n_hat; ``dae`` is not consulted.  For a pencil view,
-    stabilizability of (A_l, B_l) is equivalent to rank [lambda E - A, B] =
-    nrank [s E - A, B] for every lambda with nonnegative real part, which the
-    test suite checks independently with ``pencil_rank_probe``.
+    Computes the stabilizability subspace of (A_l, B_l) at the realization's
+    ``tol`` and compares its dimension with n_hat; ``dae`` is not consulted.
+    For a pencil view, stabilizability of (A_l, B_l) is equivalent to
+    rank [lambda E - A, B] = nrank [s E - A, B] for every lambda with
+    nonnegative real part, which the test suite checks independently with
+    ``pencil_rank_probe``.
     """
     from .odesys import stabilizability_subspace
 
-    V_g = stabilizability_subspace(assoc.A_l, assoc.B_l, tol)
+    V_g = stabilizability_subspace(assoc.A_l, assoc.B_l, assoc.tol)
     return V_g.dim == assoc.n_hat
 
 
-def pencil_rank_probe(dae: DaeLti, lam: complex, tol: float | None = None) -> int:
+def pencil_rank_probe(dae: DaeLti, lam: complex) -> int:
     """rank [lambda E - A, B] at a single complex lambda (cross-check helper)."""
     M = np.hstack([lam * dae.E - dae.A, dae.B.astype(complex)])
-    return _rank_from_singular_values(M, np.linalg.svd(M, compute_uv=False), tol)
+    return _rank_from_singular_values(M, np.linalg.svd(M, compute_uv=False), None)
 
 
 def behavior_residual(dae: DaeLti, traj: Trajectory) -> float:

@@ -46,7 +46,15 @@ from .errors import (
     NotStabilizable,
 )
 from .odesys import OdeLti, simulate
-from .subspaces import Subspace, ensure_matrix
+from .subspaces import (
+    ARE_RESIDUAL_TOL,
+    POLISH_STEP_TOL,
+    REPLAY_TOL,
+    SEMIDEFINITE_TOL,
+    SYMMETRY_TOL,
+    Subspace,
+    ensure_matrix,
+)
 
 __all__ = [
     "LqWeights",
@@ -67,7 +75,7 @@ def _check_symmetric_min_eig(M: np.ndarray, name: str, min_eig: float) -> np.nda
     M = ensure_matrix(M, name)
     if M.shape[0] != M.shape[1]:
         raise ValueError(f"{name} must be square, got {M.shape}")
-    if M.size and np.max(np.abs(M - M.T)) > 1e-12 * (1.0 + np.max(np.abs(M))):
+    if M.size and np.max(np.abs(M - M.T)) > SYMMETRY_TOL * (1.0 + np.max(np.abs(M))):
         raise ValueError(f"{name} must be symmetric")
     if M.size:
         smallest = float(np.linalg.eigvalsh(M)[0])
@@ -89,7 +97,8 @@ class LqWeights:
     def __post_init__(self):
         object.__setattr__(self, "Q", _check_symmetric_min_eig(self.Q, "Q", 0.0))
         object.__setattr__(self, "R", _check_symmetric_min_eig(self.R, "R", 0.0))
-        object.__setattr__(self, "Q0", _check_symmetric_min_eig(self.Q0, "Q0", -1e-12))
+        Q0 = _check_symmetric_min_eig(self.Q0, "Q0", -SEMIDEFINITE_TOL)
+        object.__setattr__(self, "Q0", Q0)
 
     @property
     def n(self) -> int:
@@ -376,9 +385,7 @@ def finite_horizon(
     )
 
 
-def solve_are(
-    restr: StabilizableRestriction, w: LqWeights, tol: float = 1e-10
-) -> tuple[np.ndarray, np.ndarray]:
+def solve_are(restr: StabilizableRestriction, w: LqWeights) -> tuple[np.ndarray, np.ndarray]:
     """Solve the algebraic Riccati equation of the restricted system.
 
         0 = P A_g + A_g'P - K'(D_g'SD_g)K + C_g'SC_g,
@@ -397,8 +404,9 @@ def solve_are(
     input (k = 0) G = 0, K has no rows and the first polish step is the
     Lyapunov solve for the observability Gramian.
 
-    Returns (P, K) with P symmetric, relative ARE residual <= tol and
-    A_g - B_g K stable; raises NoStabilizingStart otherwise.
+    Returns (P, K) with P symmetric, ARE residual ``_are_residual`` at
+    most ``ARE_RESIDUAL_TOL`` and A_g - B_g K stable; raises
+    NoStabilizingStart otherwise.
     """
     sys, S = restr.sys_g, w.S
     cho, DSC, A_r, G, Q_r = _hamiltonian(sys, w)
@@ -407,7 +415,6 @@ def solve_are(
         return np.zeros((0, 0)), np.zeros((k, 0))
 
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    W = D.T @ S @ D
     H = np.block([[A_r, -_sym(G)], [-_sym(Q_r), -A_r.T]])
     try:
         _, U, sdim = scipy.linalg.schur(H, output="real", sort="lhp")
@@ -430,20 +437,40 @@ def solve_are(
         P_new = _sym(P_new)
         if not np.all(np.isfinite(P_new)):
             raise NoStabilizingStart("Kleinman-Newton polish diverged")
-        converged = np.linalg.norm(P_new - P) <= 1e-13 * (1.0 + np.linalg.norm(P_new))
+        step = np.linalg.norm(P_new - P)
+        converged = step <= POLISH_STEP_TOL * (1.0 + np.linalg.norm(P_new))
         P = P_new
         K = _gain(cho, DSC, B, P)
         if converged:
             break
 
-    resid = P @ A + A.T @ P - K.T @ W @ K + C.T @ S @ C
-    rel = np.linalg.norm(resid) / (1.0 + np.linalg.norm(P))
-    if rel > tol:
-        raise NoStabilizingStart(f"ARE residual {rel:.3e} exceeds tolerance {tol:.1e}")
+    rel = _are_residual(sys, S, P, K)
+    if rel > ARE_RESIDUAL_TOL:
+        raise NoStabilizingStart(
+            f"ARE residual {rel:.3e} exceeds tolerance {ARE_RESIDUAL_TOL:.1e}"
+        )
     abscissa = spectral_abscissa(A - B @ K)
     if abscissa >= 0.0:
         raise NoStabilizingStart(f"closed loop is not stable (abscissa {abscissa:.3e})")
     return P, K
+
+
+def _are_residual(sys: OdeLti, S: np.ndarray, P: np.ndarray, K: np.ndarray) -> float:
+    """||R||_F of R = PA + A'P - K'(D'SD)K + C'SC, relative to the norms of
+    its closed-loop Lyapunov form (A - BK)'P + P(A - BK) + (C - DK)'S(C - DK):
+    2 ||A - BK||_F ||P||_F + ||(C - DK)'S(C - DK)||_F.
+
+    Scaling time scales A, B and S, and R and the denominator alike, so the
+    check reads the same on a fast system as on a slow one.  Both terms
+    vanish only when R does, and 0/0 reads 0.
+    """
+    A, B, C, D = sys.A, sys.B, sys.C, sys.D
+    resid = P @ A + A.T @ P - K.T @ (D.T @ S @ D) @ K + C.T @ S @ C
+    C_cl = C - D @ K
+    scale = 2.0 * np.linalg.norm(A - B @ K) * np.linalg.norm(P) + np.linalg.norm(
+        C_cl.T @ S @ C_cl
+    )
+    return float(np.linalg.norm(resid) / scale) if scale else 0.0
 
 
 def is_behaviorally_stabilizable(dae: DaeLti, assoc: AssociatedOdeLti, z) -> bool:
@@ -533,13 +560,12 @@ def closed_loop_replay(
     solution: FiniteHorizonSolution | InfiniteHorizonSolution,
     z,
     w: LqWeights | None = None,
-    tol: float = 1e-6,
 ) -> Trajectory:
     """Re-simulate the closed loop of a prior solve and verify the constraint.
 
     The replayed pair must satisfy K1 x + K2 u = 0 (with the solve's own
-    matrices) up to ``tol`` in the max norm at every grid node; since the
-    optimal pair is the unique solution of that pointwise constraint, the
+    matrices) up to ``REPLAY_TOL`` in the max norm at every grid node; since
+    the optimal pair is the unique solution of that pointwise constraint, the
     check pins it grid-pointwise.
     Finite-horizon replays re-run the time-varying loop and therefore need
     the original weights ``w``.
@@ -567,7 +593,7 @@ def closed_loop_replay(
             "ioj,ij->io", solution.K1_samples, traj.x
         ) + traj.u @ solution.K2.T
     worst = float(np.max(np.abs(defect))) if defect.size else 0.0
-    if worst > tol:
+    if worst > REPLAY_TOL:
         raise ConstraintViolated(
             f"replayed trajectory violates K1 x + K2 u = 0: max defect {worst:.3e}"
         )

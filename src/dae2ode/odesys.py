@@ -19,30 +19,26 @@ import scipy.linalg
 
 from .errors import NotInvariant, ResidualTooLarge
 from .subspaces import (
+    EQUALITY_TOL,
+    GRID_TOL,
+    STABLE_EIG_TOL,
     Subspace,
     _orthonormal,
     _projection_rule,
     _rank_from_singular_values,
     ensure_matrix,
     image,
-    subspace_sum,
     zero_space,
 )
 
 __all__ = [
     "OdeLti",
-    "STABLE_EIG_TOL",
     "simulate",
     "weakly_unobservable",
     "output_nulling_friend",
     "stabilizability_subspace",
     "restrict_to_invariant",
 ]
-
-# Eigenvalues with real part above -STABLE_EIG_TOL count as unstable, so
-# marginal (zero real part) modes are never absorbed into the stable subspace.
-STABLE_EIG_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class OdeLti:
@@ -90,7 +86,7 @@ def _check_uniform_grid(times: np.ndarray) -> float:
     if steps.size == 0:
         return 0.0
     h = float(steps[0])
-    if h <= 0 or np.max(np.abs(steps - h)) > 1e-9 * max(h, 1.0):
+    if h <= 0 or np.max(np.abs(steps - h)) > GRID_TOL * max(h, 1.0):
         raise ValueError("simulation requires a uniform, increasing time grid")
     return h
 
@@ -196,9 +192,7 @@ def weakly_unobservable(sys: OdeLti, tol: float | None = None) -> Subspace:
     return _orthonormal(Q[:, :d])
 
 
-def output_nulling_friend(
-    sys: OdeLti, V: Subspace, tol: float = 1e-8
-) -> tuple[np.ndarray, np.ndarray]:
+def output_nulling_friend(sys: OdeLti, V: Subspace) -> tuple[np.ndarray, np.ndarray]:
     """Friend F and kernel matrix L, read from the staircase's input block at W = V.
 
     With M = [W_perp^T B; D] of rank decided as in ``weakly_unobservable``,
@@ -212,8 +206,8 @@ def output_nulling_friend(
     Raises
     ------
     ResidualTooLarge
-        If a column's residual exceeds ``tol`` (1 + its right-hand side's
-        norm): V is then not output-nulling for this system.
+        If a column's residual exceeds ``EQUALITY_TOL`` (1 + its right-hand
+        side's norm): V is then not output-nulling for this system.
     """
     W = V.basis
     M, R = _input_block(sys, W, np.eye(sys.n_states) - W @ W.T)
@@ -221,7 +215,7 @@ def output_nulling_friend(
     rho = _rank_from_singular_values(M, s, *_projection_rule(np.vstack([sys.B, sys.D]), None))
     F_V = -Vh[:rho].T @ ((U[:, :rho].T @ R) / s[:rho, None])
     resid = np.linalg.norm(M @ F_V + R, axis=0)
-    bad = np.flatnonzero(resid > tol * (1.0 + np.linalg.norm(R, axis=0)))
+    bad = np.flatnonzero(resid > EQUALITY_TOL * (1.0 + np.linalg.norm(R, axis=0)))
     if bad.size:
         raise ResidualTooLarge(f"no friend for basis vector {bad[0]}: residual {resid[bad[0]]:.3e}")
     return F_V @ W.T, Vh[rho:].T
@@ -235,7 +229,8 @@ def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
     Krylov matrix [B, AB, ..., A^{r-1} B] and its overflow never arise.  The
     stable modal subspace is taken from an ordered real Schur form;
     eigenvalues with real part >= -STABLE_EIG_TOL (marginal included) count
-    as unstable.
+    as unstable.  Every rank decision, the final sum's included, is taken at
+    ``tol``.
     """
     A = ensure_matrix(A, "A")
     B = ensure_matrix(B, "B")
@@ -258,10 +253,10 @@ def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
         A, output="real", sort=lambda re, im: re < -STABLE_EIG_TOL
     )
     stable = Subspace(Z[:, :sdim]) if sdim else zero_space(r)
-    return subspace_sum(reachable, stable)
+    return image(np.hstack([reachable.basis, stable.basis]), tol)
 
 
-def restrict_to_invariant(sys: OdeLti, V: Subspace, tol: float = 1e-8) -> OdeLti:
+def restrict_to_invariant(sys: OdeLti, V: Subspace) -> OdeLti:
     """Matrices of the maps restricted to an (A-invariant, im B containing) V.
 
     The returned system expresses the dynamics in V's orthonormal basis W:
@@ -270,7 +265,8 @@ def restrict_to_invariant(sys: OdeLti, V: Subspace, tol: float = 1e-8) -> OdeLti
     Raises
     ------
     NotInvariant
-        If A V is not contained in V or im B is not contained in V within tol.
+        If A V is not contained in V or im B is not contained in V, within
+        ``EQUALITY_TOL`` relative to 1 + the norm of A or B.
     """
     if V.ambient_dim != sys.n_states:
         raise ValueError("subspace does not live in the system's state space")
@@ -280,7 +276,7 @@ def restrict_to_invariant(sys: OdeLti, V: Subspace, tol: float = 1e-8) -> OdeLti
     scale_B = 1.0 + np.linalg.norm(sys.B)
     resid_A = np.linalg.norm(P_out @ sys.A @ W)
     resid_B = np.linalg.norm(P_out @ sys.B)
-    if resid_A > tol * scale_A or resid_B > tol * scale_B:
+    if resid_A > EQUALITY_TOL * scale_A or resid_B > EQUALITY_TOL * scale_B:
         raise NotInvariant(
             f"subspace is not invariant: |proj A V| = {resid_A:.3e}, "
             f"|proj B| = {resid_B:.3e}"

@@ -15,8 +15,40 @@ Conventions
   of the unprojected map (``_projection_rule``), so that a map composed
   with an orthogonal projector does not acquire spurious rank from
   round-off residue.
-* Subspace equality and containment are tested at ``EQUALITY_TOL = 1e-8``:
-  a vector w belongs to span(B) when ``||(I - B B^T) w|| <= tol * max(1, ||w||)``.
+* ``tol`` is only ever that relative singular-value cutoff.  ``associate``
+  records it on the realization, and every later rank decision about that
+  realization reads it from there; the CLI's ``--tol`` sets it.
+* Every other threshold is a fixed constant of the block below, and no
+  function takes it as an argument:
+
+  - ``EQUALITY_TOL`` (1e-8): the residual bounds.  A vector w belongs to
+    span(B) when ``||(I - B B^T) w|| <= EQUALITY_TOL * max(1, ||w||)``;
+    subspace containment and equality, the friend's residual, invariance
+    under A and B, the realization identities and feedback equivalence
+    are all decided against it.
+  - ``PROJECTION_ROUNDING`` (64): the default rank tolerance of a
+    projected map is this many times the plain one (``preimage``, the
+    staircase).
+  - ``ORTHONORMAL_TOL`` (1e-10): max |B^T B - I| of a caller's basis.
+  - ``STABLE_EIG_TOL`` (1e-9): eigenvalues with real part at or above
+    -STABLE_EIG_TOL count as unstable, so marginal modes are never
+    absorbed into the stable subspace.
+  - ``GRID_TOL`` (1e-9): the spread of steps, relative to max(h, 1), that a
+    uniform time grid may have.
+  - ``SYMMETRY_TOL`` (1e-12): max |M - M^T| of a weight, relative to
+    1 + max |M|; ``SEMIDEFINITE_TOL`` (1e-12): how far below zero Q0's
+    smallest eigenvalue may lie.
+  - ``ARE_RESIDUAL_TOL`` (1e-10): the ARE residual ||R||_F relative to
+    2 ||A - BK||_F ||P||_F + ||(C - DK)^T S (C - DK)||_F, the norms of its
+    closed-loop Lyapunov form.
+  - ``POLISH_STEP_TOL`` (1e-13): a Kleinman-Newton step of relative size
+    below this ends the polish.
+  - ``REPLAY_TOL`` (1e-6): the max defect of K1 x + K2 u = 0 in a
+    closed-loop replay.
+  - ``ROUND_TRIP_TOL`` (1e-5): the behavior residual of the simulated
+    round trip in ``verify_associated``.
+  - ``CONDITION_BOUND`` (1e12): a recovered state change T of larger
+    condition number counts as singular.
 """
 
 from __future__ import annotations
@@ -27,6 +59,17 @@ import numpy as np
 
 __all__ = [
     "EQUALITY_TOL",
+    "PROJECTION_ROUNDING",
+    "ORTHONORMAL_TOL",
+    "STABLE_EIG_TOL",
+    "GRID_TOL",
+    "SYMMETRY_TOL",
+    "SEMIDEFINITE_TOL",
+    "ARE_RESIDUAL_TOL",
+    "POLISH_STEP_TOL",
+    "REPLAY_TOL",
+    "ROUND_TRIP_TOL",
+    "CONDITION_BOUND",
     "Subspace",
     "ensure_matrix",
     "default_rank_tol",
@@ -41,7 +84,19 @@ __all__ = [
     "zero_space",
 ]
 
+# The package's fixed thresholds; the module docstring says what each bounds.
 EQUALITY_TOL = 1e-8
+PROJECTION_ROUNDING = 64.0
+ORTHONORMAL_TOL = 1e-10
+STABLE_EIG_TOL = 1e-9
+GRID_TOL = 1e-9
+SYMMETRY_TOL = 1e-12
+SEMIDEFINITE_TOL = 1e-12
+ARE_RESIDUAL_TOL = 1e-10
+POLISH_STEP_TOL = 1e-13
+REPLAY_TOL = 1e-6
+ROUND_TRIP_TOL = 1e-5
+CONDITION_BOUND = 1e12
 
 
 def ensure_matrix(M, name: str = "matrix") -> np.ndarray:
@@ -84,8 +139,7 @@ class Subspace:
     basis : ndarray, shape (ambient_dim, dim)
         Orthonormal columns; zero columns encode the zero subspace.
 
-    Containment and equality tests use ``EQUALITY_TOL`` unless given a
-    tolerance.
+    Containment and equality are tested at ``EQUALITY_TOL``.
     """
 
     basis: np.ndarray
@@ -93,7 +147,7 @@ class Subspace:
     def __post_init__(self):
         B = ensure_matrix(self.basis, "basis")
         object.__setattr__(self, "basis", B)
-        if np.max(np.abs(B.T @ B - np.eye(B.shape[1])), initial=0.0) > 1e-10:
+        if np.max(np.abs(B.T @ B - np.eye(B.shape[1])), initial=0.0) > ORTHONORMAL_TOL:
             raise ValueError("basis columns are not orthonormal")
 
     @property
@@ -104,24 +158,22 @@ class Subspace:
     def dim(self) -> int:
         return self.basis.shape[1]
 
-    def contains_vector(self, v, tol: float | None = None) -> bool:
+    def contains_vector(self, v) -> bool:
         v = np.asarray(v, dtype=float).reshape(-1)
         if v.shape[0] != self.ambient_dim:
             raise ValueError("vector does not live in the ambient space")
-        tol = EQUALITY_TOL if tol is None else tol
         resid = v - self.basis @ (self.basis.T @ v)
-        return bool(np.linalg.norm(resid) <= tol * max(1.0, np.linalg.norm(v)))
+        return bool(np.linalg.norm(resid) <= EQUALITY_TOL * max(1.0, np.linalg.norm(v)))
 
-    def contains(self, other: "Subspace", tol: float | None = None) -> bool:
+    def contains(self, other: "Subspace") -> bool:
         _check_same_ambient(self, other)
-        tol = EQUALITY_TOL if tol is None else tol
         if other.dim == 0:
             return True
         resid = other.basis - self.basis @ (self.basis.T @ other.basis)
-        return bool(np.max(np.linalg.norm(resid, axis=0)) <= tol)
+        return bool(np.max(np.linalg.norm(resid, axis=0)) <= EQUALITY_TOL)
 
-    def equals(self, other: "Subspace", tol: float | None = None) -> bool:
-        return self.contains(other, tol) and other.contains(self, tol)
+    def equals(self, other: "Subspace") -> bool:
+        return self.contains(other) and other.contains(self)
 
 
 def _check_same_ambient(U: Subspace, W: Subspace) -> None:
@@ -227,8 +279,9 @@ def preimage(M, W: Subspace, tol: float | None = None) -> Subspace:
 
 def _projection_rule(M: np.ndarray, tol: float | None) -> tuple[float, float]:
     """(tol, scale) of the rank rule for a projection of ``M``: ||M||_2, and
-    a default tol of 64 * max(rows, cols) * eps for the projection's rounding."""
+    a default tol of PROJECTION_ROUNDING * max(rows, cols) * eps for the
+    projection's rounding."""
     scale = float(np.linalg.svd(M, compute_uv=False)[0]) if min(M.shape) else 0.0
     if tol is None:
-        tol = 64.0 * max(M.shape) * np.finfo(float).eps
+        tol = PROJECTION_ROUNDING * max(M.shape) * np.finfo(float).eps
     return tol, max(scale, 1e-300)

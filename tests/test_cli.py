@@ -1,5 +1,6 @@
 """Command-line interface and the text/CSV/JSON interchange formats."""
 
+import importlib
 import json
 
 import numpy as np
@@ -206,6 +207,84 @@ class TestSimulate:
         assert np.allclose(traj.x[0][:2], [1.0, 7.0], atol=1e-12)
 
 
+class TestTol:
+    """--tol is the relative singular-value cutoff of the rank decisions about
+    the realization, and nothing else."""
+
+    def test_simulate_membership_is_not_the_rank_cutoff(self, tmp_path, capsys):
+        # z lies 1e-10 off im(E C_s) = span(e1), inside the fixed membership
+        # tolerance; a tighter rank cutoff must not make it inconsistent.
+        path = write_problem(
+            tmp_path / "p.json",
+            {
+                "E": [[1.0, 0.0], [0.0, 0.0]],
+                "A": [[-1.0, 0.0], [0.0, 1.0]],
+                "B": [[0.0], [0.0]],
+            },
+        )
+        for tol in ([], ["--tol", "1e-12"]):
+            assert main(["simulate", path, "--z", "1,1e-10", "--steps", "10", *tol]) == 0
+        capsys.readouterr()
+
+    def test_lq_infinite_restriction_reads_the_cutoff(self, tmp_path, capsys):
+        # The unstable mode x1 is reached only through B's entry 1e-10, so the
+        # reachable subspace is R^2 at the default cutoff and span(B) at 1e-8.
+        eye = [[1.0, 0.0], [0.0, 1.0]]
+        path = write_problem(
+            tmp_path / "weak.json",
+            {
+                "E": eye,
+                "A": [[1.0, 0.0], [0.0, -1.0]],
+                "B": [[1e-10], [1.0]],
+                "Q": eye,
+                "R": [[1.0]],
+            },
+        )
+        flags = ["--tol", "1e-8", "--horizon", "1", "--steps", "10"]
+        assert main(["lq-infinite", path, "--z", "1,0", *flags]) == 2
+        assert "not stabilizable" in capsys.readouterr().err
+        out_dir = tmp_path / "stable"
+        rc = main(["lq-infinite", path, "--z", "0,1", *flags, "--out-dir", str(out_dir)])
+        assert rc == 0
+        capsys.readouterr()
+        # The one-dimensional stable part: p^2 + 2p - 1 = 0.
+        P = load_matrix(out_dir / "P.txt")
+        assert P.shape == (1, 1)
+        assert P[0, 0] == pytest.approx(np.sqrt(2.0) - 1.0, rel=1e-9)
+
+    def test_associate_verifies_at_the_cutoff(self, tmp_path, capsys, monkeypatch):
+        # E's singular value 1e-6 is a zero at --tol 1e-4: the realization
+        # treats x2 as algebraic, and so must the Wong limit it is checked
+        # against.
+        module = importlib.import_module("dae2ode.associate")
+        seen = []
+
+        def spy(name):
+            fn = getattr(module, name)
+
+            def call(arg, tol=None):
+                seen.append((name, tol))
+                return fn(arg, tol)
+
+            return call
+
+        for name in ("rank", "wong_limit"):
+            monkeypatch.setattr(module, name, spy(name))
+        path = write_problem(
+            tmp_path / "p.json",
+            {
+                "E": [[1.0, 0.0], [0.0, 1e-6]],
+                "A": [[-1.0, 0.0], [0.0, -1.0]],
+                "B": [[0.0], [0.0]],
+            },
+        )
+        rc = main(["associate", path, "--tol", "1e-4"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "consistency_ok: true" in out
+        assert sorted(seen) == [("rank", 1e-4)] * 3 + [("wong_limit", 1e-4)]
+
+
 class TestUsageErrors:
     def test_malformed_json(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
@@ -235,6 +314,13 @@ class TestUsageErrors:
         assert exc.value.code == 1
         assert "--out-dir" in capsys.readouterr().err
         assert not (tmp_path / "d").exists()
+
+    def test_associate_rejects_seed(self, tmp_path, capsys):
+        # the one simulated round trip draws from a fixed seed
+        with pytest.raises(SystemExit) as exc:
+            main(["associate", ex1_problem(tmp_path), "--seed", "3"])
+        assert exc.value.code == 1
+        assert "--seed" in capsys.readouterr().err
 
     def test_missing_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

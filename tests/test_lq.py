@@ -35,7 +35,8 @@ from dae2ode import (
 )
 from dae2ode.dae import pencil_stabilizability_test
 from dae2ode.heat import HeatConfig, build_heat_models
-from dae2ode.lq import _dre_hamiltonian
+from dae2ode.lq import _are_residual, _dre_hamiltonian, _gain, _hamiltonian
+from dae2ode.subspaces import ARE_RESIDUAL_TOL
 
 from conftest import random_autonomous_unstable, random_dae, random_spd
 
@@ -445,6 +446,42 @@ class TestSolveAre:
             assert np.linalg.norm(P - P_care) <= 1e-10 * np.linalg.norm(P_care)
             dims.append((restr.l, restr.sys_g.n_inputs))
         assert dims == [(40, 75), (40, 35)]
+
+    def test_residual_check_refuses_perturbed_solutions(self, ex1_assoc):
+        # A P off by 1e-8 relative, with K recomputed from it, fails the
+        # scaled check; the solver's own P passes it by far.
+        rng = np.random.default_rng(7)
+        cases = [
+            (stabilizable_restriction(ex1_assoc), LqWeights(np.eye(3), np.eye(1), np.eye(2)))
+        ] + heat_restrictions(40)
+        for restr, w in cases:
+            P, K = solve_are(restr, w)
+            assert _are_residual(restr.sys_g, w.S, P, K) <= 1e-15
+            X = rng.standard_normal(P.shape)
+            X += X.T
+            P_bad = P + 1e-8 * np.linalg.norm(P) / np.linalg.norm(X) * X
+            cho, DSC, *_ = _hamiltonian(restr.sys_g, w)
+            K_bad = _gain(cho, DSC, restr.B_g, P_bad)
+            assert _are_residual(restr.sys_g, w.S, P_bad, K_bad) > ARE_RESIDUAL_TOL
+
+    def test_time_scaled_problem_keeps_its_solution(self, ex1):
+        # Running time 2^20 times faster scales A, B, Q and R exactly and
+        # leaves P as it is; the residual check must accept it as well.
+        rng = np.random.default_rng(5)
+        regular = DaeLti(np.eye(4), rng.standard_normal((4, 4)), rng.standard_normal((4, 2)))
+        alpha = 2.0**20
+        for dae in (ex1, regular):
+            w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.eye(dae.c))
+            fast = DaeLti(dae.E, alpha * dae.A, alpha * dae.B)
+            w_fast = LqWeights(alpha * w.Q, alpha * w.R, w.Q0)
+            ambient = []
+            for d, ww in ((dae, w), (fast, w_fast)):
+                restr = stabilizable_restriction(associate(d))
+                P, _ = solve_are(restr, ww)
+                ambient.append(restr.projector.T @ P @ restr.projector)
+            assert np.linalg.norm(restr.A_g, 2) >= 1e6
+            slow, fast_P = ambient
+            assert np.linalg.norm(fast_P - slow) <= 1e-12 * np.linalg.norm(slow)
 
     def test_matches_care_oracle_on_criterion_5_stream(self):
         rng = np.random.default_rng(424242)

@@ -1,10 +1,14 @@
 """Rank-revealing subspace algebra: pinned examples and algebraic laws."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dae2ode
 from dae2ode import (
     DaeLti,
     OdeLti,
@@ -221,3 +225,21 @@ class TestSubspaceInvariants:
             rank(np.array([[np.nan, 0.0]]))
         with pytest.raises(ValueError):
             image(np.array([[np.inf], [0.0]]))
+
+
+class TestThresholdsInOnePlace:
+    def test_no_small_float_literal_outside_subspaces(self):
+        # Every fixed threshold is a named constant of the subspaces module;
+        # docstrings are strings and do not count.
+        found = []
+        for path in sorted(Path(dae2ode.__file__).parent.glob("*.py")):
+            if path.name == "subspaces.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (
+                    isinstance(node, ast.Constant)
+                    and isinstance(node.value, float)
+                    and 0.0 < abs(node.value) < 1e-3
+                ):
+                    found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+        assert not found, found
