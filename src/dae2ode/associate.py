@@ -186,7 +186,7 @@ def associate(
     aux = OdeLti(At, G, Ct, Dt)
 
     V = weakly_unobservable(aux, tol)
-    F, L = output_nulling_friend(aux, V)
+    F, L = output_nulling_friend(aux, V, tol)
 
     # Split the free-coordinate maps into the state tail (n - r rows) and
     # the input part (m rows), then assemble the output maps.

@@ -48,7 +48,7 @@ from .errors import (
 from .odesys import OdeLti, simulate
 from .subspaces import (
     ARE_RESIDUAL_TOL,
-    POLISH_STEP_TOL,
+    POLISH_RESIDUAL_TOL,
     REPLAY_TOL,
     SEMIDEFINITE_TOL,
     SYMMETRY_TOL,
@@ -397,14 +397,16 @@ def solve_are(restr: StabilizableRestriction, w: LqWeights) -> tuple[np.ndarray,
     and W = D_g'SD_g: the ordered real Schur form U'HU of the 2l x 2l
     Hamiltonian H = [[A_r, -G], [-Q_r, -A_r']] puts its l stable
     eigenvalues first, and P = U_21 U_11^{-1} from the first l Schur
-    vectors.  At most three Kleinman-Newton polish steps follow, each one
-    Lyapunov solve on the closed loop A_g - B_g K.  The restricted
+    vectors.  Kleinman-Newton polish steps follow (Kleinman 1968, IEEE TAC
+    13), each one Lyapunov solve on the closed loop A_g - B_g K: at least
+    one and at most three, stopping as soon as the scaled residual
+    ``_are_residual`` is at most ``POLISH_RESIDUAL_TOL``.  The restricted
     associated system has no invariant zeros, so the Hamiltonian has no
     eigenvalues on the imaginary axis and exactly l stable ones.  With no
     input (k = 0) G = 0, K has no rows and the first polish step is the
     Lyapunov solve for the observability Gramian.
 
-    Returns (P, K) with P symmetric, ARE residual ``_are_residual`` at
+    Returns (P, K) with P symmetric, the last polish step's residual at
     most ``ARE_RESIDUAL_TOL`` and A_g - B_g K stable; raises
     NoStabilizingStart otherwise.
     """
@@ -433,18 +435,14 @@ def solve_are(restr: StabilizableRestriction, w: LqWeights) -> tuple[np.ndarray,
     K = _gain(cho, DSC, B, P)
     for _ in range(3):
         C_cl = C - D @ K
-        P_new = scipy.linalg.solve_continuous_lyapunov((A - B @ K).T, -(C_cl.T @ S @ C_cl))
-        P_new = _sym(P_new)
-        if not np.all(np.isfinite(P_new)):
+        P = _sym(scipy.linalg.solve_continuous_lyapunov((A - B @ K).T, -(C_cl.T @ S @ C_cl)))
+        if not np.all(np.isfinite(P)):
             raise NoStabilizingStart("Kleinman-Newton polish diverged")
-        step = np.linalg.norm(P_new - P)
-        converged = step <= POLISH_STEP_TOL * (1.0 + np.linalg.norm(P_new))
-        P = P_new
         K = _gain(cho, DSC, B, P)
-        if converged:
+        rel = _are_residual(sys, S, P, K)
+        if rel <= POLISH_RESIDUAL_TOL:
             break
 
-    rel = _are_residual(sys, S, P, K)
     if rel > ARE_RESIDUAL_TOL:
         raise NoStabilizingStart(
             f"ARE residual {rel:.3e} exceeds tolerance {ARE_RESIDUAL_TOL:.1e}"

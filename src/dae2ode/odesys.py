@@ -27,6 +27,7 @@ from .subspaces import (
     _projection_rule,
     _rank_from_singular_values,
     ensure_matrix,
+    full_space,
     image,
     zero_space,
 )
@@ -192,16 +193,18 @@ def weakly_unobservable(sys: OdeLti, tol: float | None = None) -> Subspace:
     return _orthonormal(Q[:, :d])
 
 
-def output_nulling_friend(sys: OdeLti, V: Subspace) -> tuple[np.ndarray, np.ndarray]:
+def output_nulling_friend(
+    sys: OdeLti, V: Subspace, tol: float | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Friend F and kernel matrix L, read from the staircase's input block at W = V.
 
-    With M = [W_perp^T B; D] of rank decided as in ``weakly_unobservable``,
-    F = F_V V^T, where F_V is the minimum-norm solution of M F_V =
-    -[W_perp^T A W; C W] in one pseudo-inverse solve, so F = 0 whenever the
-    zero feedback is admissible.  L, the right null space of M, is an
-    orthonormal basis of ker D intersected with B^{-1} V (s x 0 when that is
-    zero).  I - V V^T stands in for W_perp^T; it keeps M's right singular
-    vectors and minimum-norm solutions.
+    With M = [W_perp^T B; D] of rank decided at ``tol`` as in
+    ``weakly_unobservable``, F = F_V V^T, where F_V is the minimum-norm
+    solution of M F_V = -[W_perp^T A W; C W] in one pseudo-inverse solve, so
+    F = 0 whenever the zero feedback is admissible.  L, the right null space
+    of M, is an orthonormal basis of ker D intersected with B^{-1} V (s x 0
+    when that is zero).  I - V V^T stands in for W_perp^T; it keeps M's
+    right singular vectors and minimum-norm solutions.
 
     Raises
     ------
@@ -212,7 +215,7 @@ def output_nulling_friend(sys: OdeLti, V: Subspace) -> tuple[np.ndarray, np.ndar
     W = V.basis
     M, R = _input_block(sys, W, np.eye(sys.n_states) - W @ W.T)
     U, s, Vh = np.linalg.svd(M)
-    rho = _rank_from_singular_values(M, s, *_projection_rule(np.vstack([sys.B, sys.D]), None))
+    rho = _rank_from_singular_values(M, s, *_projection_rule(np.vstack([sys.B, sys.D]), tol))
     F_V = -Vh[:rho].T @ ((U[:, :rho].T @ R) / s[:rho, None])
     resid = np.linalg.norm(M @ F_V + R, axis=0)
     bad = np.flatnonzero(resid > EQUALITY_TOL * (1.0 + np.linalg.norm(R, axis=0)))
@@ -226,7 +229,9 @@ def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
 
     The reachable subspace is grown orthogonally from R = im B by
     R <- im [R, A R] until its dimension stops growing (Paige 1981), so the
-    Krylov matrix [B, AB, ..., A^{r-1} B] and its overflow never arise.  The
+    Krylov matrix [B, AB, ..., A^{r-1} B] and its overflow never arise.  A
+    reachable pair returns the whole space on the identity basis, so its
+    restriction is the system itself in its own coordinates.  Otherwise the
     stable modal subspace is taken from an ordered real Schur form;
     eigenvalues with real part >= -STABLE_EIG_TOL (marginal included) count
     as unstable.  Every rank decision, the final sum's included, is taken at
@@ -248,6 +253,8 @@ def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
         if grown.dim == reachable.dim:
             break
         reachable = grown
+    if reachable.dim == r:
+        return full_space(r)
 
     _, Z, sdim = scipy.linalg.schur(
         A, output="real", sort=lambda re, im: re < -STABLE_EIG_TOL

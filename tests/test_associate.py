@@ -101,6 +101,15 @@ class TestSpecialShapes:
         assert assoc.D_l.shape == (2, 0)
         assert verify_associated(dae, assoc).ok
 
+    def test_friend_follows_the_rank_cutoff(self):
+        # The row 1e-10 u = 0 pins u at the default cutoff; at 1e-8 the input
+        # block counts it as rank deficient, so F and L leave u free as well.
+        dae = DaeLti(np.diag([1.0, 0.0, 0.0]), np.diag([-1.0, 1.0, 0.0]), [[0.0], [0.0], [1e-10]])
+        assert associate(dae).k == 1
+        assoc = associate(dae, tol=1e-8)
+        assert assoc.k == 2
+        assert verify_associated(dae, assoc).ok
+
     def test_state_dimension_bounded_by_rank(self):
         rng = np.random.default_rng(22)
         for _ in range(50):

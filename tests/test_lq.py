@@ -36,7 +36,7 @@ from dae2ode import (
 from dae2ode.dae import pencil_stabilizability_test
 from dae2ode.heat import HeatConfig, build_heat_models
 from dae2ode.lq import _are_residual, _dre_hamiltonian, _gain, _hamiltonian
-from dae2ode.subspaces import ARE_RESIDUAL_TOL
+from dae2ode.subspaces import ARE_RESIDUAL_TOL, POLISH_RESIDUAL_TOL
 
 from conftest import random_autonomous_unstable, random_dae, random_spd
 
@@ -463,6 +463,26 @@ class TestSolveAre:
             cho, DSC, *_ = _hamiltonian(restr.sys_g, w)
             K_bad = _gain(cho, DSC, restr.B_g, P_bad)
             assert _are_residual(restr.sys_g, w.S, P_bad, K_bad) > ARE_RESIDUAL_TOL
+
+    def test_polish_stops_on_the_residual(self, ex1_assoc, monkeypatch):
+        # One Kleinman-Newton step brings the Schur start to the residual
+        # floor on ex1 and on both heat restrictions; no further solve runs.
+        lyapunov = scipy.linalg.solve_continuous_lyapunov
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return lyapunov(*args)
+
+        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counted)
+        cases = [
+            (stabilizable_restriction(ex1_assoc), LqWeights(np.eye(3), np.eye(1), np.eye(2)))
+        ] + heat_restrictions(40)
+        for restr, w in cases:
+            calls.clear()
+            P, K = solve_are(restr, w)
+            assert len(calls) == 1
+            assert _are_residual(restr.sys_g, w.S, P, K) <= POLISH_RESIDUAL_TOL
 
     def test_time_scaled_problem_keeps_its_solution(self, ex1):
         # Running time 2^20 times faster scales A, B, Q and R exactly and

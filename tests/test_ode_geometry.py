@@ -16,6 +16,7 @@ from dae2ode import (
     stabilizability_subspace,
     weakly_unobservable,
 )
+from dae2ode.heat import HeatConfig, build_heat_models
 
 
 def _random_system(rng, r=None, s=None, p=None):
@@ -317,6 +318,36 @@ class TestStabilizabilitySubspace:
         # [B, AB, ..., A^39 B] would hold entries up to 1e390 and overflow.
         V = stabilizability_subspace(1e10 * np.eye(40, k=-1), np.eye(40, 1))
         assert V.dim == 40
+
+    def test_reachable_pair_takes_no_schur_form(self, monkeypatch):
+        def no_schur(*args, **kwargs):
+            raise AssertionError("a reachable pair needs no modal split")
+
+        monkeypatch.setattr(scipy.linalg, "schur", no_schur)
+        rng = np.random.default_rng(19)
+        for r, s in ((4, 4), (6, 1), (5, 2)):
+            A = rng.standard_normal((r, r)) + 2.0 * np.eye(r)
+            V = stabilizability_subspace(A, rng.standard_normal((r, s)))
+            assert np.array_equal(V.basis, np.eye(r))
+
+    def test_unreachable_pair_keeps_its_stable_modes(self, monkeypatch):
+        # The naive heat pair at N = 40 reaches 20 of its 40 modes, all of
+        # them stable, so the modal split runs and keeps the other 20.
+        cfg = HeatConfig(N=40)
+        models = build_heat_models(cfg)
+        A = np.linalg.solve(models.gram, models.stiffness)
+        B = np.linalg.solve(models.gram, models.sine_overlap[:, : cfg.N_u])
+        schur = scipy.linalg.schur
+        schur_calls = []
+
+        def counted(*args, **kwargs):
+            schur_calls.append(1)
+            return schur(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "schur", counted)
+        V = stabilizability_subspace(A, B)
+        assert V.dim == 40
+        assert len(schur_calls) == 1
 
     def test_mixed_spectrum_splits(self):
         A = np.diag([-1.0, 2.0])
