@@ -26,6 +26,7 @@ the stabilizability subspace used by the infinite-horizon solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,9 @@ from .subspaces import (
     CONDITION_BOUND,
     EQUALITY_TOL,
     ROUND_TRIP_TOL,
+    Subspace,
     _rank_from_singular_values,
+    default_rank_tol,
     image,
     pinv,
     rank,
@@ -77,6 +80,13 @@ class AssociatedOdeLti:
     here: the consistency set, the stabilizability subspace and its test,
     the pseudo-inverses of ``project_solution`` and ``feedback_equivalence``
     and the rank checks of ``verify_associated``.
+
+    Two derived objects are computed on first use and kept on the instance:
+    ``consistency_set``, image(EC_s) at ``tol``, and ``restriction``, the
+    restriction to the stabilizability subspace of (A_l, B_l).  Every LQ
+    call on the realization reads them from there, so they and the fields
+    are never modified in place; ``dataclasses.replace`` gives a fresh
+    realization that computes both anew.
     """
 
     A_l: np.ndarray
@@ -116,24 +126,42 @@ class AssociatedOdeLti:
     def as_ode(self) -> OdeLti:
         return OdeLti(self.A_l, self.B_l, self.C_l, self.D_l)
 
+    @cached_property
+    def consistency_set(self) -> Subspace:
+        """image(EC_s) at ``tol``: the values z = Ex(0) of solutions."""
+        return image(self.EC_s, self.tol)
+
+    @cached_property
+    def restriction(self) -> StabilizableRestriction:
+        """The restriction to the stabilizability subspace of (A_l, B_l),
+        decided at ``tol``."""
+        V_g = stabilizability_subspace(self.A_l, self.B_l, self.tol)
+        sys_g = restrict_to_invariant(self.as_ode(), V_g)
+        return StabilizableRestriction(sys_g, V_g.basis.T @ self.M, V_g, self.n, self.m)
+
 
 @dataclass(frozen=True)
 class StabilizableRestriction:
     """Restriction of an associated system to its stabilizability subspace.
 
-    ``projector`` is the l x n_hat matrix W^T (orthonormal rows) mapping the
-    original state to the restricted one; M_g = projector @ M.
+    ``subspace`` is that subspace, with orthonormal basis W; ``projector``
+    is the l x n_hat matrix W^T mapping the original state to the restricted
+    one, and M_g = projector @ M.
     """
 
     sys_g: OdeLti
     M_g: np.ndarray
-    projector: np.ndarray
+    subspace: Subspace
     n: int
     m: int
 
     @property
     def l(self) -> int:
         return self.sys_g.n_states
+
+    @property
+    def projector(self) -> np.ndarray:
+        return self.subspace.basis.T
 
     @property
     def A_g(self) -> np.ndarray:
@@ -240,8 +268,12 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     D_l)^2, must not exceed ``EQUALITY_TOL``.  Every solution is an output
     if and only if im(E C_s) equals E times the Wong limit, the consistency
     set computed independently of ``sys``.  Ranks and the Wong limit are
-    decided at ``sys.tol``.  One simulated round trip from a random (v0, g)
-    drawn from seed 0 checks ``lift_solution`` as well: the lifted
+    decided at ``sys.tol``.  The state map passes when ||M E C_s - I||_F is
+    at most n_hat max(``EQUALITY_TOL``, rho cond(E C_s)), with rho =
+    max(rows, cols) eps the default rank cutoff of E C_s: the rounding of a
+    pseudo-inverse grows with the condition number, and a well-conditioned
+    E C_s keeps the absolute bound.  One simulated round trip from a random
+    (v0, g) drawn from seed 0 checks ``lift_solution`` as well: the lifted
     trajectory must satisfy the DAE within a central-difference residual of
     ``ROUND_TRIP_TOL``.
     """
@@ -258,13 +290,20 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     if not ed_s_zero:
         failures.append("E D_s is not zero")
 
-    ec_s_full_rank = rank(sys.EC_s, tol) == sys.n_hat
+    sigma = np.linalg.svd(sys.EC_s, compute_uv=False)
+    ec_s_full_rank = _rank_from_singular_values(sys.EC_s, sigma, tol) == sys.n_hat
     if not ec_s_full_rank:
         failures.append("E C_s does not have full column rank n_hat")
 
     if sys.n_hat:
+        # pinv leaves M E C_s - I at the order of eps cond(E C_s), sized by
+        # the rank rule's default cutoff; a singular E C_s has no left inverse.
         defect = np.linalg.norm(sys.M @ sys.EC_s - np.eye(sys.n_hat))
-        state_map_ok = bool(defect <= EQUALITY_TOL * sys.n_hat)
+        smallest = sigma[-1] if sigma.size == sys.n_hat else 0.0
+        rounding = default_rank_tol(sys.EC_s) * sigma[0]
+        state_map_ok = smallest > 0.0 and bool(
+            defect <= sys.n_hat * max(EQUALITY_TOL, rounding / smallest)
+        )
     else:
         state_map_ok = sys.M.shape == (0, dae.c)
     if not state_map_ok:
@@ -429,9 +468,6 @@ def feedback_equivalence(
 
 def stabilizable_restriction(assoc: AssociatedOdeLti) -> StabilizableRestriction:
     """Restrict an associated system to the stabilizability subspace of
-    (A_l, B_l), decided at the realization's ``tol``."""
-    V_g = stabilizability_subspace(assoc.A_l, assoc.B_l, assoc.tol)
-    sys_g = restrict_to_invariant(assoc.as_ode(), V_g)
-    projector = V_g.basis.T
-    M_g = projector @ assoc.M
-    return StabilizableRestriction(sys_g, M_g, projector, assoc.n, assoc.m)
+    (A_l, B_l), decided at the realization's ``tol``: its cached
+    ``restriction``."""
+    return assoc.restriction

@@ -118,15 +118,17 @@ def wong_limit(dae: DaeLti, tol: float | None = None) -> Subspace:
 def consistency_space(dae: DaeLti, assoc) -> Subspace:
     """Consistency set V(E, A, B) = image(E C_s): values z = Ex(0) of solutions.
 
-    The rank of E C_s is decided at the realization's own ``tol``.
+    Reads the realization's stored product ``EC_s``, not ``dae.E``; the rank
+    of E C_s is decided at the realization's own ``tol``, once per
+    realization (its cached ``consistency_set``).
     """
-    return image(dae.E @ assoc.C_s, assoc.tol)
+    return assoc.consistency_set
 
 
 def is_consistent(dae: DaeLti, assoc, z) -> bool:
     """Whether z admits a solution with Ex(0) = z: membership in image(E C_s),
     within ``EQUALITY_TOL``."""
-    return consistency_space(dae, assoc).contains_vector(z)
+    return assoc.consistency_set.contains_vector(z)
 
 
 def impulse_controllable(dae: DaeLti, tol: float | None = None) -> bool:

@@ -52,7 +52,6 @@ from .subspaces import (
     REPLAY_TOL,
     SEMIDEFINITE_TOL,
     SYMMETRY_TOL,
-    Subspace,
     ensure_matrix,
 )
 
@@ -482,8 +481,8 @@ def is_behaviorally_stabilizable(dae: DaeLti, assoc: AssociatedOdeLti, z) -> boo
 
 
 def _stabilizable_value(restr: StabilizableRestriction, v: np.ndarray) -> bool:
-    """Membership of v in the stabilizability subspace, via its projector."""
-    return Subspace(restr.projector.T).contains_vector(v)
+    """Membership of v in the stabilizability subspace."""
+    return restr.subspace.contains_vector(v)
 
 
 def infinite_horizon(

@@ -32,6 +32,19 @@ def random_autonomous_unstable(rng: np.random.Generator) -> DaeLti:
     return DaeLti(E, A, np.zeros((n, 1)))
 
 
+def conditioned(k, cond, rng):
+    """Random k x k matrix with singular values logspace(0, log10 cond)."""
+    Q1 = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    Q2 = np.linalg.qr(rng.standard_normal((k, k)))[0]
+    return Q1 @ np.diag(np.logspace(0.0, np.log10(cond), k)) @ Q2
+
+
+def power_of_two_scaling(k, rng):
+    """Random k x k diagonal of powers 2^0 ... 2^33 (condition up to about
+    1e10), which scales without rounding."""
+    return np.diag(2.0 ** rng.integers(0, 34, k))
+
+
 def random_spd(k: int, rng: np.random.Generator) -> np.ndarray:
     M = rng.standard_normal((k, k))
     return M @ M.T + k * np.eye(k)

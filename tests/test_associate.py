@@ -9,6 +9,7 @@ from dae2ode import (
     AssociatedOdeLti,
     DaeLti,
     NotEquivalent,
+    ResidualTooLarge,
     associate,
     feedback_equivalence,
     lift_solution,
@@ -18,9 +19,9 @@ from dae2ode import (
     verify_associated,
     weakly_unobservable,
 )
-from dae2ode.subspaces import pinv, rank
+from dae2ode.subspaces import EQUALITY_TOL, pinv, rank
 
-from conftest import random_dae
+from conftest import conditioned, power_of_two_scaling, random_dae
 
 
 def tall_autonomous() -> DaeLti:
@@ -186,10 +187,43 @@ class TestVerifyAssociated:
         assert not report.ok
 
     def test_tainted_state_map_detected(self, ex1, ex1_assoc):
-        tainted = dataclasses.replace(ex1_assoc, M=2.0 * ex1_assoc.M)
-        report = verify_associated(ex1, tainted)
-        assert not report.state_map_ok
-        assert not report.ok
+        # cond(E C_s) = 1 on ex1, so the bound stays the absolute one: M
+        # scaled by 2 and M perturbed by 1e-6 relative both fail.
+        M = ex1_assoc.M
+        bump = np.random.default_rng(1).standard_normal(M.shape)
+        for M_bad in (2.0 * M, M + 1e-6 * np.linalg.norm(M) / np.linalg.norm(bump) * bump):
+            report = verify_associated(ex1, dataclasses.replace(ex1_assoc, M=M_bad))
+            assert not report.state_map_ok
+            assert not report.ok
+
+    @pytest.mark.parametrize(
+        "change",
+        [power_of_two_scaling, lambda k, rng: conditioned(k, 1e6, rng)],
+        ids=["power_of_two_diagonal", "dense_condition_1e6"],
+    )
+    def test_state_map_bound_follows_the_condition_of_ec_s(self, change):
+        # x = T x~ with the equations premultiplied by S, both drawn by
+        # ``change``, seed 5: E C_s reaches condition 1e14, and pinv's
+        # rounding leaves ||M E C_s - I|| far above the absolute bound
+        # EQUALITY_TOL n_hat on a correct realization.  The round trip may
+        # still fail some of them, so only the state map is asserted.
+        rng = np.random.default_rng(5)
+        above_absolute = 0
+        for idx in range(200):
+            dae = random_dae(rng)
+            S, T = change(dae.c, rng), change(dae.n, rng)
+            moved = DaeLti(S @ dae.E @ T, S @ dae.A @ T, S @ dae.B)
+            try:
+                assoc = associate(moved)
+            except ResidualTooLarge:
+                continue
+            report = verify_associated(moved, assoc)
+            if assoc.n_hat != associate(dae).n_hat or not report.consistency_ok:
+                continue
+            assert report.state_map_ok, f"instance {idx}"
+            defect = np.linalg.norm(assoc.M @ assoc.EC_s - np.eye(assoc.n_hat))
+            above_absolute += defect > EQUALITY_TOL * assoc.n_hat
+        assert above_absolute >= 5
 
     def test_rank_deficient_state_output_detected(self, ex1, ex1_assoc):
         EC_bad = ex1_assoc.EC_s.copy()

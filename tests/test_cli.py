@@ -262,13 +262,13 @@ class TestTol:
         def spy(name):
             fn = getattr(module, name)
 
-            def call(arg, tol=None):
-                seen.append((name, tol))
-                return fn(arg, tol)
+            def call(*args):
+                seen.append((name, args[-1]))
+                return fn(*args)
 
             return call
 
-        for name in ("rank", "wong_limit"):
+        for name in ("_rank_from_singular_values", "rank", "wong_limit"):
             monkeypatch.setattr(module, name, spy(name))
         path = write_problem(
             tmp_path / "p.json",
@@ -282,7 +282,11 @@ class TestTol:
         out = capsys.readouterr().out
         assert rc == 0
         assert "consistency_ok: true" in out
-        assert sorted(seen) == [("rank", 1e-4)] * 3 + [("wong_limit", 1e-4)]
+        assert sorted(seen) == (
+            [("_rank_from_singular_values", 1e-4)] * 2
+            + [("rank", 1e-4)] * 2
+            + [("wong_limit", 1e-4)]
+        )
 
 
 class TestUsageErrors:

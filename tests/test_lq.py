@@ -1,6 +1,7 @@
 """Finite and infinite horizon LQ solvers on the associated realization."""
 
 import dataclasses
+import importlib
 import warnings
 
 import numpy as np
@@ -26,6 +27,7 @@ from dae2ode import (
     impulse_controllable,
     infinite_horizon,
     is_behaviorally_stabilizable,
+    is_consistent,
     solve_are,
     solve_dre,
     spectral_abscissa,
@@ -36,9 +38,9 @@ from dae2ode import (
 from dae2ode.dae import pencil_stabilizability_test
 from dae2ode.heat import HeatConfig, build_heat_models
 from dae2ode.lq import _are_residual, _dre_hamiltonian, _gain, _hamiltonian
-from dae2ode.subspaces import ARE_RESIDUAL_TOL, POLISH_RESIDUAL_TOL
+from dae2ode.subspaces import ARE_RESIDUAL_TOL, POLISH_RESIDUAL_TOL, full_space
 
-from conftest import random_autonomous_unstable, random_dae, random_spd
+from conftest import conditioned, random_autonomous_unstable, random_dae, random_spd
 
 
 def scalar_integrator():
@@ -313,6 +315,16 @@ def care_oracle(restr, w):
     )
 
 
+def criterion_5_stream():
+    """Criterion 5's 90 instances (dae, assoc, z) from seed 424242: a 2:1 mix
+    of ``random_dae`` and ``random_autonomous_unstable``, z = E C_s randn."""
+    rng = np.random.default_rng(424242)
+    for idx in range(90):
+        dae = random_autonomous_unstable(rng) if idx % 3 == 2 else random_dae(rng)
+        assoc = associate(dae)
+        yield dae, assoc, assoc.EC_s @ rng.standard_normal(assoc.n_hat)
+
+
 def heat_restrictions(N):
     """The descriptor and the naive Galerkin LQ problems of the heat
     benchmark, as (restriction, weights)."""
@@ -366,7 +378,7 @@ class TestSolveAre:
                 np.array([[0.0], [1.0]]),
             ),
             M_g=np.eye(1),
-            projector=np.eye(1),
+            subspace=full_space(1),
             n=1,
             m=1,
         )
@@ -385,7 +397,7 @@ class TestSolveAre:
                 np.array([[0.0], [1.0]]),
             ),
             M_g=np.eye(2),
-            projector=np.eye(2),
+            subspace=full_space(2),
             n=1,
             m=1,
         )
@@ -504,15 +516,8 @@ class TestSolveAre:
             assert np.linalg.norm(fast_P - slow) <= 1e-12 * np.linalg.norm(slow)
 
     def test_matches_care_oracle_on_criterion_5_stream(self):
-        rng = np.random.default_rng(424242)
         compared = 0
-        for idx in range(90):
-            if idx % 3 == 2:
-                dae = random_autonomous_unstable(rng)
-            else:
-                dae = random_dae(rng)
-            assoc = associate(dae)
-            z = assoc.EC_s @ rng.standard_normal(assoc.n_hat)
+        for dae, assoc, z in criterion_5_stream():
             restr = stabilizable_restriction(assoc)
             if restr.l == 0 or not is_behaviorally_stabilizable(dae, assoc, z):
                 continue
@@ -688,11 +693,68 @@ class TestSharedChecks:
             start(dae, assoc, w, np.array([0.0, 1.0]))
 
 
-def conditioned(k, cond, rng):
-    """Random k x k matrix with singular values logspace(0, log10 cond)."""
-    Q1 = np.linalg.qr(rng.standard_normal((k, k)))[0]
-    Q2 = np.linalg.qr(rng.standard_normal((k, k)))[0]
-    return Q1 @ np.diag(np.logspace(0.0, np.log10(cond), k)) @ Q2
+def lq_operation(dae, assoc, w, z):
+    """Predict, solve and replay the infinite-horizon problem from z: the
+    verdict, then P, K, K_f, the trajectory, the cost and the replay."""
+    predicted = is_behaviorally_stabilizable(dae, assoc, z)
+    try:
+        sol = infinite_horizon(dae, assoc, w, z)
+    except NotStabilizable:
+        return (predicted,)
+    replay = closed_loop_replay(dae, assoc, sol, z)
+    return (predicted, sol.P, sol.K, sol.K_f, sol.traj.x, sol.traj.u, sol.cost, replay.x, replay.u)
+
+
+class TestCachedDerivations:
+    """A realization computes its consistency set and its stabilizable
+    restriction once, and every LQ call reads them from it."""
+
+    def test_each_is_computed_once_per_realization(self, ex1, monkeypatch):
+        module = importlib.import_module("dae2ode.associate")
+        calls = []
+        for name in ("stabilizability_subspace", "image"):
+            original = getattr(module, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        assoc = associate(ex1)
+        calls.clear()
+        w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
+        z = np.array([1.0, 7.0])
+        assert is_behaviorally_stabilizable(ex1, assoc, z)
+        sol = infinite_horizon(ex1, assoc, w, z)
+        closed_loop_replay(ex1, assoc, sol, z)
+        finite_horizon(ex1, assoc, w, z, 1.0)
+        assert sorted(calls) == ["image", "stabilizability_subspace"]
+
+    def test_cached_realization_matches_a_fresh_one_on_criterion_5_stream(self):
+        refused = 0
+        for idx, (dae, assoc, z) in enumerate(criterion_5_stream()):
+            w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.zeros((dae.c, dae.c)))
+            cold = lq_operation(dae, assoc, w, z)
+            warm = lq_operation(dae, assoc, w, z)
+            fresh = lq_operation(dae, associate(dae), w, z)
+            for got in (cold, warm):
+                assert len(got) == len(fresh), f"instance {idx}: verdict changed"
+                for a, b in zip(got, fresh):
+                    assert np.array_equal(a, b), f"instance {idx}: output changed"
+            refused += len(fresh) == 1
+        assert 0 < refused < 90, "stream must exercise both outcomes"
+
+    def test_replaced_realization_computes_its_own_consistency_set(self, ex1):
+        assoc = associate(ex1)
+        z = np.array([0.0, 1.0])
+        assert consistency_space(ex1, assoc).dim == 2
+        EC_s = assoc.EC_s.copy()
+        EC_s[:, 1] = 0.0
+        replaced = dataclasses.replace(assoc, EC_s=EC_s)
+        assert consistency_space(ex1, replaced).dim == 1
+        assert not is_consistent(ex1, replaced, z)
+        assert consistency_space(ex1, assoc).dim == 2
+        assert is_consistent(ex1, assoc, z)
 
 
 class TestCoordinateInvariance:
