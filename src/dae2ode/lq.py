@@ -23,7 +23,8 @@ the associated ODE-LTI and solving a Riccati problem in the internal state:
 Both equations share one builder of that data and one gain routine.
 Both solvers return the optimal trajectory together with the feedback forms
 u* = K_f x* and the pointwise constraint description K1 x + K2 u = 0 whose
-solutions are exactly the optimal pair.
+solutions are exactly the optimal pair; ``closed_loop_replay`` checks a
+returned trajectory against it without solving anything again.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ from .errors import (
 from .odesys import OdeLti, simulate
 from .subspaces import (
     ARE_RESIDUAL_TOL,
+    EQUALITY_TOL,
     POLISH_RESIDUAL_TOL,
     REPLAY_TOL,
     SEMIDEFINITE_TOL,
@@ -409,11 +411,20 @@ def solve_are(restr: StabilizableRestriction, w: LqWeights) -> tuple[np.ndarray,
     most ``ARE_RESIDUAL_TOL`` and A_g - B_g K stable; raises
     NoStabilizingStart otherwise.
     """
+    P, K, _ = _solve_are(restr, w)
+    return P, K
+
+
+def _solve_are(
+    restr: StabilizableRestriction, w: LqWeights
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """``solve_are``'s (P, K) and the spectral abscissa of A_g - B_g K,
+    -inf when l = 0."""
     sys, S = restr.sys_g, w.S
     cho, DSC, A_r, G, Q_r = _hamiltonian(sys, w)
     l, k = restr.l, sys.n_inputs
     if l == 0:
-        return np.zeros((0, 0)), np.zeros((k, 0))
+        return np.zeros((0, 0)), np.zeros((k, 0)), -np.inf
 
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     H = np.block([[A_r, -_sym(G)], [-_sym(Q_r), -A_r.T]])
@@ -449,7 +460,7 @@ def solve_are(restr: StabilizableRestriction, w: LqWeights) -> tuple[np.ndarray,
     abscissa = spectral_abscissa(A - B @ K)
     if abscissa >= 0.0:
         raise NoStabilizingStart(f"closed loop is not stable (abscissa {abscissa:.3e})")
-    return P, K
+    return P, K, abscissa
 
 
 def _are_residual(sys: OdeLti, S: np.ndarray, P: np.ndarray, K: np.ndarray) -> float:
@@ -511,9 +522,8 @@ def infinite_horizon(
         )
     v0 = restr.projector @ v_full
 
-    P, K = solve_are(restr, w)
+    P, K, abscissa = _solve_are(restr, w)
     cl = _closed_loop(restr.sys_g, K)
-    abscissa = spectral_abscissa(cl.A)
 
     if T_sim is None:
         T_sim = min(50.0 / abs(abscissa), 1e4) if np.isfinite(abscissa) else 1.0
@@ -556,42 +566,31 @@ def closed_loop_replay(
     assoc: AssociatedOdeLti,
     solution: FiniteHorizonSolution | InfiniteHorizonSolution,
     z,
-    w: LqWeights | None = None,
 ) -> Trajectory:
-    """Re-simulate the closed loop of a prior solve and verify the constraint.
+    """Check a prior solve's trajectory as the optimal pair from z; return it.
 
-    The replayed pair must satisfy K1 x + K2 u = 0 (with the solve's own
+    The trajectory must start at z, ||Ex(0) - z|| <= ``EQUALITY_TOL``
+    max(1, ||z||), and satisfy K1 x + K2 u = 0 (with the solve's own
     matrices) up to ``REPLAY_TOL`` in the max norm at every grid node; since
     the optimal pair is the unique solution of that pointwise constraint, the
-    check pins it grid-pointwise.
-    Finite-horizon replays re-run the time-varying loop and therefore need
-    the original weights ``w``.
+    check pins it grid-pointwise.  Nothing is simulated or solved again.
 
-    Raises ConstraintViolated when the check fails, and, as the solvers do,
+    Raises ConstraintViolated when a check fails, and, as the solvers do,
     ValueError for a z of the wrong length and InconsistentInitialState for
     a z outside the consistency set.
     """
+    z = np.asarray(z, dtype=float).reshape(-1)
+    _internal_start(dae, assoc, z)
+    traj = solution.traj
+    gap = np.linalg.norm(dae.E @ traj.x[0] - z)
+    if gap > EQUALITY_TOL * max(1.0, np.linalg.norm(z)):
+        raise ConstraintViolated(f"trajectory starts {gap:.3e} away from z: E x(0) != z")
     if isinstance(solution, InfiniteHorizonSolution):
-        restr = solution.restriction
-        grid = solution.traj.times
-        v0 = restr.projector @ _internal_start(dae, assoc, z)
-        _, outputs = simulate(_closed_loop(restr.sys_g, solution.K), v0, None, grid)
-        n = assoc.n
-        traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
-        defect = traj.x @ solution.K1.T + traj.u @ solution.K2.T
+        K1x = traj.x @ solution.K1.T
     else:
-        if w is None:
-            raise ValueError("finite-horizon replay requires the original weights w")
-        sol2 = finite_horizon(
-            dae, assoc, w, z, float(solution.grid[-1]), steps=solution.grid.shape[0] - 1
-        )
-        traj = sol2.traj
-        defect = np.einsum(
-            "ioj,ij->io", solution.K1_samples, traj.x
-        ) + traj.u @ solution.K2.T
+        K1x = np.einsum("ioj,ij->io", solution.K1_samples, traj.x)
+    defect = K1x + traj.u @ solution.K2.T
     worst = float(np.max(np.abs(defect))) if defect.size else 0.0
     if worst > REPLAY_TOL:
-        raise ConstraintViolated(
-            f"replayed trajectory violates K1 x + K2 u = 0: max defect {worst:.3e}"
-        )
+        raise ConstraintViolated(f"trajectory violates K1 x + K2 u = 0: max defect {worst:.3e}")
     return traj

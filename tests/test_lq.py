@@ -301,9 +301,17 @@ class TestFiniteHorizon:
         w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
         z = np.array([1.0, 1.0])
         sol = finite_horizon(ex1, ex1_assoc, w, z, 1.0)
-        traj = closed_loop_replay(ex1, ex1_assoc, sol, z, w=w)
+        traj = closed_loop_replay(ex1, ex1_assoc, sol, z)
         assert np.max(np.abs(traj.x - sol.traj.x)) <= 1e-8
         assert np.max(np.abs(traj.u - sol.traj.u)) <= 1e-8
+
+    def test_replay_detects_corrupted_constraint(self, ex1, ex1_assoc):
+        w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
+        z = np.array([1.0, 1.0])
+        sol = finite_horizon(ex1, ex1_assoc, w, z, 1.0)
+        bad = dataclasses.replace(sol, K1_samples=sol.K1_samples + 1.0)
+        with pytest.raises(ConstraintViolated):
+            closed_loop_replay(ex1, ex1_assoc, bad, z)
 
 
 def care_oracle(restr, w):
@@ -599,6 +607,20 @@ class TestInfiniteHorizon:
         with pytest.raises(ConstraintViolated):
             closed_loop_replay(ex1, ex1_assoc, bad, z)
 
+    def test_one_spectral_abscissa_per_solve(self, ex1, ex1_assoc, monkeypatch):
+        lq = importlib.import_module("dae2ode.lq")
+        calls = []
+
+        def counted(A, _original=lq.spectral_abscissa):
+            calls.append(A.shape)
+            return _original(A)
+
+        monkeypatch.setattr(lq, "spectral_abscissa", counted)
+        w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
+        sol = infinite_horizon(ex1, ex1_assoc, w, np.array([1.0, 7.0]))
+        assert calls == [(2, 2)]
+        assert sol.closed_loop_abscissa < 0.0
+
     def test_random_population_costs_match_quadrature(self):
         rng = np.random.default_rng(32)
         done = 0
@@ -619,6 +641,51 @@ class TestInfiniteHorizon:
             assert abs(sol.cost - quad) <= 1e-3 * (1.0 + abs(sol.cost))
             done += 1
 
+
+
+REPLAYED_SOLVES = pytest.mark.parametrize(
+    "solve",
+    [
+        lambda dae, assoc, w, z: finite_horizon(dae, assoc, w, z, 1.0),
+        lambda dae, assoc, w, z: infinite_horizon(dae, assoc, w, z),
+    ],
+    ids=["finite_horizon", "infinite_horizon"],
+)
+
+
+class TestClosedLoopReplay:
+    """The replay checks the trajectory it is given, for either horizon."""
+
+    @staticmethod
+    def solved(ex1, ex1_assoc, solve):
+        z = np.array([1.0, 1.0])
+        return solve(ex1, ex1_assoc, LqWeights(np.eye(3), np.eye(1), np.eye(2)), z), z
+
+    @REPLAYED_SOLVES
+    def test_replay_solves_nothing(self, ex1, ex1_assoc, solve, monkeypatch):
+        sol, z = self.solved(ex1, ex1_assoc, solve)
+        lq = importlib.import_module("dae2ode.lq")
+        calls = []
+        for module, name in ((lq, "simulate"), (lq, "_solve_dre"), (scipy.linalg, "expm")):
+            monkeypatch.setattr(module, name, lambda *a, _name=name, **k: calls.append(_name))
+        traj = closed_loop_replay(ex1, ex1_assoc, sol, z)
+        assert calls == []
+        assert traj is sol.traj
+
+    @REPLAYED_SOLVES
+    def test_corrupted_input_detected(self, ex1, ex1_assoc, solve):
+        sol, z = self.solved(ex1, ex1_assoc, solve)
+        bad = dataclasses.replace(sol, traj=dataclasses.replace(sol.traj, u=sol.traj.u + 1e-3))
+        with pytest.raises(ConstraintViolated, match="K1 x \\+ K2 u"):
+            closed_loop_replay(ex1, ex1_assoc, bad, z)
+
+    @REPLAYED_SOLVES
+    def test_trajectory_from_another_start_detected(self, ex1, ex1_assoc, solve):
+        # 2z is consistent and the trajectory meets K1 x + K2 u = 0, but it
+        # starts at z.
+        sol, z = self.solved(ex1, ex1_assoc, solve)
+        with pytest.raises(ConstraintViolated, match="away from z"):
+            closed_loop_replay(ex1, ex1_assoc, sol, 2.0 * z)
 
 
 RICCATI_CALLS = pytest.mark.parametrize(
