@@ -13,9 +13,9 @@ The construction:
    p' = At p + G q, 0 = Ct p + Dt q with q collecting the free variables
    (last n - r state coordinates and the input).
 3. The weakly unobservable subspace V of (At, G, Ct, Dt), a friend F and a
-   kernel matrix L parameterize all solutions of the auxiliary constraint,
-   which assembles the output maps and, restricted to an orthonormal basis
-   of V, the final quadruple.
+   kernel matrix L, all from one staircase run, parameterize all solutions
+   of the auxiliary constraint, which assembles the output maps and,
+   restricted to an orthonormal basis of V, the final quadruple.
 
 Also here: verification of the defining invariants, projection/lifting of
 solutions between the two representations, constructive recovery of the
@@ -34,11 +34,10 @@ from .dae import DaeLti, Trajectory, behavior_residual, wong_limit
 from .errors import NotEquivalent
 from .odesys import (
     OdeLti,
-    output_nulling_friend,
+    _staircase,
     restrict_to_invariant,
     simulate,
     stabilizability_subspace,
-    weakly_unobservable,
 )
 from .subspaces import (
     CONDITION_BOUND,
@@ -213,8 +212,7 @@ def associate(
     Dt = np.hstack([A22, B2])
     aux = OdeLti(At, G, Ct, Dt)
 
-    V = weakly_unobservable(aux, tol)
-    F, L = output_nulling_friend(aux, V, tol)
+    V, F, L = _staircase(aux, tol)
 
     # Split the free-coordinate maps into the state tail (n - r rows) and
     # the input part (m rows), then assemble the output maps.

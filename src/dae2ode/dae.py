@@ -144,19 +144,15 @@ def impulse_controllable(dae: DaeLti, tol: float | None = None) -> bool:
 
 
 def pencil_stabilizability_test(dae: DaeLti, assoc) -> bool:
-    """True iff the associated pair (A_l, B_l) is stabilizable.
+    """True iff the associated pair (A_l, B_l) is stabilizable: the
+    realization's cached ``restriction`` keeps all n_hat states.
 
-    Computes the stabilizability subspace of (A_l, B_l) at the realization's
-    ``tol`` and compares its dimension with n_hat; ``dae`` is not consulted.
-    For a pencil view, stabilizability of (A_l, B_l) is equivalent to
-    rank [lambda E - A, B] = nrank [s E - A, B] for every lambda with
-    nonnegative real part, which the test suite checks independently with
-    ``pencil_rank_probe``.
+    ``dae`` is not consulted.  For a pencil view, stabilizability of
+    (A_l, B_l) is equivalent to rank [lambda E - A, B] = nrank [s E - A, B]
+    for every lambda with nonnegative real part, which the test suite checks
+    independently with ``pencil_rank_probe``.
     """
-    from .odesys import stabilizability_subspace
-
-    V_g = stabilizability_subspace(assoc.A_l, assoc.B_l, assoc.tol)
-    return V_g.dim == assoc.n_hat
+    return assoc.restriction.l == assoc.n_hat
 
 
 def pencil_rank_probe(dae: DaeLti, lam: complex) -> int:

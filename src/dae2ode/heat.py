@@ -73,13 +73,6 @@ class HeatConfig:
     Setting quad_order to 4 * N or more gives converged moments, under
     which the descriptor design tracks the reference almost exactly and
     the costs J_dae, J_T and the replay error drop far below the table.
-
-    The two boolean flags select between variants of the closed-form model
-    matrices: `stiffness_uses_c_squared` scales the stiffness diagonal by
-    c^2 (the exact weak form of c^2 d^2/dx^2, the default) instead of c,
-    and `gram_uses_squared_numerator` puts (2i+1)^2 instead of (2i+1) in
-    the Gram diagonal numerator (the default False is the exact closed
-    form).  Defaults reproduce the benchmark cost table.
     """
 
     N: int = 40
@@ -90,8 +83,6 @@ class HeatConfig:
     mode: int = 34
     T: float = 5.0
     quad_order: int | None = None
-    stiffness_uses_c_squared: bool = True
-    gram_uses_squared_numerator: bool = False
 
     def __post_init__(self):
         if self.N < 1 or self.N_u < 1:
@@ -114,10 +105,10 @@ class HeatConfig:
 class HeatModels:
     """Model matrices shared by the benchmark branches.
 
-    gram is the model Gram matrix M_hat (flag-dependent), gram_exact the
-    exact Gram of the phi basis (used for function-space norms), mass the
-    row-scaled Gram M = Lambda M_hat, stiffness the diagonal weak-form
-    matrix A_N, and sine_overlap the moment matrix X with
+    gram is the exact Gram matrix M_hat of the phi basis (also used for
+    function-space norms), mass the row-scaled Gram M = Lambda M_hat,
+    stiffness the diagonal weak-form matrix A_N (of c^2 d^2/dx^2), and
+    sine_overlap the moment matrix X with
     X[i-1, j-1] = <sin(j pi x), phi_i> for j = 1..N, computed at the
     configured quadrature resolution.  sine_overlap_accurate is the same
     matrix at no fewer than 4N nodes; it feeds function-space error
@@ -129,7 +120,6 @@ class HeatModels:
 
     config: HeatConfig
     gram: np.ndarray
-    gram_exact: np.ndarray
     mass: np.ndarray
     stiffness: np.ndarray
     lambda_diag: np.ndarray
@@ -147,20 +137,18 @@ class HeatModels:
         return cfg.lam * (self.lambda_diag @ self.sine_overlap[:, cfg.mode - 1])
 
 
-def _gram_matrix(N: int, squared_numerator: bool) -> np.ndarray:
+def _gram_matrix(N: int) -> np.ndarray:
     i = np.arange(1, N + 1, dtype=float)
-    numerator = (2 * i + 1) ** 2 if squared_numerator else 2 * i + 1
-    G = np.diag(4.0 * numerator / ((2 * i - 1) * (2 * i + 3)))
+    G = np.diag(4.0 * (2 * i + 1) / ((2 * i - 1) * (2 * i + 3)))
     if N > 2:
         off = -2.0 / (2 * i[: N - 2] + 3)
         G += np.diag(off, 2) + np.diag(off, -2)
     return G
 
 
-def _stiffness_matrix(N: int, c: float, use_c_squared: bool) -> np.ndarray:
+def _stiffness_matrix(N: int, c: float) -> np.ndarray:
     i = np.arange(1, N + 1, dtype=float)
-    coeff = c * c if use_c_squared else c
-    return np.diag(-2.0 * coeff * (2 * i + 1))
+    return np.diag(-2.0 * (c * c) * (2 * i + 1))
 
 
 def _basis_values(x: np.ndarray, N: int) -> np.ndarray:
@@ -180,9 +168,8 @@ def _sine_overlap(N: int, n_modes: int, nodes: int) -> np.ndarray:
 def build_heat_models(cfg: HeatConfig) -> HeatModels:
     """Assemble all model matrices for the given configuration."""
     N, N_u = cfg.N, cfg.N_u
-    gram = _gram_matrix(N, cfg.gram_uses_squared_numerator)
-    gram_exact = _gram_matrix(N, squared_numerator=False)
-    stiffness = _stiffness_matrix(N, cfg.c, cfg.stiffness_uses_c_squared)
+    gram = _gram_matrix(N)
+    stiffness = _stiffness_matrix(N, cfg.c)
     lam_diag = np.diag((2.0 * np.arange(1, N + 1) + 1.0) / 2.0)
     overlap = _sine_overlap(N, N, cfg.nodes)
     accurate_nodes = max(4 * N, cfg.nodes)
@@ -205,7 +192,7 @@ def build_heat_models(cfg: HeatConfig) -> HeatModels:
     eig_A = np.diag(-(cfg.c ** 2) * (modes * np.pi) ** 2)
     eig_B = np.vstack([np.eye(N_u), np.zeros((N - N_u, N_u))])
     return HeatModels(
-        cfg, gram, gram_exact, mass, stiffness, lam_diag, overlap,
+        cfg, gram, mass, stiffness, lam_diag, overlap,
         overlap_accurate, dae, weights, eig_A, eig_B,
     )
 
@@ -393,7 +380,7 @@ def error_curves(
             raise ValueError("trajectories are not on a common time grid")
 
     z_opt = eigen.traj.x
-    gram = models.gram_exact
+    gram = models.gram
     overlap = models.sine_overlap_accurate
 
     def phi_vs_sine(a: np.ndarray, z: np.ndarray) -> np.ndarray:

@@ -1,13 +1,13 @@
 """Ordinary LTI systems, exact simulation and geometric control subroutines.
 
 The geometric algorithms here are the engine of the DAE-to-ODE construction:
-the weakly unobservable subspace (largest output-nulling controlled-invariant
-subspace), by an orthogonal staircase deflation of the pencil
-[[A - lambda I, B], [C, D]] (Van Dooren 1981, IEEE TAC 26; Emami-Naeini &
-Van Dooren 1982, Automatica 18); a friend feedback and the kernel matrix L,
-from the staircase's input block at its limit; the stabilizability subspace
-(reachable plus stable modal subspace); and the restriction of a system to an
-invariant subspace.
+the weakly unobservable subspace V (largest output-nulling controlled-invariant
+subspace), a friend feedback F and the kernel matrix L, all three from one
+orthogonal staircase deflation of the pencil [[A - lambda I, B], [C, D]] run
+to its limit, F and L from the input block of its last step (Van Dooren 1981,
+IEEE TAC 26; Emami-Naeini & Van Dooren 1982, Automatica 18); the
+stabilizability subspace (reachable plus stable modal subspace); and the
+restriction of a system to an invariant subspace.
 """
 
 from __future__ import annotations
@@ -158,53 +158,77 @@ def simulate(
     return states, outputs
 
 
-def _input_block(sys: OdeLti, W: np.ndarray, W_out: np.ndarray):
-    """M = [W_out^T B; D] and R = [W_out^T A W; C W] for the state basis W."""
+def _input_block(sys: OdeLti, W: np.ndarray, W_out: np.ndarray, rule):
+    """M = [W_out^T B; D] and R = [W_out^T A W; C W] for the state basis W,
+    with M's full SVD (U, s, Vh) and its rank decided by ``rule``."""
     M = np.vstack([W_out.T @ sys.B, sys.D])
-    return M, np.vstack([W_out.T @ (sys.A @ W), sys.C @ W])
+    R = np.vstack([W_out.T @ (sys.A @ W), sys.C @ W])
+    U, s, Vh = np.linalg.svd(M)
+    return M, R, U, s, Vh, _rank_from_singular_values(M, s, *rule)
+
+
+def _friend(W, M, R, U, s, Vh, rho) -> tuple[np.ndarray, np.ndarray]:
+    """F and L from an ``_input_block`` at W; see ``output_nulling_friend``."""
+    F_V = -Vh[:rho].T @ ((U[:, :rho].T @ R) / s[:rho, None])
+    resid = np.linalg.norm(M @ F_V + R, axis=0)
+    bad = np.flatnonzero(resid > EQUALITY_TOL * (1.0 + np.linalg.norm(R, axis=0)))
+    if bad.size:
+        raise ResidualTooLarge(f"no friend for basis vector {bad[0]}: residual {resid[bad[0]]:.3e}")
+    return F_V @ W.T, Vh[rho:].T
+
+
+def _staircase(sys: OdeLti, tol: float | None) -> tuple[Subspace, np.ndarray, np.ndarray]:
+    """(V, F, L) from one orthogonal staircase run to its limit.
+
+    Q = [W | W_perp] starts from W = I.  Each step factors the input block
+    M = [W_perp^T B; D], with left null space N, and takes the SVD of
+    N^T [W_perp^T A W; C W], whose row space (the part of W that leaves W or
+    reaches the output whatever the input) is rotated out of W.  When that
+    rank is zero, W spans V, and the same factored M gives F and L, so their
+    rank decision is the one that stopped the staircase.  The ranks are
+    decided against ||[B; D]||_2 and ||[A; C]||_2, as ``preimage`` decides
+    its own.
+    """
+    rule_BD = _projection_rule(np.vstack([sys.B, sys.D]), tol)
+    rule_AC = _projection_rule(np.vstack([sys.A, sys.C]), tol)
+    Q, d = np.eye(sys.n_states), sys.n_states
+    while True:
+        W = Q[:, :d]
+        block = _input_block(sys, W, Q[:, d:], rule_BD)
+        _, R, U, _, _, rho = block
+        X = U[:, rho:].T @ R
+        _, s, Vh = np.linalg.svd(X)
+        tau = _rank_from_singular_values(X, s, *rule_AC)
+        if tau == 0:
+            return (_orthonormal(W), *_friend(W, *block))
+        Q[:, :d] = W @ np.vstack([Vh[tau:], Vh[:tau]]).T
+        d -= tau
 
 
 def weakly_unobservable(sys: OdeLti, tol: float | None = None) -> Subspace:
     """Largest subspace V with (A + B F)V in V and (C + D F)V = 0 for some F.
 
-    An orthogonal staircase (Van Dooren 1981; Emami-Naeini & Van Dooren
-    1982) keeps Q = [W | W_perp], starting from W = I.  Each step takes the
-    SVD of the input block M = [W_perp^T B; D], with left null space N, and
-    the SVD of N^T [W_perp^T A W; C W], whose row space (the part of W that
-    leaves W or reaches the output whatever the input) is rotated out of W.
-    It stops when that rank is zero; W then spans V.  The ranks are decided
-    against ||[B; D]||_2 and ||[A; C]||_2, as ``preimage`` decides its own.
+    V is the limit of the orthogonal staircase, every rank decided at
+    ``tol``.  Its last step also solves for the friend, with the residual
+    check of ``output_nulling_friend``: ResidualTooLarge is raised when the
+    V found is not output-nulling within ``EQUALITY_TOL``.
     """
-    rule_BD = _projection_rule(np.vstack([sys.B, sys.D]), tol)
-    rule_AC = _projection_rule(np.vstack([sys.A, sys.C]), tol)
-    Q, d = np.eye(sys.n_states), sys.n_states
-    while d:
-        W = Q[:, :d]
-        M, R = _input_block(sys, W, Q[:, d:])
-        U, s, _ = np.linalg.svd(M)
-        rho = _rank_from_singular_values(M, s, *rule_BD)
-        X = U[:, rho:].T @ R
-        _, s, Vh = np.linalg.svd(X)
-        tau = _rank_from_singular_values(X, s, *rule_AC)
-        if tau == 0:
-            break
-        Q[:, :d] = W @ np.vstack([Vh[tau:], Vh[:tau]]).T
-        d -= tau
-    return _orthonormal(Q[:, :d])
+    return _staircase(sys, tol)[0]
 
 
 def output_nulling_friend(
     sys: OdeLti, V: Subspace, tol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Friend F and kernel matrix L, read from the staircase's input block at W = V.
+    """Friend F and kernel matrix L of the output-nulling subspace V.
 
-    With M = [W_perp^T B; D] of rank decided at ``tol`` as in
-    ``weakly_unobservable``, F = F_V V^T, where F_V is the minimum-norm
-    solution of M F_V = -[W_perp^T A W; C W] in one pseudo-inverse solve, so
-    F = 0 whenever the zero feedback is admissible.  L, the right null space
-    of M, is an orthonormal basis of ker D intersected with B^{-1} V (s x 0
-    when that is zero).  I - V V^T stands in for W_perp^T; it keeps M's
-    right singular vectors and minimum-norm solutions.
+    With the input block M = [W_perp^T B; D] at the basis W of V, of rank
+    decided at ``tol`` as in ``weakly_unobservable``, F = F_V W^T, where
+    F_V is the minimum-norm solution of M F_V = -[W_perp^T A W; C W] in one
+    pseudo-inverse solve, so F = 0 whenever the zero feedback is admissible.
+    L, the right null space of M, is an orthonormal basis of ker D
+    intersected with B^{-1} V (s x 0 when that is zero).  I - W W^T stands
+    in for W_perp^T; it keeps M's right singular vectors and minimum-norm
+    solutions.  The solve and its residual check are the staircase's own.
 
     Raises
     ------
@@ -213,15 +237,8 @@ def output_nulling_friend(
         side's norm): V is then not output-nulling for this system.
     """
     W = V.basis
-    M, R = _input_block(sys, W, np.eye(sys.n_states) - W @ W.T)
-    U, s, Vh = np.linalg.svd(M)
-    rho = _rank_from_singular_values(M, s, *_projection_rule(np.vstack([sys.B, sys.D]), tol))
-    F_V = -Vh[:rho].T @ ((U[:, :rho].T @ R) / s[:rho, None])
-    resid = np.linalg.norm(M @ F_V + R, axis=0)
-    bad = np.flatnonzero(resid > EQUALITY_TOL * (1.0 + np.linalg.norm(R, axis=0)))
-    if bad.size:
-        raise ResidualTooLarge(f"no friend for basis vector {bad[0]}: residual {resid[bad[0]]:.3e}")
-    return F_V @ W.T, Vh[rho:].T
+    rule = _projection_rule(np.vstack([sys.B, sys.D]), tol)
+    return _friend(W, *_input_block(sys, W, np.eye(sys.n_states) - W @ W.T, rule))
 
 
 def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:

@@ -162,6 +162,8 @@ class Subspace:
         v = np.asarray(v, dtype=float).reshape(-1)
         if v.shape[0] != self.ambient_dim:
             raise ValueError("vector does not live in the ambient space")
+        if not np.all(np.isfinite(v)):
+            raise ValueError("vector contains non-finite entries")
         resid = v - self.basis @ (self.basis.T @ v)
         return bool(np.linalg.norm(resid) <= EQUALITY_TOL * max(1.0, np.linalg.norm(v)))
 

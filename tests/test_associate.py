@@ -1,6 +1,7 @@
 """Construction and verification of associated state-space realizations."""
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -124,6 +125,33 @@ class TestSpecialShapes:
             dae = random_dae(rng)
             assoc = associate(dae)
             assert weakly_unobservable(assoc.as_ode()).dim == 0
+
+
+class TestOneStaircasePass:
+    def test_associate_takes_v_f_and_l_from_one_pass(self, ex1, monkeypatch):
+        # One ||[B; D]|| and one ||[A; C]|| rule, and neither public staircase
+        # function, which would factor the last input block a second time.
+        odesys = importlib.import_module("dae2ode.odesys")
+        module = importlib.import_module("dae2ode.associate")
+        original = odesys._projection_rule
+        rules = []
+
+        def counted(*args):
+            rules.append(args)
+            return original(*args)
+
+        def second_pass(*args, **kwargs):
+            raise AssertionError("associate ran a public staircase function")
+
+        monkeypatch.setattr(odesys, "_projection_rule", counted)
+        for owner in (odesys, module):
+            for name in ("weakly_unobservable", "output_nulling_friend"):
+                monkeypatch.setattr(owner, name, second_pass, raising=False)
+        rng = np.random.default_rng(24)
+        for dae in [ex1, tall_autonomous()] + [random_dae(rng) for _ in range(20)]:
+            rules.clear()
+            associate(dae)
+            assert len(rules) == 2
 
 
 class TestVerifyAssociated:

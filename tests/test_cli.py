@@ -207,6 +207,26 @@ class TestSimulate:
         assert np.allclose(traj.x[0][:2], [1.0, 7.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["lq-infinite", "lq-finite", "simulate"])
+class TestNonFiniteInitialValue:
+    """A non-finite z is malformed input (exit 1), not an inconsistent value."""
+
+    def test_flag(self, tmp_path, capsys, command, value):
+        path = ex1_problem(tmp_path, Q=np.eye(3).tolist(), R=[[1.0]], t1=1.0)
+        rc = main([command, path, "--z", f"{value},1"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "non-finite" in err
+
+    def test_problem_file(self, tmp_path, capsys, command, value):
+        path = ex1_problem(tmp_path, Q=np.eye(3).tolist(), R=[[1.0]], t1=1.0, z=[float(value), 1.0])
+        rc = main([command, path])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "non-finite" in err
+
+
 class TestTol:
     """--tol is the relative singular-value cutoff of the rank decisions about
     the realization, and nothing else."""

@@ -51,26 +51,21 @@ def bench():
 
 class TestModelMatrices:
     def test_gram_closed_form_spot_values(self):
-        assert _gram_matrix(4, True)[0, 0] == pytest.approx(7.2, abs=1e-14)
-        assert _gram_matrix(4, False)[0, 0] == pytest.approx(2.4, abs=1e-14)
+        assert _gram_matrix(4)[0, 0] == pytest.approx(2.4, abs=1e-14)
 
     def test_gram_matches_direct_quadrature(self):
         N = 8
         x, w = leggauss(600)
         phi = _basis_values(x, N)
         direct = phi.T @ (w[:, None] * phi)
-        assert np.max(np.abs(direct - _gram_matrix(N, False))) <= 1e-12
+        assert np.max(np.abs(direct - _gram_matrix(N))) <= 1e-12
 
     def test_gram_positive_definite(self):
         for N in (1, 2, 5, 20, 40, 80):
-            for flag in (False, True):
-                assert np.linalg.eigvalsh(_gram_matrix(N, flag))[0] > 0.0
+            assert np.linalg.eigvalsh(_gram_matrix(N))[0] > 0.0
 
     def test_stiffness_spot_values(self):
-        assert _stiffness_matrix(4, 1.0 / 30.0, False)[0, 0] == pytest.approx(
-            -0.2, abs=1e-14
-        )
-        assert _stiffness_matrix(4, 1.0 / 30.0, True)[0, 0] == pytest.approx(
+        assert _stiffness_matrix(4, 1.0 / 30.0)[0, 0] == pytest.approx(
             -1.0 / 150.0, abs=1e-16
         )
 
@@ -88,7 +83,7 @@ class TestModelMatrices:
             ) * legs[:, k - 1]
         dphi = dlegs[:, 2 : N + 2] - dlegs[:, 0:N]
         direct = -(c * c) * dphi.T @ (w[:, None] * dphi)
-        assert np.max(np.abs(direct - _stiffness_matrix(N, c, True))) <= 1e-10
+        assert np.max(np.abs(direct - _stiffness_matrix(N, c))) <= 1e-10
 
     def test_basis_vanishes_at_boundary(self):
         vals = _basis_values(np.array([-1.0, 1.0]), 10)
@@ -117,7 +112,7 @@ class TestModelMatrices:
         x, w = leggauss(cfg.nodes)
         phi = _basis_values(x, cfg.N)
         direct = phi.T @ (w[:, None] * phi)
-        assert np.max(np.abs(direct - _gram_matrix(cfg.N, False))) <= 1e-10
+        assert np.max(np.abs(direct - _gram_matrix(cfg.N))) <= 1e-10
         models = build_heat_models(cfg)
         coarse_gap = np.max(np.abs(models.sine_overlap - models.sine_overlap_accurate))
         assert coarse_gap > 0.01
@@ -284,7 +279,7 @@ class TestFunctionSpaceNorm:
         rng = np.random.default_rng(40)
         a = rng.standard_normal(N)
         z = rng.standard_normal(N)
-        gram = _gram_matrix(N, False)
+        gram = _gram_matrix(N)
         overlap = _sine_overlap(N, N, 4 * N)
         formula = a @ gram @ a - 2.0 * a @ overlap @ z + z @ z
         x, w = leggauss(400)

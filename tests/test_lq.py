@@ -758,6 +758,10 @@ class TestSharedChecks:
             start(dae, assoc, w, np.zeros(3))
         with pytest.raises(InconsistentInitialState):
             start(dae, assoc, w, np.array([0.0, 1.0]))
+        for bad in (np.nan, np.inf):
+            # Malformed input, not an inconsistent value.
+            with pytest.raises(ValueError, match="non-finite"):
+                start(dae, assoc, w, np.array([bad, 0.0]))
 
 
 def lq_operation(dae, assoc, w, z):
@@ -778,15 +782,20 @@ class TestCachedDerivations:
 
     def test_each_is_computed_once_per_realization(self, ex1, monkeypatch):
         module = importlib.import_module("dae2ode.associate")
+        odesys = importlib.import_module("dae2ode.odesys")
         calls = []
-        for name in ("stabilizability_subspace", "image"):
-            original = getattr(module, name)
+        for owner, name in (
+            (module, "stabilizability_subspace"),
+            (module, "image"),
+            (odesys, "stabilizability_subspace"),
+        ):
+            original = getattr(owner, name)
 
             def counted(*args, _name=name, _original=original):
                 calls.append(_name)
                 return _original(*args)
 
-            monkeypatch.setattr(module, name, counted)
+            monkeypatch.setattr(owner, name, counted)
         assoc = associate(ex1)
         calls.clear()
         w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
@@ -795,6 +804,7 @@ class TestCachedDerivations:
         sol = infinite_horizon(ex1, assoc, w, z)
         closed_loop_replay(ex1, assoc, sol, z)
         finite_horizon(ex1, assoc, w, z, 1.0)
+        assert pencil_stabilizability_test(ex1, assoc)
         assert sorted(calls) == ["image", "stabilizability_subspace"]
 
     def test_cached_realization_matches_a_fresh_one_on_criterion_5_stream(self):

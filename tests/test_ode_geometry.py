@@ -17,6 +17,8 @@ from dae2ode import (
     weakly_unobservable,
 )
 from dae2ode.heat import HeatConfig, build_heat_models
+from dae2ode.odesys import _staircase
+from dae2ode.subspaces import EQUALITY_TOL
 
 
 def _random_system(rng, r=None, s=None, p=None):
@@ -280,6 +282,22 @@ class TestOutputNullingFriend:
             _, outputs = simulate(closed, v0, None, times)
             assert np.max(np.abs(outputs)) <= 1e-6 * (1.0 + np.linalg.norm(v0))
             checked += 1
+
+
+class TestStaircaseCore:
+    def test_core_matches_the_public_pair_on_random_systems(self):
+        # F is the minimum-norm friend, unique for a given basis; L is unique
+        # up to an orthogonal change of the free input, so L L^T is compared.
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            sys = _random_system(rng)
+            V, F, L = _staircase(sys, None)
+            V_public = weakly_unobservable(sys)
+            F_public, L_public = output_nulling_friend(sys, V_public)
+            assert np.array_equal(V.basis, V_public.basis)
+            assert np.max(np.abs(F - F_public), initial=0.0) <= EQUALITY_TOL
+            assert L.shape == L_public.shape
+            assert np.max(np.abs(L @ L.T - L_public @ L_public.T), initial=0.0) <= EQUALITY_TOL
 
 
 class TestStabilizabilitySubspace:
