@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
+from numpy.polynomial.legendre import legvander
 from scipy.integrate import simpson
+from scipy.special import roots_legendre
 
 from .associate import AssociatedOdeLti, associate
 from .dae import DaeLti, Trajectory
@@ -158,7 +159,7 @@ def _basis_values(x: np.ndarray, N: int) -> np.ndarray:
 
 
 def _sine_overlap(N: int, n_modes: int, nodes: int) -> np.ndarray:
-    x, w = leggauss(nodes)
+    x, w = roots_legendre(nodes)
     phi = _basis_values(x, N)
     j = np.arange(1, n_modes + 1, dtype=float)
     sines = np.sin(np.pi * np.outer(x, j))

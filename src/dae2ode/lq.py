@@ -12,7 +12,7 @@ the associated ODE-LTI and solving a Riccati problem in the internal state:
   Hamiltonian matrix, is applied over the whole grid by structure-preserving
   doubling; the closed loop runs with the time-reversed gain, its back steps
   read off in closed form from the symplectic inverse of that one exponential
-  and composed by a prefix-product scan, optimal cost M(z)' P(t1) M(z);
+  and composed by a work-efficient scan, optimal cost M(z)' P(t1) M(z);
 * infinite horizon: an algebraic Riccati equation on the restriction of the
   associated system to its stabilizability subspace, solved by the Schur
   method (Laub 1979) from the ordered real Schur form of the 2l x 2l
@@ -223,12 +223,14 @@ def _closed_loop(sys: OdeLti, K: np.ndarray) -> OdeLti:
 def _feedback_forms(C_cl: np.ndarray, ME: np.ndarray, n: int):
     """(K_f, K1, K2) from the closed-loop output map C_cl, or a stack of
     them, and the map ME from x to the internal state: u = K_f x, and
-    K1 x + K2 u = 0 holds exactly for the optimal pair."""
-    C_cl_ME = C_cl @ ME
+    K1 x + K2 u = 0 holds exactly for the optimal pair.  K1 = C_cl ME - [I; 0]
+    is one product over a stack's rows, and K_f is a view of its last m rows."""
+    rows = C_cl.shape[:-1]
+    K1 = (C_cl.reshape(math.prod(rows), ME.shape[0]) @ ME).reshape(*rows, ME.shape[1])
     m = C_cl.shape[-2] - n
-    K1 = C_cl_ME - np.vstack([np.eye(n), np.zeros((m, n))])
+    K1[..., :n, :] -= np.eye(n)
     K2 = np.vstack([np.zeros((n, m)), -np.eye(m)])
-    return C_cl_ME[..., n:, :], K1, K2
+    return K1[..., n:, :], K1, K2
 
 
 def _internal_start(dae: DaeLti, assoc: AssociatedOdeLti, z) -> np.ndarray:
@@ -280,6 +282,9 @@ def solve_dre(
 
     The grid is filled by doubling, P_samples[d:2d] = f^d(P_samples[:d]) in
     one batched solve for d = 1, 2, 4, ..., so there is no per-step loop.
+    Since P(I + GP)^{-1} = (I + PG)^{-1}P, the solve has the stack itself as
+    right-hand side: f^d(P) = H_d + A_d'Z A_d with (I + P G_d) Z = P, and the
+    fixed A_d and G_d act on the stack's rows in one matrix product each.
     The steps are exact up to rounding; every P is symmetrized.  ``steps``
     defaults to max(2000, ceil(1000 t1)).
 
@@ -313,30 +318,55 @@ def _solve_dre(
         A = np.linalg.inv(Phi[:n_hat, :n_hat])
         G = _sym(A @ Phi[:n_hat, n_hat:])
         H = _sym(Phi[n_hat:, :n_hat] @ A)
+        end = n_nodes if n_hat else 0  # an empty state has no node to fill
         d = 1
-        while d < n_nodes:
+        while d < end:
             P = P_samples[: min(d, n_nodes - d)]
-            # A is broadcast by hand: NumPy 1.x would read a 2-D right-hand
-            # side against a stack of matrices as a stack of vectors.
-            A_stack = np.broadcast_to(A, P.shape)
-            P_new = _sym(H + A.T @ P @ np.linalg.solve(I + G @ P, A_stack))
+            # G and A act on the stack's rows; Z is symmetric, so A'ZA is (ZA)'A.
+            Z = np.linalg.solve(I + (P.reshape(-1, n_hat) @ G).reshape(P.shape), P)
+            ZA = (Z.reshape(-1, n_hat) @ A).reshape(P.shape)
+            P_new = _sym(H + (ZA.swapaxes(1, 2).reshape(-1, n_hat) @ A).reshape(P.shape))
             finite = np.isfinite(P_new).all(axis=(1, 2))
             if not finite.all():
                 node = d + int(np.argmin(finite))
                 raise NonFiniteP(f"Riccati state lost finiteness at tau = {node * h:.6g}")
             P_samples[d : d + P.shape[0]] = P_new
             d *= 2
-            if d < n_nodes:
-                # A, G, H of f^d become those of f^{2d}.
-                IGH = I + G @ H
-                X = np.linalg.solve(IGH, A)
-                A, G, H = (
-                    A @ X,
-                    _sym(G + A @ np.linalg.solve(IGH, G @ A.T)),
-                    _sym(H + A.T @ H @ X),
-                )
+            if d < end:
+                # A, G, H of f^d become those of f^{2d}, by one solve with I + GH.
+                X, Y = np.hsplit(np.linalg.solve(I + G @ H, np.hstack([A, G @ A.T])), 2)
+                A, G, H = A @ X, _sym(G + A @ Y), _sym(H + A.T @ H @ X)
 
     return P_samples, _gain(cho, DSC, assoc.B_l, P_samples), Phi
+
+
+def _back_scan(Phi: np.ndarray, P_samples: np.ndarray, v0: np.ndarray) -> np.ndarray:
+    """The closed loop's states v_0, ..., v_N on the nodes of real time s.
+
+    In tau = t1 - s the DRE step's X block, from I to Phi11 + Phi12 P_j, is a
+    fundamental matrix of the closed loop, so real time steps back exactly by
+    its inverse.  Phi is symplectic, [[Phi22', -Phi12'], [-Phi21', Phi11']]
+    inverts it, and so step i back is back_i = Phi22' - (P_{N-i} Phi12)'.
+    v_{i+1} = back_i ... back_0 v_0 is a work-efficient scan (Blelloch 1990):
+    the up-sweep makes Pi_i the product of the s factors ending at back_i, s
+    the largest power of two dividing i + 1; then, s halving, the down-sweep
+    sets v_m = Pi_{m-1} v_{m-s} on the odd multiples m of s.
+    """
+    N, n_hat = P_samples.shape[0] - 1, v0.shape[0]
+    PPhi12 = P_samples[1:].reshape(N * n_hat, n_hat) @ Phi[:n_hat, n_hat:]
+    Pi = Phi[n_hat:, n_hat:].T - PPhi12.reshape(N, n_hat, n_hat)[::-1].swapaxes(1, 2)
+    s = 1
+    while 2 * s <= N:
+        block = Pi[2 * s - 1 :: 2 * s]
+        block[...] = block @ Pi[s - 1 :: 2 * s][: block.shape[0]]
+        s *= 2
+    v_samples = np.empty((N + 1, n_hat))
+    v_samples[0] = v0
+    while s:
+        v_back = v_samples[: N + 1 - s : 2 * s, :, None]
+        v_samples[s :: 2 * s] = (Pi[s - 1 :: 2 * s] @ v_back)[..., 0]
+        s //= 2
+    return v_samples
 
 
 def finite_horizon(
@@ -354,31 +384,18 @@ def finite_horizon(
     """
     v0 = _internal_start(dae, assoc, z)
     P_samples, K_samples, Phi = _solve_dre(assoc, w, t1, steps)
-    n_nodes = P_samples.shape[0]
+    n_nodes, n_hat = P_samples.shape[:2]
     grid = np.linspace(0.0, t1, n_nodes)
-    n_hat = assoc.n_hat
+    v_samples = _back_scan(Phi, P_samples, v0)
 
-    # The DRE step's X block is a fundamental matrix of the closed loop
-    # v' = (A_l - B_l K(t1 - s)) v in tau = t1 - s: from X = I at tau_j it
-    # reaches Phi11 + Phi12 P_j at tau_{j+1}, so real time steps back with its
-    # inverse, exactly on the nodes.  Phi is symplectic, and its inverse
-    # [[Phi22', -Phi12'], [-Phi21', Phi11']] maps [I; P_{j+1}] X back to
-    # [I; P_j], so that inverse is Phi22' - Phi12' P_{j+1}: one batched
-    # product over the DRE's own samples.  Pi starts as these steps back_i
-    # and becomes their prefix products back_i ... back_0 in place, by
-    # doubling: after the pass with offset d, Pi_i holds the last
-    # min(2d, i + 1) factors.  Then v_{i+1} = Pi_i v_0.
-    Pi = Phi[n_hat:, n_hat:].T - Phi[:n_hat, n_hat:].T @ P_samples[:0:-1]
-    d = 1
-    while d < n_nodes - 1:
-        Pi[d:] = Pi[d:] @ Pi[:-d]
-        d *= 2
-    v_samples = np.vstack([v0, Pi @ v0])
-
-    C_cl = assoc.C_l - assoc.D_l @ K_samples[::-1]
-    outputs = np.einsum("ijk,ik->ij", C_cl, v_samples)
+    # C_cl,i = C_l - D_l K(t1 - s_i), D_l times all the gains in one product.
+    p = assoc.C_l.shape[0]
+    DK = assoc.D_l @ K_samples.swapaxes(0, 1).reshape(assoc.k, n_nodes * n_hat)
+    C_cl = assoc.C_l - DK.reshape(p, n_nodes, n_hat).swapaxes(0, 1)[::-1]
     n = assoc.n
     K_f_samples, K1_samples, K2 = _feedback_forms(C_cl, assoc.M @ dae.E, n)
+    Kv = np.einsum("ijk,ik->ij", K_samples[::-1], v_samples)
+    outputs = v_samples @ assoc.C_l.T - Kv @ assoc.D_l.T
     traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
     cost = float(v0 @ P_samples[-1] @ v0)
     return FiniteHorizonSolution(

@@ -110,6 +110,7 @@ def simulate(
     The recurrence is evaluated by doubling, one matrix product per power
     Phi^d with d = 1, 2, 4, ..., so there is no per-step loop.  ``inputs``
     may be None for the zero input, in which case only A is discretized.
+    A non-finite initial state or input raises ValueError.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     h = _check_uniform_grid(times)
@@ -125,6 +126,8 @@ def simulate(
             q = q.T
         if q.shape != (T, s):
             raise ValueError(f"inputs must have shape ({T}, {s}), got {q.shape}")
+    if not (np.isfinite(v0).all() and (q is None or np.isfinite(q).all())):
+        raise ValueError("initial state and inputs must be finite")
 
     states = np.zeros((T, r))
     states[0] = v0

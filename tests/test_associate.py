@@ -290,6 +290,18 @@ class TestProjectLift:
         assert np.linalg.norm(v_rec - states) <= 1e-8 * (1 + np.linalg.norm(states))
         assert np.linalg.norm(g_rec - g) <= 1e-8 * (1 + np.linalg.norm(g))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["v0", "g"])
+    def test_lift_rejects_non_finite_start_or_input(self, ex1, ex1_assoc, bad, where):
+        times = np.linspace(0.0, 0.5, 51)
+        v0, g = np.array([1.0, 0.0]), np.zeros((times.size, 2))
+        if where == "v0":
+            v0[1] = bad
+        else:
+            g[10, 1] = bad
+        with pytest.raises(ValueError, match="initial state and inputs must be finite"):
+            lift_solution(ex1, ex1_assoc, v0, g, times)
+
     def test_round_trip_on_random_population(self):
         rng = np.random.default_rng(26)
         done = 0

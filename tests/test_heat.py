@@ -106,6 +106,17 @@ class TestModelMatrices:
         b = _sine_overlap(N, N, 8 * N)
         assert np.max(np.abs(a - b)) <= 1e-10
 
+    @pytest.mark.parametrize("N", [12, 40, 80])
+    def test_moments_agree_with_the_leggauss_rule(self, N):
+        # The rule comes from scipy.special.roots_legendre; at the default
+        # N + 2 nodes and the converged 4N it gives numpy's leggauss moments.
+        for nodes in (N + 2, 4 * N):
+            x, w = leggauss(nodes)
+            sines = np.sin(np.pi * np.outer(x, np.arange(1, N + 1)))
+            want = _basis_values(x, N).T @ (w[:, None] * sines)
+            got = _sine_overlap(N, N, nodes)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_default_rule_is_gram_exact_but_moment_coarse(self):
         cfg = HeatConfig()
         assert cfg.nodes == cfg.N + 2

@@ -258,20 +258,56 @@ class TestFiniteHorizon:
 
     @pytest.mark.parametrize("t1", [1.0, 5.0])
     def test_back_stepping_scan_matches_sequential_product(self, dre_population, t1):
+        # The default grid and grids just below, at and above a power of two,
+        # where the scan's up-sweep ends on a whole or a partial block.
+        for steps in (None, 100, 127, 128, 129, 1000):
+            for dae, assoc, w, z in dre_population:
+                sol = finite_horizon(dae, assoc, w, z, t1, steps)
+                n = assoc.n_hat
+                Phi = _dre_hamiltonian(assoc, w, t1 / (sol.grid.shape[0] - 1))[2]
+                forward = Phi[:n, :n] + Phi[:n, n:] @ sol.P_samples[:-1]
+                # Phi is symplectic, so Phi22' - Phi12' P_{j+1} inverts each
+                # forward step Phi11 + Phi12 P_j.
+                inverse = Phi[n:, n:].T - Phi[:n, n:].T @ sol.P_samples[1:]
+                assert np.max(np.abs(forward @ inverse - np.eye(n)), initial=0.0) <= 1e-13
+                back = np.linalg.inv(Phi[:n, :n] + Phi[:n, n:] @ sol.P_samples[-2::-1])
+                v = [assoc.M @ z]
+                for step in back:
+                    v.append(step @ v[-1])
+                assert np.linalg.norm(sol.v_samples - v) <= 1e-11 * np.linalg.norm(v)
+
+    def test_outputs_and_feedback_match_their_per_node_definitions(self, dre_population):
         for dae, assoc, w, z in dre_population:
-            sol = finite_horizon(dae, assoc, w, z, t1)
-            n = assoc.n_hat
-            Phi = _dre_hamiltonian(assoc, w, t1 / (sol.grid.shape[0] - 1))[2]
-            forward = Phi[:n, :n] + Phi[:n, n:] @ sol.P_samples[:-1]
-            # Phi is symplectic, so Phi22' - Phi12' P_{j+1} inverts each
-            # forward step Phi11 + Phi12 P_j.
-            inverse = Phi[n:, n:].T - Phi[:n, n:].T @ sol.P_samples[1:]
-            assert np.max(np.abs(forward @ inverse - np.eye(n)), initial=0.0) <= 1e-13
-            back = np.linalg.inv(Phi[:n, :n] + Phi[:n, n:] @ sol.P_samples[-2::-1])
-            v = [assoc.M @ z]
-            for step in back:
-                v.append(step @ v[-1])
-            assert np.linalg.norm(sol.v_samples - v) <= 1e-11 * np.linalg.norm(v)
+            sol = finite_horizon(dae, assoc, w, z, 1.0)
+            n, ME = assoc.n, assoc.M @ dae.E
+            C_cl = [assoc.C_l - assoc.D_l @ K for K in sol.K_samples[::-1]]
+            outputs = [C @ v for C, v in zip(C_cl, sol.v_samples)]
+            C_cl_ME = [C @ ME for C in C_cl]
+            pairs = (
+                (sol.traj.x, [y[:n] for y in outputs]),
+                (sol.traj.u, [y[n:] for y in outputs]),
+                (sol.K_f_samples, [F[n:] for F in C_cl_ME]),
+                (sol.K1_samples, [F - np.eye(*F.shape) for F in C_cl_ME]),
+            )
+            for got, want in pairs:
+                assert np.linalg.norm(got - np.array(want)) <= 1e-13 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize(
+        "E, A, B",
+        [
+            ([[0.0]], [[1.0]], [[1.0]]),  # u = -x with x free: k = 1
+            ([[0.0], [0.0]], [[1.0], [0.0]], [[0.0], [1.0]]),  # x = u = 0: k = 0
+        ],
+    )
+    def test_empty_internal_state(self, E, A, B):
+        dae = DaeLti(E, A, B)
+        assoc = associate(dae)
+        assert assoc.n_hat == 0
+        w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.eye(dae.c))
+        sol = finite_horizon(dae, assoc, w, np.zeros(dae.c), 1.0, steps=100)
+        assert sol.P_samples.shape == (101, 0, 0)
+        assert np.all(sol.traj.x == 0.0) and np.all(sol.traj.u == 0.0)
+        assert sol.cost == 0.0
 
     def test_one_hamiltonian_exponential_per_solve(self, ex1, ex1_assoc, monkeypatch):
         calls = []

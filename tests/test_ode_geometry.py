@@ -142,6 +142,19 @@ class TestSimulate:
         states, _ = simulate(sys, np.array([0.0]), times.reshape(-1, 1), times)
         assert np.allclose(states[:, 0], 0.5 * times**2, atol=1e-10)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("where", ["v0", "inputs"])
+    def test_non_finite_start_or_input_rejected(self, bad, where):
+        sys = OdeLti([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+        times = np.linspace(0.0, 1.0, 11)
+        v0, q = np.array([1.0]), np.ones((11, 1))
+        if where == "v0":
+            v0[0] = bad
+        else:
+            q[5, 0] = bad
+        with pytest.raises(ValueError, match="initial state and inputs must be finite"):
+            simulate(sys, v0, q, times)
+
 
 class TestWeaklyUnobservable:
     def test_observable_pair_gives_zero_space(self):
