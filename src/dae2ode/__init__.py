@@ -8,14 +8,12 @@ from .associate import (
     feedback_equivalence,
     lift_solution,
     project_solution,
-    stabilizable_restriction,
     verify_associated,
 )
 from .dae import (
     DaeLti,
     Trajectory,
     behavior_residual,
-    consistency_space,
     impulse_controllable,
     is_consistent,
     wong_limit,

@@ -34,10 +34,10 @@ from .dae import DaeLti, Trajectory, behavior_residual, wong_limit
 from .errors import NotEquivalent
 from .odesys import (
     OdeLti,
-    _staircase,
     restrict_to_invariant,
     simulate,
     stabilizability_subspace,
+    weakly_unobservable,
 )
 from .subspaces import (
     CONDITION_BOUND,
@@ -60,7 +60,6 @@ __all__ = [
     "project_solution",
     "lift_solution",
     "feedback_equivalence",
-    "stabilizable_restriction",
 ]
 
 
@@ -212,7 +211,7 @@ def associate(
     Dt = np.hstack([A22, B2])
     aux = OdeLti(At, G, Ct, Dt)
 
-    V, F, L = _staircase(aux, tol)
+    V, F, L = weakly_unobservable(aux, tol)
 
     # Split the free-coordinate maps into the state tail (n - r rows) and
     # the input part (m rows), then assemble the output maps.
@@ -463,9 +462,3 @@ def feedback_equivalence(
             )
     return T, K, U
 
-
-def stabilizable_restriction(assoc: AssociatedOdeLti) -> StabilizableRestriction:
-    """Restrict an associated system to the stabilizability subspace of
-    (A_l, B_l), decided at the realization's ``tol``: its cached
-    ``restriction``."""
-    return assoc.restriction

@@ -33,15 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from .associate import associate, lift_solution, verify_associated
-from .dae import (
-    Trajectory,
-    consistency_space,
-    impulse_controllable,
-    is_consistent,
-    pencil_stabilizability_test,
-)
+from .dae import Trajectory, impulse_controllable, is_consistent, pencil_stabilizability_test
 from .errors import Dae2OdeError, InconsistentInitialState, NotStabilizable
-from .heat import HeatConfig, error_curves, run_heat_benchmark
+from .heat import HeatConfig, run_heat_benchmark
 from .lq import finite_horizon, infinite_horizon
 from .matio import (
     _format_rows,
@@ -187,7 +181,7 @@ def _cmd_check(args) -> int:
     assoc = associate(problem.dae, tol=args.tol)
     imp = impulse_controllable(problem.dae, tol=args.tol)
     stab = pencil_stabilizability_test(problem.dae, assoc)
-    dim = consistency_space(problem.dae, assoc).dim
+    dim = assoc.consistency_set.dim
     print(
         f"impulse_controllable: {str(imp).lower()}, "
         f"stabilizable: {str(stab).lower()}, "

@@ -4,9 +4,10 @@ A :class:`DaeLti` is a triple of real matrices (E, A, B) with E, A of shape
 c x n and B of shape c x m; no regularity or squareness is assumed.  The
 solution concept is behavioral: locally integrable (x, u) such that Ex is
 absolutely continuous and the equation holds almost everywhere.  This module
-provides the data types, the augmented Wong sequence, the consistency set,
-the impulse-controllability rank test, the stabilizability test of the
-associated pair (A_l, B_l) and a numerical membership test for the behavior.
+provides the data types, the augmented Wong sequence, membership in the
+consistency set (which the realization keeps), the impulse-controllability
+rank test, the stabilizability test of the associated pair (A_l, B_l) and a
+numerical membership test for the behavior.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "DaeLti",
     "Trajectory",
     "wong_limit",
-    "consistency_space",
     "is_consistent",
     "impulse_controllable",
     "pencil_stabilizability_test",
@@ -115,19 +115,10 @@ def wong_limit(dae: DaeLti, tol: float | None = None) -> Subspace:
     return V
 
 
-def consistency_space(dae: DaeLti, assoc) -> Subspace:
-    """Consistency set V(E, A, B) = image(E C_s): values z = Ex(0) of solutions.
-
-    Reads the realization's stored product ``EC_s``, not ``dae.E``; the rank
-    of E C_s is decided at the realization's own ``tol``, once per
-    realization (its cached ``consistency_set``).
-    """
-    return assoc.consistency_set
-
-
 def is_consistent(dae: DaeLti, assoc, z) -> bool:
-    """Whether z admits a solution with Ex(0) = z: membership in image(E C_s),
-    within ``EQUALITY_TOL``."""
+    """Whether z admits a solution with Ex(0) = z: membership in the
+    consistency set V(E, A, B) = image(E C_s), the realization's cached
+    ``consistency_set``, within ``EQUALITY_TOL``."""
     return assoc.consistency_set.contains_vector(z)
 
 

@@ -30,7 +30,7 @@ from numpy.polynomial.legendre import legvander
 from scipy.integrate import simpson
 from scipy.special import roots_legendre
 
-from .associate import AssociatedOdeLti, associate
+from .associate import associate
 from .dae import DaeLti, Trajectory
 from .lq import InfiniteHorizonSolution, LqWeights, infinite_horizon
 from .odesys import OdeLti, simulate
@@ -104,7 +104,8 @@ class HeatConfig:
 
 @dataclass(frozen=True)
 class HeatModels:
-    """Model matrices shared by the benchmark branches.
+    """Model matrices shared by the benchmark branches, with the config they
+    were built from; each branch takes the models and reads config here.
 
     gram is the exact Gram matrix M_hat of the phi basis (also used for
     function-space norms), mass the row-scaled Gram M = Lambda M_hat,
@@ -214,7 +215,7 @@ class EigenReference:
     traj: Trajectory
 
 
-def eigenbasis_reference(cfg: HeatConfig, models: HeatModels | None = None) -> EigenReference:
+def eigenbasis_reference(models: HeatModels) -> EigenReference:
     """Solve the infinite-horizon LQ problem on the eigenbasis model.
 
     A_e is diagonal and B_e selects the first N_u coordinates, so the
@@ -222,7 +223,7 @@ def eigenbasis_reference(cfg: HeatConfig, models: HeatModels | None = None) -> E
     actuated modes and p_i = -1/(2 a_i) on the rest.  The closed loop is
     diagonal and is sampled exactly on the step-1e-3 grid.
     """
-    models = build_heat_models(cfg) if models is None else models
+    cfg = models.config
     a = np.diag(models.eig_A)
     actuated = np.arange(cfg.N) < cfg.N_u
     p = np.where(actuated, a + np.sqrt(a * a + 1.0), -0.5 / a)
@@ -255,22 +256,17 @@ class DaePipelineResult:
         return self.solution.traj
 
 
-def dae_lq_pipeline(
-    cfg: HeatConfig,
-    models: HeatModels | None = None,
-    assoc: AssociatedOdeLti | None = None,
-) -> DaePipelineResult:
+def dae_lq_pipeline(models: HeatModels) -> DaePipelineResult:
     """Run associate + infinite-horizon LQ on the descriptor heat model.
 
     The initial condition is the consistent value z = lam Lambda X e_mode
     (the scaled moment vector of lam sin(mode pi x)); the trajectory is
     sampled on the step-1e-3 grid over [0, T].
     """
-    models = build_heat_models(cfg) if models is None else models
-    assoc = associate(models.dae) if assoc is None else assoc
-    z0 = models.value_of_initial
-    steps = max(int(round(cfg.T / SIM_STEP)), 2)
-    sol = infinite_horizon(models.dae, assoc, models.weights, z0, T_sim=cfg.T, steps=steps)
+    cfg = models.config
+    dae, z0 = models.dae, models.value_of_initial
+    steps = len(_time_grid(cfg.T)) - 1
+    sol = infinite_horizon(dae, associate(dae), models.weights, z0, T_sim=cfg.T, steps=steps)
     coords = sol.traj.x[:, : cfg.N]
     return DaePipelineResult(sol.cost, sol.K_z, sol, coords)
 
@@ -300,9 +296,7 @@ def _simulate_lifted(models: HeatModels, lifted_gain: np.ndarray) -> LiftedSimul
 
 
 def lift_and_simulate_closed_loop(
-    cfg: HeatConfig,
-    gain_on_value: np.ndarray,
-    models: HeatModels | None = None,
+    models: HeatModels, gain_on_value: np.ndarray
 ) -> LiftedSimulation:
     """Lift a gain on the consistent value Ex to the eigenbasis and replay.
 
@@ -313,7 +307,6 @@ def lift_and_simulate_closed_loop(
     exactly by ``simulate`` at step 1e-3, and the truncated cost uses
     composite Simpson.
     """
-    models = build_heat_models(cfg) if models is None else models
     lifted = np.asarray(gain_on_value, dtype=float) @ models.lambda_diag @ models.sine_overlap
     return _simulate_lifted(models, lifted)
 
@@ -331,7 +324,7 @@ class NaiveBaseline:
     lifted: LiftedSimulation
 
 
-def naive_galerkin_baseline(cfg: HeatConfig, models: HeatModels | None = None) -> NaiveBaseline:
+def naive_galerkin_baseline(models: HeatModels) -> NaiveBaseline:
     """Solve the naive Galerkin LQ problem and replay its lifted gain.
 
     The naive model drops the error channel: da/dt = M_hat^{-1}(A_N a +
@@ -341,7 +334,7 @@ def naive_galerkin_baseline(cfg: HeatConfig, models: HeatModels | None = None) -
     model coordinates M_hat^{-1} X of each sine mode and replayed on the
     eigenbasis model.
     """
-    models = build_heat_models(cfg) if models is None else models
+    cfg = models.config
     N, N_u = cfg.N, cfg.N_u
     A_naive = np.linalg.solve(models.gram, models.stiffness)
     B_naive = np.linalg.solve(models.gram, models.sine_overlap[:, :N_u])
@@ -349,7 +342,7 @@ def naive_galerkin_baseline(cfg: HeatConfig, models: HeatModels | None = None) -
     weights = LqWeights(models.gram, np.eye(N_u), np.zeros((N, N)))
     assoc = associate(dae)
     a0 = cfg.lam * models.sine_overlap[:, cfg.mode - 1]
-    steps = max(int(round(cfg.T / SIM_STEP)), 2)
+    steps = len(_time_grid(cfg.T)) - 1
     sol = infinite_horizon(dae, assoc, weights, a0, T_sim=cfg.T, steps=steps)
 
     coords_of_sines = np.linalg.solve(models.gram, models.sine_overlap)
@@ -428,9 +421,9 @@ def run_heat_benchmark(cfg: HeatConfig | None = None) -> HeatBenchmark:
     """Run all four branches on a common grid and collect the results."""
     cfg = HeatConfig() if cfg is None else cfg
     models = build_heat_models(cfg)
-    eigen = eigenbasis_reference(cfg, models)
-    dae_result = dae_lq_pipeline(cfg, models)
-    lifted = lift_and_simulate_closed_loop(cfg, dae_result.gain, models)
-    naive = naive_galerkin_baseline(cfg, models)
+    eigen = eigenbasis_reference(models)
+    dae_result = dae_lq_pipeline(models)
+    lifted = lift_and_simulate_closed_loop(models, dae_result.gain)
+    naive = naive_galerkin_baseline(models)
     curves = error_curves(models, eigen, dae_result, lifted, naive)
     return HeatBenchmark(models, eigen, dae_result, lifted, naive, curves)

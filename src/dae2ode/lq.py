@@ -20,8 +20,12 @@ the associated ODE-LTI and solving a Riccati problem in the internal state:
   Kleinman-Newton steps, optimal cost (M_g z)' P (M_g z), solvable exactly
   for behaviorally stabilizable z.
 
-Both equations share one builder of that data and one gain routine.
-Both solvers return the optimal trajectory together with the feedback forms
+Each equation has one public solver, its only implementation, which the
+horizon solver calls: ``solve_dre`` returns the samples together with the
+exponential the closed loop steps back by, ``solve_are`` the solution
+together with its closed-loop abscissa.  Both equations share one builder
+of that data and one gain routine.  Both horizon solvers return the
+optimal trajectory together with the feedback forms
 u* = K_f x* and the pointwise constraint description K1 x + K2 u = 0 whose
 solutions are exactly the optimal pair; ``closed_loop_replay`` checks a
 returned trajectory against it without solving anything again.
@@ -37,7 +41,7 @@ import numpy as np
 import scipy.integrate
 import scipy.linalg
 
-from .associate import AssociatedOdeLti, StabilizableRestriction, stabilizable_restriction
+from .associate import AssociatedOdeLti, StabilizableRestriction
 from .dae import DaeLti, Trajectory, is_consistent
 from .errors import (
     ConstraintViolated,
@@ -197,15 +201,6 @@ def _hamiltonian(sys: OdeLti, w: LqWeights):
     return cho, DSC, A - B @ F[:, :n], B @ F[:, n:], C.T @ S @ C - DSC.T @ F[:, :n]
 
 
-def _dre_hamiltonian(assoc: AssociatedOdeLti, w: LqWeights, h: float):
-    """Gain data and step of the DRE: (cho, DSC, Phi) with cho and DSC as
-    in ``_hamiltonian`` and Phi the Hamiltonian exponential of ``solve_dre``.
-    """
-    cho, DSC, A_r, G, Q_r = _hamiltonian(assoc.as_ode(), w)
-    Phi = scipy.linalg.expm(h * np.block([[-A_r, G], [Q_r, A_r.T]]))
-    return cho, DSC, Phi
-
-
 def _gain(cho, DSC, B: np.ndarray, P: np.ndarray) -> np.ndarray:
     """K = W^{-1}(B'P + D'SC) for one P or, in one solve, for each P of a
     stack; K has no rows when there is no input (k = 0)."""
@@ -252,11 +247,12 @@ def _sym(X: np.ndarray) -> np.ndarray:
 
 def solve_dre(
     assoc: AssociatedOdeLti, w: LqWeights, t1: float, steps: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Integrate the differential Riccati equation of the associated system.
 
-    Returns (P_samples, K_samples) on the uniform grid tau_j = j t1/steps,
-    where tau counts time left to the horizon:
+    Returns (P_samples, K_samples, Phi) on the uniform grid
+    tau_j = j t1/steps, where tau counts time left to the horizon and Phi is
+    the Hamiltonian exponential of one step (below):
 
         dP/dtau = A_l'P + PA_l - K'(D_l'SD_l)K + C_l'SC_l,
         P(0) = (EC_s)'Q0(EC_s),
@@ -290,15 +286,6 @@ def solve_dre(
 
     Raises NonFiniteP, naming the first node, when P overflows.
     """
-    P_samples, K_samples, _ = _solve_dre(assoc, w, t1, steps)
-    return P_samples, K_samples
-
-
-def _solve_dre(
-    assoc: AssociatedOdeLti, w: LqWeights, t1: float, steps: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``solve_dre``'s (P_samples, K_samples) and the Hamiltonian exponential
-    Phi of its step."""
     if t1 <= 0:
         raise ValueError("t1 must be positive")
     if steps is None:
@@ -308,7 +295,8 @@ def _solve_dre(
 
     n_hat = assoc.n_hat
     h = t1 / steps
-    cho, DSC, Phi = _dre_hamiltonian(assoc, w, h)
+    cho, DSC, A_r, G, Q_r = _hamiltonian(assoc.as_ode(), w)
+    Phi = scipy.linalg.expm(h * np.block([[-A_r, G], [Q_r, A_r.T]]))
     n_nodes = steps + 1
     P_samples = np.empty((n_nodes, n_hat, n_hat))
     P_samples[0] = assoc.EC_s.T @ w.Q0 @ assoc.EC_s
@@ -383,7 +371,7 @@ def finite_horizon(
     v' = (A_l - B_l K(t1 - s)) v, v(0) = M z; the cost is M(z)'P(t1)M(z).
     """
     v0 = _internal_start(dae, assoc, z)
-    P_samples, K_samples, Phi = _solve_dre(assoc, w, t1, steps)
+    P_samples, K_samples, Phi = solve_dre(assoc, w, t1, steps)
     n_nodes, n_hat = P_samples.shape[:2]
     grid = np.linspace(0.0, t1, n_nodes)
     v_samples = _back_scan(Phi, P_samples, v0)
@@ -403,7 +391,9 @@ def finite_horizon(
     )
 
 
-def solve_are(restr: StabilizableRestriction, w: LqWeights) -> tuple[np.ndarray, np.ndarray]:
+def solve_are(
+    restr: StabilizableRestriction, w: LqWeights
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Solve the algebraic Riccati equation of the restricted system.
 
         0 = P A_g + A_g'P - K'(D_g'SD_g)K + C_g'SC_g,
@@ -424,19 +414,11 @@ def solve_are(restr: StabilizableRestriction, w: LqWeights) -> tuple[np.ndarray,
     input (k = 0) G = 0, K has no rows and the first polish step is the
     Lyapunov solve for the observability Gramian.
 
-    Returns (P, K) with P symmetric, the last polish step's residual at
-    most ``ARE_RESIDUAL_TOL`` and A_g - B_g K stable; raises
+    Returns (P, K, abscissa) with P symmetric, the last polish step's
+    residual at most ``ARE_RESIDUAL_TOL`` and A_g - B_g K stable, of
+    spectral abscissa ``abscissa`` (-inf when l = 0); raises
     NoStabilizingStart otherwise.
     """
-    P, K, _ = _solve_are(restr, w)
-    return P, K
-
-
-def _solve_are(
-    restr: StabilizableRestriction, w: LqWeights
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """``solve_are``'s (P, K) and the spectral abscissa of A_g - B_g K,
-    -inf when l = 0."""
     sys, S = restr.sys_g, w.S
     cho, DSC, A_r, G, Q_r = _hamiltonian(sys, w)
     l, k = restr.l, sys.n_inputs
@@ -505,12 +487,7 @@ def is_behaviorally_stabilizable(dae: DaeLti, assoc: AssociatedOdeLti, z) -> boo
     stabilizability subspace of (A_l, B_l).
     """
     v = _internal_start(dae, assoc, z)
-    return _stabilizable_value(stabilizable_restriction(assoc), v)
-
-
-def _stabilizable_value(restr: StabilizableRestriction, v: np.ndarray) -> bool:
-    """Membership of v in the stabilizability subspace."""
-    return restr.subspace.contains_vector(v)
+    return assoc.restriction.subspace.contains_vector(v)
 
 
 def infinite_horizon(
@@ -532,14 +509,14 @@ def infinite_horizon(
     Raises NotStabilizable exactly when no behavior trajectory from z decays.
     """
     v_full = _internal_start(dae, assoc, z)
-    restr = stabilizable_restriction(assoc)
-    if not _stabilizable_value(restr, v_full):
+    restr = assoc.restriction
+    if not restr.subspace.contains_vector(v_full):
         raise NotStabilizable(
             "z is not behaviorally stabilizable: M(z) leaves the stabilizability subspace"
         )
     v0 = restr.projector @ v_full
 
-    P, K, abscissa = _solve_are(restr, w)
+    P, K, abscissa = solve_are(restr, w)
     cl = _closed_loop(restr.sys_g, K)
 
     if T_sim is None:

@@ -2,12 +2,14 @@
 
 The geometric algorithms here are the engine of the DAE-to-ODE construction:
 the weakly unobservable subspace V (largest output-nulling controlled-invariant
-subspace), a friend feedback F and the kernel matrix L, all three from one
-orthogonal staircase deflation of the pencil [[A - lambda I, B], [C, D]] run
-to its limit, F and L from the input block of its last step (Van Dooren 1981,
-IEEE TAC 26; Emami-Naeini & Van Dooren 1982, Automatica 18); the
-stabilizability subspace (reachable plus stable modal subspace); and the
-restriction of a system to an invariant subspace.
+subspace), a friend feedback F and the kernel matrix L, all three returned by
+``weakly_unobservable`` from one orthogonal staircase deflation of the pencil
+[[A - lambda I, B], [C, D]] run to its limit, F and L from the input block of
+its last step (Van Dooren 1981, IEEE TAC 26; Emami-Naeini & Van Dooren 1982,
+Automatica 18); the stabilizability subspace (reachable plus stable modal
+subspace); and the restriction of a system to an invariant subspace.  Each
+computation has one public entry, which is its only implementation;
+``output_nulling_friend`` solves for the friend of any other given V.
 """
 
 from __future__ import annotations
@@ -109,8 +111,9 @@ def simulate(
 
     The recurrence is evaluated by doubling, one matrix product per power
     Phi^d with d = 1, 2, 4, ..., so there is no per-step loop.  ``inputs``
-    may be None for the zero input, in which case only A is discretized.
-    A non-finite initial state or input raises ValueError.
+    holds one row per time sample, shape (T, s); any other shape raises
+    ValueError.  It may be None for the zero input, in which case only A is
+    discretized.  A non-finite initial state or input raises ValueError.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     h = _check_uniform_grid(times)
@@ -122,8 +125,6 @@ def simulate(
     q = None
     if inputs is not None:
         q = np.atleast_2d(np.asarray(inputs, dtype=float))
-        if q.shape == (s, T) and s != T:
-            q = q.T
         if q.shape != (T, s):
             raise ValueError(f"inputs must have shape ({T}, {s}), got {q.shape}")
     if not (np.isfinite(v0).all() and (q is None or np.isfinite(q).all())):
@@ -180,17 +181,25 @@ def _friend(W, M, R, U, s, Vh, rho) -> tuple[np.ndarray, np.ndarray]:
     return F_V @ W.T, Vh[rho:].T
 
 
-def _staircase(sys: OdeLti, tol: float | None) -> tuple[Subspace, np.ndarray, np.ndarray]:
-    """(V, F, L) from one orthogonal staircase run to its limit.
+def weakly_unobservable(
+    sys: OdeLti, tol: float | None = None
+) -> tuple[Subspace, np.ndarray, np.ndarray]:
+    """(V, F, L): the largest subspace V with (A + B F)V in V and
+    (C + D F)V = 0 for some F, such a friend F, and the kernel matrix L.
 
+    One orthogonal staircase, run to its limit, gives all three.
     Q = [W | W_perp] starts from W = I.  Each step factors the input block
     M = [W_perp^T B; D], with left null space N, and takes the SVD of
     N^T [W_perp^T A W; C W], whose row space (the part of W that leaves W or
     reaches the output whatever the input) is rotated out of W.  When that
-    rank is zero, W spans V, and the same factored M gives F and L, so their
-    rank decision is the one that stopped the staircase.  The ranks are
-    decided against ||[B; D]||_2 and ||[A; C]||_2, as ``preimage`` decides
-    its own.
+    rank is zero, W spans V, and the same factored M gives F and L as in
+    ``output_nulling_friend``, so their rank decision is the one that
+    stopped the staircase.  The ranks are decided at ``tol`` against
+    ||[B; D]||_2 and ||[A; C]||_2, as ``preimage`` decides its own.
+
+    Raises ResidualTooLarge, with the residual check of
+    ``output_nulling_friend``, when the V found is not output-nulling
+    within ``EQUALITY_TOL``.
     """
     rule_BD = _projection_rule(np.vstack([sys.B, sys.D]), tol)
     rule_AC = _projection_rule(np.vstack([sys.A, sys.C]), tol)
@@ -208,21 +217,10 @@ def _staircase(sys: OdeLti, tol: float | None) -> tuple[Subspace, np.ndarray, np
         d -= tau
 
 
-def weakly_unobservable(sys: OdeLti, tol: float | None = None) -> Subspace:
-    """Largest subspace V with (A + B F)V in V and (C + D F)V = 0 for some F.
-
-    V is the limit of the orthogonal staircase, every rank decided at
-    ``tol``.  Its last step also solves for the friend, with the residual
-    check of ``output_nulling_friend``: ResidualTooLarge is raised when the
-    V found is not output-nulling within ``EQUALITY_TOL``.
-    """
-    return _staircase(sys, tol)[0]
-
-
 def output_nulling_friend(
     sys: OdeLti, V: Subspace, tol: float | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Friend F and kernel matrix L of the output-nulling subspace V.
+    """Friend F and kernel matrix L of any given output-nulling subspace V.
 
     With the input block M = [W_perp^T B; D] at the basis W of V, of rank
     decided at ``tol`` as in ``weakly_unobservable``, F = F_V W^T, where
@@ -231,7 +229,8 @@ def output_nulling_friend(
     L, the right null space of M, is an orthonormal basis of ker D
     intersected with B^{-1} V (s x 0 when that is zero).  I - W W^T stands
     in for W_perp^T; it keeps M's right singular vectors and minimum-norm
-    solutions.  The solve and its residual check are the staircase's own.
+    solutions.  The solve and its residual check are those of the last step
+    of ``weakly_unobservable``, which returns V's own F and L itself.
 
     Raises
     ------

@@ -28,7 +28,6 @@ from dae2ode import (
     solve_are,
     solve_dre,
     spectral_abscissa,
-    stabilizable_restriction,
     trajectory_cost,
     verify_associated,
     wong_limit,
@@ -127,7 +126,7 @@ def test_criterion_4_lq_consistency_suite():
     integrator = DaeLti(np.eye(1), np.zeros((1, 1)), np.eye(1))
     assoc_s = associate(integrator)
     w_s = LqWeights(np.eye(1), np.eye(1), np.zeros((1, 1)))
-    P_samples, _ = solve_dre(assoc_s, w_s, 2.0)
+    P_samples, _, _ = solve_dre(assoc_s, w_s, 2.0)
     tau = np.linspace(0.0, 2.0, P_samples.shape[0])
     assert np.max(np.abs(P_samples[:, 0, 0] - np.tanh(tau))) <= 1e-8
 
@@ -155,11 +154,11 @@ def test_criterion_4_lq_consistency_suite():
     while solved < 100:
         dae = random_dae(rng)
         assoc = associate(dae)
-        restr = stabilizable_restriction(assoc)
+        restr = assoc.restriction
         if restr.l == 0:
             continue
         w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.eye(dae.c))
-        P, K = solve_are(restr, w)
+        P, K, _ = solve_are(restr, w)
         A, B, C, D = restr.A_g, restr.B_g, restr.C_g, restr.D_g
         S = w.S
         if np.linalg.norm(D) == 0.0:

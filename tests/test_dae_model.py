@@ -9,7 +9,6 @@ from dae2ode import (
     Trajectory,
     associate,
     behavior_residual,
-    consistency_space,
     finite_horizon,
     image,
     impulse_controllable,
@@ -40,14 +39,14 @@ class TestWongLimit:
 class TestConsistencySpace:
     def test_regular_system(self):
         dae = DaeLti(np.eye(2), np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
-        assert consistency_space(dae, associate(dae)).dim == 2
+        assert associate(dae).consistency_set.dim == 2
 
     def test_zero_e(self):
         dae = DaeLti(np.zeros((2, 2)), np.eye(2), np.eye(2))
-        assert consistency_space(dae, associate(dae)).dim == 0
+        assert associate(dae).consistency_set.dim == 0
 
     def test_worked_example_dimension_two(self, ex1, ex1_assoc):
-        assert consistency_space(ex1, ex1_assoc).dim == 2
+        assert ex1_assoc.consistency_set.dim == 2
 
 
 class TestIsConsistent:
@@ -83,7 +82,7 @@ class TestImpulseControllable:
             dae = random_dae(rng)
             assoc = associate(dae)
             lhs = impulse_controllable(dae)
-            rhs = consistency_space(dae, assoc).equals(image(dae.E))
+            rhs = assoc.consistency_set.equals(image(dae.E))
             assert lhs == rhs
 
 
@@ -167,7 +166,7 @@ class TestPopulationInvariants:
         while done < 20:
             dae = random_dae(rng)
             assoc = associate(dae)
-            V = consistency_space(dae, assoc)
+            V = assoc.consistency_set
             if V.dim == 0:
                 continue
             z = V.basis @ rng.standard_normal(V.dim)

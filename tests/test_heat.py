@@ -165,7 +165,7 @@ class TestEigenReference:
     def test_riccati_matches_care_oracle(self):
         cfg = HeatConfig(N=6, N_u=4, mode=3, T=1.0)
         models = build_heat_models(cfg)
-        eigen = eigenbasis_reference(cfg, models)
+        eigen = eigenbasis_reference(models)
         P_care = scipy.linalg.solve_continuous_are(
             models.eig_A, models.eig_B, np.eye(cfg.N), np.eye(cfg.N_u)
         )
@@ -175,7 +175,7 @@ class TestEigenReference:
         cfg = HeatConfig(N=1, N_u=1, lam=2.0, mode=1, T=1.0)
         a = -((1.0 / 30.0) ** 2) * np.pi**2
         p = a + np.sqrt(a * a + 1.0)
-        eigen = eigenbasis_reference(cfg)
+        eigen = eigenbasis_reference(build_heat_models(cfg))
         assert eigen.cost == pytest.approx(4.0 * p, rel=1e-12)
 
     def test_zero_amplitude_costs_nothing(self):
@@ -186,7 +186,7 @@ class TestEigenReference:
 
     def test_gain_acts_on_actuated_modes_only(self):
         cfg = HeatConfig(N=6, N_u=4, mode=3, T=1.0)
-        eigen = eigenbasis_reference(cfg)
+        eigen = eigenbasis_reference(build_heat_models(cfg))
         assert eigen.gain.shape == (4, 6)
         assert np.allclose(eigen.gain[:, 4:], 0.0)
 
@@ -207,14 +207,14 @@ class TestDaePipeline:
     def test_cost_matches_long_horizon_quadrature(self):
         cfg = HeatConfig(T=12.0)
         models = build_heat_models(cfg)
-        result = dae_lq_pipeline(cfg, models)
+        result = dae_lq_pipeline(models)
         quad = trajectory_cost(models.weights, models.dae.E, result.solution.traj)
         assert abs(result.cost - quad) <= 1e-5 * result.cost
 
     def test_input_is_feedback_on_value(self):
         cfg = HeatConfig(N=8, N_u=6, mode=3, T=2.0)
         models = build_heat_models(cfg)
-        result = dae_lq_pipeline(cfg, models)
+        result = dae_lq_pipeline(models)
         values = result.traj.x @ models.dae.E.T
         defect = result.traj.u - values @ result.gain.T
         assert np.max(np.abs(defect)) <= 1e-8

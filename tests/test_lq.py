@@ -22,7 +22,6 @@ from dae2ode import (
     Trajectory,
     associate,
     closed_loop_replay,
-    consistency_space,
     finite_horizon,
     impulse_controllable,
     infinite_horizon,
@@ -31,13 +30,12 @@ from dae2ode import (
     solve_are,
     solve_dre,
     spectral_abscissa,
-    stabilizable_restriction,
     trajectory_cost,
     wong_limit,
 )
 from dae2ode.dae import pencil_stabilizability_test
 from dae2ode.heat import HeatConfig, build_heat_models
-from dae2ode.lq import _are_residual, _dre_hamiltonian, _gain, _hamiltonian
+from dae2ode.lq import _are_residual, _gain, _hamiltonian
 from dae2ode.subspaces import ARE_RESIDUAL_TOL, POLISH_RESIDUAL_TOL, full_space
 
 from conftest import conditioned, random_autonomous_unstable, random_dae, random_spd
@@ -65,6 +63,12 @@ def dre_population():
     return cases
 
 
+def dre_step(assoc, w, h):
+    """The Hamiltonian exponential of one DRE step of length h."""
+    _, _, A_r, G, Q_r = _hamiltonian(assoc.as_ode(), w)
+    return scipy.linalg.expm(h * np.block([[-A_r, G], [Q_r, A_r.T]]))
+
+
 def stepped_dre(cases, t1):
     """Reference (P_samples, K_samples) for each case on solve_dre's default
     grid, stepping P <- (Phi21 + Phi22 P)(Phi11 + Phi12 P)^{-1} node by node.
@@ -76,7 +80,7 @@ def stepped_dre(cases, t1):
     P = np.zeros((len(cases), N, N))
     for i, (_, assoc, w, _) in enumerate(cases):
         n = assoc.n_hat
-        Phi[i, :, :n, :, :n] = _dre_hamiltonian(assoc, w, t1 / steps)[2].reshape(2, n, 2, n)
+        Phi[i, :, :n, :, :n] = dre_step(assoc, w, t1 / steps).reshape(2, n, 2, n)
         Phi[i, 0, n:, 0, n:] = Phi[i, 1, n:, 1, n:] = np.eye(N - n)
         P[i, :n, :n] = assoc.EC_s.T @ w.Q0 @ assoc.EC_s
     P_samples = np.empty((steps + 1,) + P.shape)
@@ -118,7 +122,7 @@ class TestSolveDre:
         rng = np.random.default_rng(30)
         Q0 = random_spd(2, rng)
         w = LqWeights(np.eye(3), np.eye(1), Q0)
-        P_samples, _ = solve_dre(ex1_assoc, w, 1.0)
+        P_samples, _, _ = solve_dre(ex1_assoc, w, 1.0)
         want = ex1_assoc.EC_s.T @ Q0 @ ex1_assoc.EC_s
         assert np.allclose(P_samples[0], want, atol=1e-14)
 
@@ -126,7 +130,7 @@ class TestSolveDre:
         _, assoc = scalar_integrator()
         w = LqWeights(np.eye(1), np.eye(1), np.zeros((1, 1)))
         t1 = 2.0
-        P_samples, K_samples = solve_dre(assoc, w, t1)
+        P_samples, K_samples, _ = solve_dre(assoc, w, t1)
         tau = np.linspace(0.0, t1, P_samples.shape[0])
         exact = np.tanh(tau)
         assert np.max(np.abs(P_samples[:, 0, 0] - exact)) <= 1e-8
@@ -136,7 +140,7 @@ class TestSolveDre:
         _, assoc = scalar_integrator()
         w = LqWeights(np.eye(1), np.eye(1), np.array([[0.5]]))
         t1 = 1.0
-        P_samples, _ = solve_dre(assoc, w, t1)
+        P_samples, _, _ = solve_dre(assoc, w, t1)
         tau = np.linspace(0.0, t1, P_samples.shape[0])
         exact = np.tanh(tau + np.arctanh(0.5))
         assert np.max(np.abs(P_samples[:, 0, 0] - exact)) <= 1e-8
@@ -154,7 +158,7 @@ class TestSolveDre:
         assert assoc.k == 0
         w = LqWeights(2.0 * np.eye(1), np.eye(1), np.diag([0.7, 0.3]))
         t1 = 1.5
-        P_samples, K_samples = solve_dre(assoc, w, t1)
+        P_samples, K_samples, _ = solve_dre(assoc, w, t1)
         a = assoc.A_l[0, 0]
         csc = (assoc.C_l.T @ w.S @ assoc.C_l).item()
         p0 = (assoc.EC_s.T @ w.Q0 @ assoc.EC_s).item()
@@ -165,16 +169,16 @@ class TestSolveDre:
 
     def test_monotone_growth_without_terminal_weight(self, ex1, ex1_assoc):
         w = LqWeights(np.eye(3), np.eye(1), np.zeros((2, 2)))
-        P_samples, _ = solve_dre(ex1_assoc, w, 2.0)
+        P_samples, _, _ = solve_dre(ex1_assoc, w, 2.0)
         for j in range(0, P_samples.shape[0] - 1, 50):
             diff = P_samples[j + 50] - P_samples[j]
             assert np.linalg.eigvalsh(diff)[0] >= -1e-10
 
     def test_long_horizon_reaches_are_solution(self, ex1, ex1_assoc):
         w = LqWeights(np.eye(3), np.eye(1), np.zeros((2, 2)))
-        restr = stabilizable_restriction(ex1_assoc)
+        restr = ex1_assoc.restriction
         assert restr.l == ex1_assoc.n_hat == 2
-        P_are, _ = solve_are(restr, w)
+        P_are, _, _ = solve_are(restr, w)
         W = restr.projector.T
         P_dre = solve_dre(ex1_assoc, w, 10.0)[0][-1]
         want = W @ P_are @ W.T
@@ -184,7 +188,9 @@ class TestSolveDre:
     def test_doubling_matches_node_by_node_stepping(self, dre_population, t1):
         reference = stepped_dre(dre_population, t1)
         for (_, assoc, w, _), want in zip(dre_population, reference):
-            for got, ref in zip(solve_dre(assoc, w, t1), want):
+            P_samples, K_samples, Phi = solve_dre(assoc, w, t1)
+            assert np.array_equal(Phi, dre_step(assoc, w, t1 / (P_samples.shape[0] - 1)))
+            for got, ref in zip((P_samples, K_samples), want):
                 gap = np.linalg.norm(got - ref, axis=(1, 2))
                 assert np.all(gap <= 1e-10 * np.linalg.norm(ref, axis=(1, 2)))
 
@@ -264,7 +270,7 @@ class TestFiniteHorizon:
             for dae, assoc, w, z in dre_population:
                 sol = finite_horizon(dae, assoc, w, z, t1, steps)
                 n = assoc.n_hat
-                Phi = _dre_hamiltonian(assoc, w, t1 / (sol.grid.shape[0] - 1))[2]
+                Phi = dre_step(assoc, w, t1 / (sol.grid.shape[0] - 1))
                 forward = Phi[:n, :n] + Phi[:n, n:] @ sol.P_samples[:-1]
                 # Phi is symplectic, so Phi22' - Phi12' P_{j+1} inverts each
                 # forward step Phi11 + Phi12 P_j.
@@ -378,9 +384,9 @@ def heat_restrictions(N):
     B = np.linalg.solve(models.gram, models.sine_overlap[:, : cfg.N_u])
     naive = DaeLti(np.eye(N), A, B)
     return [
-        (stabilizable_restriction(associate(models.dae)), models.weights),
+        (associate(models.dae).restriction, models.weights),
         (
-            stabilizable_restriction(associate(naive)),
+            associate(naive).restriction,
             LqWeights(models.gram, np.eye(cfg.N_u), np.zeros((N, N))),
         ),
     ]
@@ -389,12 +395,13 @@ def heat_restrictions(N):
 class TestSolveAre:
     def test_scalar_integrator(self):
         _, assoc = scalar_integrator()
-        restr = stabilizable_restriction(assoc)
+        restr = assoc.restriction
         w = LqWeights(np.eye(1), np.eye(1), np.zeros((1, 1)))
-        P, K = solve_are(restr, w)
+        P, K, abscissa = solve_are(restr, w)
         assert abs(P[0, 0] - 1.0) <= 1e-10
         assert abs(K[0, 0] - 1.0) <= 1e-10
-        assert abs(spectral_abscissa(restr.A_g - restr.B_g @ K) + 1.0) <= 1e-10
+        assert abscissa == spectral_abscissa(restr.A_g - restr.B_g @ K)
+        assert abs(abscissa + 1.0) <= 1e-10
 
     def test_autonomous_branch_is_lyapunov_solution(self):
         dae = DaeLti(
@@ -403,9 +410,9 @@ class TestSolveAre:
             np.array([[0.3], [1.0]]),
         )
         assoc = associate(dae)
-        restr = stabilizable_restriction(assoc)
+        restr = assoc.restriction
         w = LqWeights(2.0 * np.eye(1), np.eye(1), np.zeros((2, 2)))
-        P, K = solve_are(restr, w)
+        P, K, _ = solve_are(restr, w)
         a = restr.A_g[0, 0]
         csc = (restr.C_g.T @ w.S @ restr.C_g).item()
         assert abs(P[0, 0] - csc / (-2.0 * a)) <= 1e-10
@@ -455,11 +462,11 @@ class TestSolveAre:
         while solved < 100:
             dae = random_dae(rng)
             assoc = associate(dae)
-            restr = stabilizable_restriction(assoc)
+            restr = assoc.restriction
             if restr.l == 0:
                 continue
             w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.eye(dae.c))
-            P, K = solve_are(restr, w)
+            P, K, _ = solve_are(restr, w)
             A, B, C, D = restr.A_g, restr.B_g, restr.C_g, restr.D_g
             S = w.S
             if np.linalg.norm(D) == 0.0:
@@ -497,7 +504,7 @@ class TestSolveAre:
     def test_matches_care_oracle_on_heat_restrictions(self):
         dims = []
         for restr, w in heat_restrictions(40):
-            P, _ = solve_are(restr, w)
+            P, _, _ = solve_are(restr, w)
             P_care = care_oracle(restr, w)
             assert np.linalg.norm(P - P_care) <= 1e-10 * np.linalg.norm(P_care)
             dims.append((restr.l, restr.sys_g.n_inputs))
@@ -508,10 +515,10 @@ class TestSolveAre:
         # scaled check; the solver's own P passes it by far.
         rng = np.random.default_rng(7)
         cases = [
-            (stabilizable_restriction(ex1_assoc), LqWeights(np.eye(3), np.eye(1), np.eye(2)))
+            (ex1_assoc.restriction, LqWeights(np.eye(3), np.eye(1), np.eye(2)))
         ] + heat_restrictions(40)
         for restr, w in cases:
-            P, K = solve_are(restr, w)
+            P, K, _ = solve_are(restr, w)
             assert _are_residual(restr.sys_g, w.S, P, K) <= 1e-15
             X = rng.standard_normal(P.shape)
             X += X.T
@@ -532,11 +539,11 @@ class TestSolveAre:
 
         monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counted)
         cases = [
-            (stabilizable_restriction(ex1_assoc), LqWeights(np.eye(3), np.eye(1), np.eye(2)))
+            (ex1_assoc.restriction, LqWeights(np.eye(3), np.eye(1), np.eye(2)))
         ] + heat_restrictions(40)
         for restr, w in cases:
             calls.clear()
-            P, K = solve_are(restr, w)
+            P, K, _ = solve_are(restr, w)
             assert len(calls) == 1
             assert _are_residual(restr.sys_g, w.S, P, K) <= POLISH_RESIDUAL_TOL
 
@@ -552,8 +559,8 @@ class TestSolveAre:
             w_fast = LqWeights(alpha * w.Q, alpha * w.R, w.Q0)
             ambient = []
             for d, ww in ((dae, w), (fast, w_fast)):
-                restr = stabilizable_restriction(associate(d))
-                P, _ = solve_are(restr, ww)
+                restr = associate(d).restriction
+                P, _, _ = solve_are(restr, ww)
                 ambient.append(restr.projector.T @ P @ restr.projector)
             assert np.linalg.norm(restr.A_g, 2) >= 1e6
             slow, fast_P = ambient
@@ -562,11 +569,11 @@ class TestSolveAre:
     def test_matches_care_oracle_on_criterion_5_stream(self):
         compared = 0
         for dae, assoc, z in criterion_5_stream():
-            restr = stabilizable_restriction(assoc)
+            restr = assoc.restriction
             if restr.l == 0 or not is_behaviorally_stabilizable(dae, assoc, z):
                 continue
             w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.zeros((dae.c, dae.c)))
-            P, _ = solve_are(restr, w)
+            P, _, _ = solve_are(restr, w)
             P_care = care_oracle(restr, w)
             assert np.linalg.norm(P - P_care) <= 1e-10 * np.linalg.norm(P_care)
             compared += 1
@@ -663,7 +670,7 @@ class TestInfiniteHorizon:
         while done < 15:
             dae = random_dae(rng)
             assoc = associate(dae)
-            restr = stabilizable_restriction(assoc)
+            restr = assoc.restriction
             if restr.l == 0:
                 continue
             w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.zeros((dae.c, dae.c)))
@@ -702,7 +709,8 @@ class TestClosedLoopReplay:
         sol, z = self.solved(ex1, ex1_assoc, solve)
         lq = importlib.import_module("dae2ode.lq")
         calls = []
-        for module, name in ((lq, "simulate"), (lq, "_solve_dre"), (scipy.linalg, "expm")):
+        patched = ((lq, "simulate"), (lq, "solve_dre"), (lq, "solve_are"), (scipy.linalg, "expm"))
+        for module, name in patched:
             monkeypatch.setattr(module, name, lambda *a, _name=name, **k: calls.append(_name))
         traj = closed_loop_replay(ex1, ex1_assoc, sol, z)
         assert calls == []
@@ -724,12 +732,39 @@ class TestClosedLoopReplay:
             closed_loop_replay(ex1, ex1_assoc, sol, 2.0 * z)
 
 
+class TestOneEntryPerSolve:
+    """Each horizon solver reaches its Riccati equation through the public
+    solver, once, and never through the other one."""
+
+    @pytest.mark.parametrize(
+        "horizon, entry",
+        [(finite_horizon, "solve_dre"), (infinite_horizon, "solve_are")],
+        ids=["finite_horizon", "infinite_horizon"],
+    )
+    def test_horizon_calls_its_public_solver_once(
+        self, ex1, ex1_assoc, horizon, entry, monkeypatch
+    ):
+        lq = importlib.import_module("dae2ode.lq")
+        calls = []
+        for name in ("solve_dre", "solve_are"):
+
+            def counted(*args, _name=name, _original=getattr(lq, name)):
+                calls.append(_name)
+                return _original(*args)
+
+            monkeypatch.setattr(lq, name, counted)
+        w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
+        args = (1.0,) if horizon is finite_horizon else ()
+        horizon(ex1, ex1_assoc, w, np.array([1.0, 7.0]), *args)
+        assert calls == [entry]
+
+
 RICCATI_CALLS = pytest.mark.parametrize(
     "solve",
     [
         lambda dae, assoc, w: solve_dre(assoc, w, 1.0),
         lambda dae, assoc, w: finite_horizon(dae, assoc, w, np.ones(1), 1.0),
-        lambda dae, assoc, w: solve_are(stabilizable_restriction(assoc), w),
+        lambda dae, assoc, w: solve_are(assoc.restriction, w),
     ],
     ids=["solve_dre", "finite_horizon", "solve_are"],
 )
@@ -860,13 +895,13 @@ class TestCachedDerivations:
     def test_replaced_realization_computes_its_own_consistency_set(self, ex1):
         assoc = associate(ex1)
         z = np.array([0.0, 1.0])
-        assert consistency_space(ex1, assoc).dim == 2
+        assert assoc.consistency_set.dim == 2
         EC_s = assoc.EC_s.copy()
         EC_s[:, 1] = 0.0
         replaced = dataclasses.replace(assoc, EC_s=EC_s)
-        assert consistency_space(ex1, replaced).dim == 1
+        assert replaced.consistency_set.dim == 1
         assert not is_consistent(ex1, replaced, z)
-        assert consistency_space(ex1, assoc).dim == 2
+        assert assoc.consistency_set.dim == 2
         assert is_consistent(ex1, assoc, z)
 
 
@@ -879,7 +914,7 @@ class TestCoordinateInvariance:
     def structure_and_cost(dae, w, z):
         assoc = associate(dae)
         structure = (
-            consistency_space(dae, assoc).dim,
+            assoc.consistency_set.dim,
             wong_limit(dae).dim,
             impulse_controllable(dae),
             pencil_stabilizability_test(dae, assoc),

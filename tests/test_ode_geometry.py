@@ -17,7 +17,6 @@ from dae2ode import (
     weakly_unobservable,
 )
 from dae2ode.heat import HeatConfig, build_heat_models
-from dae2ode.odesys import _staircase
 from dae2ode.subspaces import EQUALITY_TOL
 
 
@@ -155,15 +154,23 @@ class TestSimulate:
         with pytest.raises(ValueError, match="initial state and inputs must be finite"):
             simulate(sys, v0, q, times)
 
+    @pytest.mark.parametrize("shape", [(2, 11), (11, 3), (11,)], ids=["s-by-T", "wrong-s", "flat"])
+    def test_inputs_must_be_time_by_input(self, shape):
+        # One row per time sample: the (s, T) layout is refused, not transposed.
+        sys = OdeLti(-np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)))
+        times = np.linspace(0.0, 1.0, 11)
+        with pytest.raises(ValueError, match=r"inputs must have shape \(11, 2\)"):
+            simulate(sys, np.ones(2), np.ones(shape), times)
+
 
 class TestWeaklyUnobservable:
     def test_observable_pair_gives_zero_space(self):
         sys = OdeLti(np.eye(3), np.ones((3, 1)), np.eye(3), np.zeros((3, 1)))
-        assert weakly_unobservable(sys).dim == 0
+        assert weakly_unobservable(sys)[0].dim == 0
 
     def test_zero_output_map_gives_full_space(self):
         sys = OdeLti(np.eye(3), np.ones((3, 1)), np.zeros((1, 3)), np.zeros((1, 1)))
-        assert weakly_unobservable(sys).dim == 3
+        assert weakly_unobservable(sys)[0].dim == 3
 
     def test_invertible_feedthrough_gives_full_space(self):
         rng = np.random.default_rng(5)
@@ -171,7 +178,7 @@ class TestWeaklyUnobservable:
         B = rng.standard_normal((4, 2))
         C = rng.standard_normal((2, 4))
         D = np.eye(2) + 0.1 * rng.standard_normal((2, 2))
-        assert weakly_unobservable(OdeLti(A, B, C, D)).dim == 4
+        assert weakly_unobservable(OdeLti(A, B, C, D))[0].dim == 4
 
     def test_no_inputs_gives_unobservable_subspace(self):
         # s = 0: V is the unobservable subspace, here the last 3 coordinates.
@@ -180,7 +187,7 @@ class TestWeaklyUnobservable:
         A[:2, 2:] = 0.0
         C = np.hstack([rng.standard_normal((2, 2)), np.zeros((2, 3))])
         sys = OdeLti(A, np.zeros((5, 0)), C, np.zeros((2, 0)))
-        V = weakly_unobservable(sys)
+        V = weakly_unobservable(sys)[0]
         ref = _brute_weakly_unobservable(sys)
         assert V.dim == ref.shape[1] == 3
         assert V.equals(Subspace(ref))
@@ -193,7 +200,7 @@ class TestWeaklyUnobservable:
         for D in (rng.standard_normal((2, 3)), np.zeros((2, 3))):
             A, B = rng.standard_normal((4, 4)), rng.standard_normal((4, 3))
             sys = OdeLti(A, B, np.zeros((2, 4)), D)
-            V = weakly_unobservable(sys)
+            V = weakly_unobservable(sys)[0]
             ref = _brute_weakly_unobservable(sys)
             assert V.dim == ref.shape[1] == 4
             assert V.equals(Subspace(ref))
@@ -202,7 +209,7 @@ class TestWeaklyUnobservable:
         rng = np.random.default_rng(11)
         for _ in range(100):
             sys = _random_system(rng)
-            V = weakly_unobservable(sys)
+            V = weakly_unobservable(sys)[0]
             ref = _brute_weakly_unobservable(sys)
             assert V.dim == ref.shape[1]
             assert V.equals(Subspace(ref))
@@ -214,7 +221,7 @@ class TestOutputNullingFriend:
         A = rng.standard_normal((3, 3))
         B = rng.standard_normal((3, 2))
         sys = OdeLti(A, B, np.zeros((1, 3)), np.zeros((1, 2)))
-        V = weakly_unobservable(sys)
+        V = weakly_unobservable(sys)[0]
         F, L = output_nulling_friend(sys, V)
         assert np.allclose(F, 0.0)
         # kernel of the zero feedthrough is everything, so L spans the inputs
@@ -228,7 +235,7 @@ class TestOutputNullingFriend:
         rng = np.random.default_rng(16)
         A, B = rng.standard_normal((4, 4)), rng.standard_normal((4, 2))
         sys = OdeLti(A, B, np.zeros((3, 4)), np.zeros((3, 2)))
-        V = weakly_unobservable(sys)
+        V = weakly_unobservable(sys)[0]
         assert V.dim == _brute_weakly_unobservable(sys).shape[1] == 4
         rotated = Subspace(np.linalg.qr(rng.standard_normal((4, 4)))[0])
         for basis in (V, rotated):
@@ -248,7 +255,7 @@ class TestOutputNullingFriend:
         A = np.eye(3)
         B = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         sys = OdeLti(A, B, np.eye(3), np.zeros((3, 2)))
-        V = weakly_unobservable(sys)
+        V = weakly_unobservable(sys)[0]
         assert V.dim == 0
         F, L = output_nulling_friend(sys, V)
         assert np.allclose(F, 0.0)
@@ -260,7 +267,7 @@ class TestOutputNullingFriend:
         rng = np.random.default_rng(7)
         for _ in range(100):
             sys = _random_system(rng)
-            V = weakly_unobservable(sys)
+            V = weakly_unobservable(sys)[0]
             F, L = output_nulling_friend(sys, V)
             scale = 1.0 + np.linalg.norm(sys.A) + np.linalg.norm(sys.B)
             if V.dim:
@@ -280,7 +287,7 @@ class TestOutputNullingFriend:
         checked = 0
         while checked < 10:
             sys = _random_system(rng)
-            V = weakly_unobservable(sys)
+            V = weakly_unobservable(sys)[0]
             if V.dim == 0:
                 continue
             F, _ = output_nulling_friend(sys, V)
@@ -297,20 +304,18 @@ class TestOutputNullingFriend:
             checked += 1
 
 
-class TestStaircaseCore:
-    def test_core_matches_the_public_pair_on_random_systems(self):
+class TestStaircaseFriend:
+    def test_f_and_l_match_output_nulling_friend(self):
         # F is the minimum-norm friend, unique for a given basis; L is unique
         # up to an orthogonal change of the free input, so L L^T is compared.
         rng = np.random.default_rng(7)
         for _ in range(100):
             sys = _random_system(rng)
-            V, F, L = _staircase(sys, None)
-            V_public = weakly_unobservable(sys)
-            F_public, L_public = output_nulling_friend(sys, V_public)
-            assert np.array_equal(V.basis, V_public.basis)
-            assert np.max(np.abs(F - F_public), initial=0.0) <= EQUALITY_TOL
-            assert L.shape == L_public.shape
-            assert np.max(np.abs(L @ L.T - L_public @ L_public.T), initial=0.0) <= EQUALITY_TOL
+            V, F, L = weakly_unobservable(sys)
+            F_ref, L_ref = output_nulling_friend(sys, V)
+            assert np.max(np.abs(F - F_ref), initial=0.0) <= EQUALITY_TOL
+            assert L.shape == L_ref.shape
+            assert np.max(np.abs(L @ L.T - L_ref @ L_ref.T), initial=0.0) <= EQUALITY_TOL
 
 
 class TestStabilizabilitySubspace:

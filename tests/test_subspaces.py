@@ -196,7 +196,7 @@ class TestSubspaceInvariants:
             intersect(U, W),
             preimage(random_rank(n, n), U),
             wong_limit(dae),
-            weakly_unobservable(OdeLti(A, B, random_rank(p, n), random_rank(p, s))),
+            weakly_unobservable(OdeLti(A, B, random_rank(p, n), random_rank(p, s)))[0],
             stabilizability_subspace(A, B),
         ]
         for S in produced:
@@ -243,3 +243,26 @@ class TestThresholdsInOnePlace:
                 ):
                     found.append(f"{path.name}:{node.lineno}: {node.value!r}")
         assert not found, found
+
+    def test_every_imported_name_is_used(self):
+        # The package re-exports from __init__.py; any other module uses what
+        # it imports, unless the line says "# noqa: F401" (a name looked up
+        # on the module from outside).
+        unused = []
+        for path in sorted(Path(dae2ode.__file__).parent.glob("*.py")):
+            if path.name == "__init__.py":
+                continue
+            source = path.read_text()
+            tree = ast.parse(source)
+            lines = source.splitlines()
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            for node in ast.walk(tree):
+                if not isinstance(node, (ast.Import, ast.ImportFrom)):
+                    continue
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                for alias in node.names:
+                    name = (alias.asname or alias.name).split(".")[0]
+                    if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
+                        unused.append(f"{path.name}:{alias.lineno}: {name}")
+        assert not unused, unused
