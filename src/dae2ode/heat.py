@@ -27,12 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial.legendre import legvander
-from scipy.integrate import simpson
-from scipy.special import roots_legendre
 
 from .associate import associate
 from .dae import DaeLti, Trajectory
-from .lq import InfiniteHorizonSolution, LqWeights, infinite_horizon
+from .lq import InfiniteHorizonSolution, LqWeights, _simpson, infinite_horizon
 from .odesys import OdeLti, simulate
 
 __all__ = [
@@ -160,6 +158,9 @@ def _basis_values(x: np.ndarray, N: int) -> np.ndarray:
 
 
 def _sine_overlap(N: int, n_modes: int, nodes: int) -> np.ndarray:
+    # Imported here: scipy.special would add to the start-up of every other command.
+    from scipy.special import roots_legendre
+
     x, w = roots_legendre(nodes)
     phi = _basis_values(x, N)
     j = np.arange(1, n_modes + 1, dtype=float)
@@ -291,7 +292,7 @@ def _simulate_lifted(models: HeatModels, lifted_gain: np.ndarray) -> LiftedSimul
     times = _time_grid(cfg.T)
     z, u = simulate(OdeLti(A_cl, models.eig_B, lifted_gain, no_feedthrough), z0, None, times)
     integrand = np.sum(z * z, axis=1) + np.sum(u * u, axis=1)
-    cost = float(simpson(integrand, x=times))
+    cost = _simpson(integrand, times)
     return LiftedSimulation(cost, lifted_gain, Trajectory(times, z, u))
 
 

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from .associate import AssociatedOdeLti, StabilizableRestriction
@@ -203,11 +202,18 @@ def _hamiltonian(sys: OdeLti, w: LqWeights):
 
 def _gain(cho, DSC, B: np.ndarray, P: np.ndarray) -> np.ndarray:
     """K = W^{-1}(B'P + D'SC) for one P or, in one solve, for each P of a
-    stack; K has no rows when there is no input (k = 0)."""
-    rhs = (B.T @ P + DSC).swapaxes(0, -2)
-    k, rest = rhs.shape[0], rhs.shape[1:]
-    K = scipy.linalg.cho_solve(cho, rhs.reshape(k, math.prod(rest)))
-    return K.reshape(k, *rest).swapaxes(0, -2)
+    stack; K has no rows when there is no input (k = 0).
+
+    Every P of a stack is symmetric, so B'P_j = (P_j B)' and one product over
+    the stack's rows forms them all.
+    """
+    if P.ndim == 2:
+        return scipy.linalg.cho_solve(cho, B.T @ P + DSC)
+    N, n = P.shape[:2]
+    k = B.shape[1]
+    PB = (P.reshape(N * n, n) @ B).reshape(N, n, k) + DSC.T
+    K = scipy.linalg.cho_solve(cho, PB.reshape(N * n, k).T)
+    return K.reshape(k, N, n).swapaxes(0, 1)
 
 
 def _closed_loop(sys: OdeLti, K: np.ndarray) -> OdeLti:
@@ -537,17 +543,51 @@ def infinite_horizon(
     )
 
 
+def _simpson(y: np.ndarray, t: np.ndarray) -> float:
+    """Composite Simpson's rule for the samples y on the strictly increasing
+    grid t, operation for operation SciPy's ``simpson(y, x=t)``.
+
+    Each pair of intervals takes the nonuniform three-point weights.  An odd
+    sample count is covered by pairs; an even one (above two) always takes
+    Cartwright's correction for its last interval (Cartwright 2017, J. Math.
+    Sci. Math. Educ. 12), and two samples take the trapezoid.  SciPy before
+    1.11 averaged two trapezoid-ended rules on an even count instead, so a
+    cost no longer depends on which SciPy is installed.
+    """
+    n, h = y.shape[0], np.diff(t)
+    if n == 2:
+        return float(0.5 * h[0] * (y[1] + y[0]))
+    stop = n - 2 if n % 2 else n - 3
+    h0, h1 = h[0:stop:2], h[1 : stop + 1 : 2]
+    hsum, ratio = h0 + h1, h0 / h1
+    total = np.sum(hsum / 6.0 * (
+        y[0:stop:2] * (2.0 - 1.0 / ratio)
+        + y[1 : stop + 1 : 2] * (hsum * (hsum / (h0 * h1)))
+        + y[2 : stop + 2 : 2] * (2.0 - ratio)
+    ))
+    if n % 2 == 0:
+        # np.power, as SciPy's array power: its rounding may differ from b**3's.
+        a, b = h[-2], h[-1]
+        alpha = (2 * np.square(b) + 3 * a * b) / (6 * (b + a))
+        beta = (np.square(b) + 3.0 * a * b) / (6 * a)
+        eta = np.power(b, 3) / (6 * a * (a + b))
+        total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return float(total)
+
+
 def trajectory_cost(
     w: LqWeights, E: np.ndarray, traj: Trajectory, terminal: bool = False
 ) -> float:
-    """Composite Simpson quadrature of x'Qx + u'Ru, plus (Ex(t1))'Q0(Ex(t1))
-    when ``terminal`` is set."""
+    """Quadrature of x'Qx + u'Ru by composite Simpson's rule on the
+    trajectory's own grid (``_simpson``: Cartwright's correction closes an
+    even sample count, the trapezoid two samples), plus
+    (Ex(t1))'Q0(Ex(t1)) when ``terminal`` is set."""
     if traj.times.shape[0] < 2:
         raise ValueError("trajectory must have at least two samples")
     integrand = np.sum((traj.x @ w.Q) * traj.x, axis=1) + np.sum(
         (traj.u @ w.R) * traj.u, axis=1
     )
-    total = float(scipy.integrate.simpson(integrand, x=traj.times))
+    total = _simpson(integrand, traj.times)
     if terminal:
         E = ensure_matrix(E, "E")
         z_end = E @ traj.x[-1]

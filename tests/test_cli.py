@@ -2,6 +2,10 @@
 
 import importlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import dae2ode
 from dae2ode import Trajectory, associate, behavior_residual
 from dae2ode.cli import main
 from dae2ode.matio import (
@@ -58,6 +63,26 @@ class TestCheck:
         out = capsys.readouterr().out
         assert rc == 0
         assert out == "impulse_controllable: true, stabilizable: true, dim V(E,A,B): 2\n"
+
+
+class TestStartUp:
+    def test_check_loads_no_scipy_subpackage_but_linalg(self, tmp_path):
+        # Each of these would add to the start-up of every command.
+        unwanted = ["integrate", "optimize", "sparse", "spatial", "fft", "special"]
+        script = (
+            "import sys\n"
+            "import dae2ode\n"
+            "from dae2ode import cli\n"
+            f"assert cli.main(['check', {ex1_problem(tmp_path)!r}]) == 0\n"
+            f"print([n for n in {unwanted!r} if 'scipy.' + n in sys.modules])\n"
+        )
+        src = str(Path(dae2ode.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "[]"
 
 
 class TestAssociate:

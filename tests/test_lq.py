@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.integrate import simpson
 
 from dae2ode import (
     AssociatedOdeLti,
@@ -953,6 +954,22 @@ class TestCoordinateInvariance:
         assert solved > 0 and refused > 0, "population must exercise both outcomes"
 
 
+class TestGain:
+    @pytest.mark.parametrize("n_hat, k", [(6, 1), (5, 2), (3, 3), (0, 1), (4, 0)])
+    def test_stack_matches_each_p(self, n_hat, k):
+        rng = np.random.default_rng(7)
+        B, DSC = rng.standard_normal((n_hat, k)), rng.standard_normal((k, n_hat))
+        cho = scipy.linalg.cho_factor(random_spd(k, rng))
+        X = rng.standard_normal((40, n_hat, n_hat))
+        P = 0.5 * (X + X.swapaxes(1, 2))
+        K = _gain(cho, DSC, B, P)
+        assert K.shape == (40, k, n_hat)
+        for j in range(40):
+            K_j = _gain(cho, DSC, B, P[j])
+            scale = np.max(np.abs(K_j), initial=0.0)
+            assert np.allclose(K[j], K_j, rtol=1e-14, atol=1e-14 * scale)
+
+
 class TestTrajectoryCost:
     def test_zero_trajectory(self):
         w = LqWeights(np.eye(2), np.eye(1), np.eye(2))
@@ -967,6 +984,30 @@ class TestTrajectoryCost:
         assert abs(trajectory_cost(w, np.eye(1), traj) - 1.0) <= 1e-12
         with_terminal = trajectory_cost(w, np.eye(1), traj, terminal=True)
         assert abs(with_terminal - 3.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "samples, uniform",
+        [(2, True), (3, True), (2001, True), (2002, True), (57, False), (58, False)],
+    )
+    def test_matches_scipy_simpson_bit_for_bit(self, samples, uniform):
+        # SciPy's simpson is the reference rule (x= path, SciPy >= 1.11).
+        rng = np.random.default_rng(samples)
+        if uniform:
+            times = np.linspace(0.0, 1.7, samples)
+        else:
+            times = np.cumsum(rng.uniform(1e-3, 1.0, samples)) - 0.5
+        w = LqWeights(random_spd(3, rng), random_spd(2, rng), random_spd(2, rng))
+        E = rng.standard_normal((2, 3))
+        x, u = rng.standard_normal((samples, 3)), rng.standard_normal((samples, 2))
+        traj = Trajectory(times, x, u)
+        integrand = np.sum((traj.x @ w.Q) * traj.x, axis=1) + np.sum(
+            (traj.u @ w.R) * traj.u, axis=1
+        )
+        expected = float(simpson(integrand, x=times))
+        assert trajectory_cost(w, E, traj) == expected
+        z_end = E @ traj.x[-1]
+        expected += float(z_end @ w.Q0 @ z_end)
+        assert trajectory_cost(w, E, traj, terminal=True) == expected
 
     def test_single_sample_rejected(self):
         w = LqWeights(np.eye(1), np.eye(1), np.eye(1))
