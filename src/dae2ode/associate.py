@@ -135,7 +135,7 @@ class AssociatedOdeLti:
         decided at ``tol``."""
         V_g = stabilizability_subspace(self.A_l, self.B_l, self.tol)
         sys_g = restrict_to_invariant(self.as_ode(), V_g)
-        return StabilizableRestriction(sys_g, V_g.basis.T @ self.M, V_g, self.n, self.m)
+        return StabilizableRestriction(sys_g, V_g.basis.T @ self.M, V_g)
 
 
 @dataclass(frozen=True)
@@ -150,8 +150,6 @@ class StabilizableRestriction:
     sys_g: OdeLti
     M_g: np.ndarray
     subspace: Subspace
-    n: int
-    m: int
 
     @property
     def l(self) -> int:
@@ -371,7 +369,7 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     freq = rng.uniform(0.5, 3.0, sys.k)
     phase = rng.uniform(0.0, 2.0 * np.pi, sys.k)
     g = offs + slope * times[:, None] + amp * np.sin(freq * times[:, None] + phase)
-    lift_residual = behavior_residual(dae, lift_solution(dae, sys, v0, g, times))
+    lift_residual = behavior_residual(dae, lift_solution(sys, v0, g, times))
     lift_ok = lift_residual <= ROUND_TRIP_TOL
     if not lift_ok:
         failures.append(
@@ -407,7 +405,6 @@ def project_solution(
 
 
 def lift_solution(
-    dae: DaeLti,
     assoc: AssociatedOdeLti,
     v0,
     g_samples: np.ndarray | None,

@@ -89,18 +89,23 @@ def _build_parser() -> _Parser:
     p = add_problem_cmd("simulate", "zero-input behavior solution from a consistent value", z=True)
     p.add_argument("--horizon", type=float, default=10.0, help="simulation horizon")
 
-    p = sub.add_parser("heat-demo", help="heat-equation benchmark: cost table and error curves")
-    p.add_argument("--N", type=int, default=40, help="Galerkin dimension")
-    p.add_argument("--Nu", type=int, default=35, help="number of actuated modes")
-    p.add_argument("--mu", type=float, default=0.01, help="error-channel weight")
-    p.add_argument("--c", type=float, default=1.0 / 30.0, help="diffusion coefficient")
-    p.add_argument("--lambda", dest="lam", type=float, default=10.0, help="initial amplitude")
-    p.add_argument("--mode", type=int, default=34, help="initial eigenmode index")
-    p.add_argument("--T", type=float, default=5.0, help="simulation horizon")
+    # Each flag's dest is its HeatConfig field, and a flag left unset stays
+    # out of the namespace, so HeatConfig alone holds the defaults.
+    p = sub.add_parser(
+        "heat-demo",
+        help="heat-equation benchmark: cost table and error curves",
+        argument_default=argparse.SUPPRESS,
+    )
+    p.add_argument("--N", type=int, help="Galerkin dimension")
+    p.add_argument("--Nu", dest="N_u", type=int, help="number of actuated modes")
+    p.add_argument("--mu", type=float, help="error-channel weight")
+    p.add_argument("--c", type=float, help="diffusion coefficient")
+    p.add_argument("--lambda", dest="lam", type=float, help="initial amplitude")
+    p.add_argument("--mode", type=int, help="initial eigenmode index")
+    p.add_argument("--T", type=float, help="simulation horizon")
     p.add_argument(
         "--quad-order",
         type=int,
-        default=None,
         help="Gauss-Legendre nodes for actuator moments (default N+2; see docs)",
     )
     p.add_argument("--out-dir", default="heat_demo_out", help="directory for output files")
@@ -229,11 +234,11 @@ def _cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
     z = _require_z(args, problem)
     assoc = associate(problem.dae, tol=args.tol)
-    if not is_consistent(problem.dae, assoc, z):
+    if not is_consistent(assoc, z):
         raise InconsistentInitialState("z is not a consistent value Ex(0)")
     steps = args.steps if args.steps is not None else 1000
     times = np.linspace(0.0, args.horizon, steps + 1)
-    traj = lift_solution(problem.dae, assoc, assoc.M @ z, None, times)
+    traj = lift_solution(assoc, assoc.M @ z, None, times)
     out_dir = _prepare_out_dir(args)
     _emit_trajectory("trajectory", traj, out_dir)
     print(f"samples: {len(times)}")
@@ -241,16 +246,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_heat_demo(args) -> int:
-    cfg = HeatConfig(
-        N=args.N,
-        N_u=args.Nu,
-        mu=args.mu,
-        c=args.c,
-        lam=args.lam,
-        mode=args.mode,
-        T=args.T,
-        quad_order=args.quad_order,
-    )
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "out_dir")}
+    cfg = HeatConfig(**flags)
     bench = run_heat_benchmark(cfg)
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)

@@ -115,7 +115,7 @@ def wong_limit(dae: DaeLti, tol: float | None = None) -> Subspace:
     return V
 
 
-def is_consistent(dae: DaeLti, assoc, z) -> bool:
+def is_consistent(assoc, z) -> bool:
     """Whether z admits a solution with Ex(0) = z: membership in the
     consistency set V(E, A, B) = image(E C_s), the realization's cached
     ``consistency_set``, within ``EQUALITY_TOL``."""

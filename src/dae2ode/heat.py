@@ -37,9 +37,7 @@ __all__ = [
     "HeatConfig",
     "HeatModels",
     "EigenReference",
-    "DaePipelineResult",
     "LiftedSimulation",
-    "NaiveBaseline",
     "HeatBenchmark",
     "build_heat_models",
     "eigenbasis_reference",
@@ -106,21 +104,19 @@ class HeatModels:
     were built from; each branch takes the models and reads config here.
 
     gram is the exact Gram matrix M_hat of the phi basis (also used for
-    function-space norms), mass the row-scaled Gram M = Lambda M_hat,
-    stiffness the diagonal weak-form matrix A_N (of c^2 d^2/dx^2), and
-    sine_overlap the moment matrix X with
+    function-space norms), stiffness the diagonal weak-form matrix A_N (of
+    c^2 d^2/dx^2), and sine_overlap the moment matrix X with
     X[i-1, j-1] = <sin(j pi x), phi_i> for j = 1..N, computed at the
     configured quadrature resolution.  sine_overlap_accurate is the same
     matrix at no fewer than 4N nodes; it feeds function-space error
     measurements so that they stay meaningful when the model quadrature is
-    coarse.  The descriptor model is dae with E = [M, 0],
+    coarse.  The descriptor model is dae with E = [Lambda M_hat, 0],
     A = [Lambda A_N, Lambda]; eig_A and eig_B give the sine-eigenbasis
     reference dz/dt = eig_A z + eig_B u.
     """
 
     config: HeatConfig
     gram: np.ndarray
-    mass: np.ndarray
     stiffness: np.ndarray
     lambda_diag: np.ndarray
     sine_overlap: np.ndarray
@@ -180,8 +176,7 @@ def build_heat_models(cfg: HeatConfig) -> HeatModels:
         overlap if accurate_nodes == cfg.nodes else _sine_overlap(N, N, accurate_nodes)
     )
 
-    mass = lam_diag @ gram
-    E = np.hstack([mass, np.zeros((N, N))])
+    E = np.hstack([lam_diag @ gram, np.zeros((N, N))])
     A = np.hstack([lam_diag @ stiffness, lam_diag])
     B = lam_diag @ overlap[:, :N_u]
     dae = DaeLti(E, A, B)
@@ -195,7 +190,7 @@ def build_heat_models(cfg: HeatConfig) -> HeatModels:
     eig_A = np.diag(-(cfg.c ** 2) * (modes * np.pi) ** 2)
     eig_B = np.vstack([np.eye(N_u), np.zeros((N - N_u, N_u))])
     return HeatModels(
-        cfg, gram, mass, stiffness, lam_diag, overlap,
+        cfg, gram, stiffness, lam_diag, overlap,
         overlap_accurate, dae, weights, eig_A, eig_B,
     )
 
@@ -241,35 +236,20 @@ def eigenbasis_reference(models: HeatModels) -> EigenReference:
     return EigenReference(cost, gain, P, Trajectory(times, z, u))
 
 
-@dataclass(frozen=True)
-class DaePipelineResult:
-    """Descriptor-model LQ result: cost J_dae, the gain on the consistent
-    value (u = gain @ Ex), the full solver output, and the Galerkin
-    coordinates a_*(t) of the reconstructed function V_*."""
-
-    cost: float
-    gain: np.ndarray
-    solution: InfiniteHorizonSolution
-    coords: np.ndarray
-
-    @property
-    def traj(self) -> Trajectory:
-        return self.solution.traj
-
-
-def dae_lq_pipeline(models: HeatModels) -> DaePipelineResult:
+def dae_lq_pipeline(models: HeatModels) -> InfiniteHorizonSolution:
     """Run associate + infinite-horizon LQ on the descriptor heat model.
 
     The initial condition is the consistent value z = lam Lambda X e_mode
     (the scaled moment vector of lam sin(mode pi x)); the trajectory is
-    sampled on the step-1e-3 grid over [0, T].
+    sampled on the step-1e-3 grid over [0, T].  The cost is J_dae, the gain
+    on the consistent value (u = K_z Ex) is ``K_z``, and the Galerkin
+    coordinates a_*(t) of the reconstructed function V_* are
+    ``traj.x[:, :N]``.
     """
     cfg = models.config
     dae, z0 = models.dae, models.value_of_initial
     steps = len(_time_grid(cfg.T)) - 1
-    sol = infinite_horizon(dae, associate(dae), models.weights, z0, T_sim=cfg.T, steps=steps)
-    coords = sol.traj.x[:, : cfg.N]
-    return DaePipelineResult(sol.cost, sol.K_z, sol, coords)
+    return infinite_horizon(dae, associate(dae), models.weights, z0, T_sim=cfg.T, steps=steps)
 
 
 @dataclass(frozen=True)
@@ -283,7 +263,18 @@ class LiftedSimulation:
     traj: Trajectory
 
 
-def _simulate_lifted(models: HeatModels, lifted_gain: np.ndarray) -> LiftedSimulation:
+def lift_and_simulate_closed_loop(
+    models: HeatModels, lifted_gain: np.ndarray
+) -> LiftedSimulation:
+    """Replay a gain on sine coordinates, u = lifted_gain z, on the eigenbasis.
+
+    The closed loop dz/dt = (A_e + B_e lifted_gain) z runs from
+    lam * e_mode, sampled exactly by ``simulate`` at step 1e-3, and the
+    truncated cost uses composite Simpson.  A function V with sine
+    coordinates z has moment vector X z against the phi basis, hence
+    consistent value Lambda X z and naive coordinates M_hat^{-1} X z; a gain
+    on either is lifted by the matching product (see ``run_heat_benchmark``).
+    """
     cfg = models.config
     A_cl = models.eig_A + models.eig_B @ lifted_gain
     no_feedthrough = np.zeros((cfg.N_u, cfg.N_u))
@@ -296,44 +287,15 @@ def _simulate_lifted(models: HeatModels, lifted_gain: np.ndarray) -> LiftedSimul
     return LiftedSimulation(cost, lifted_gain, Trajectory(times, z, u))
 
 
-def lift_and_simulate_closed_loop(
-    models: HeatModels, gain_on_value: np.ndarray
-) -> LiftedSimulation:
-    """Lift a gain on the consistent value Ex to the eigenbasis and replay.
-
-    A function V with sine coordinates z has moment vector X z against the
-    phi basis, hence consistent value Lambda X z; column j of the lifted
-    gain is therefore gain_on_value @ Lambda @ X[:, j] for j = 1..N.  The
-    closed loop dz/dt = (A_e + B_e K_lift) z runs from lam * e_mode, sampled
-    exactly by ``simulate`` at step 1e-3, and the truncated cost uses
-    composite Simpson.
-    """
-    lifted = np.asarray(gain_on_value, dtype=float) @ models.lambda_diag @ models.sine_overlap
-    return _simulate_lifted(models, lifted)
-
-
-@dataclass(frozen=True)
-class NaiveBaseline:
-    """Naive Galerkin LQ design: cost J_g, gain on the Galerkin
-    coordinates, the coordinate trajectory a_g(t), the state/input
-    trajectory, and the eigenbasis replay of the lifted gain."""
-
-    cost: float
-    gain: np.ndarray
-    coords: np.ndarray
-    traj: Trajectory
-    lifted: LiftedSimulation
-
-
-def naive_galerkin_baseline(models: HeatModels) -> NaiveBaseline:
-    """Solve the naive Galerkin LQ problem and replay its lifted gain.
+def naive_galerkin_baseline(models: HeatModels) -> InfiniteHorizonSolution:
+    """Solve the naive Galerkin LQ problem.
 
     The naive model drops the error channel: da/dt = M_hat^{-1}(A_N a +
     X[:, :N_u] u) with cost int a' M_hat a + u'u dt, started from the raw
     moment vector a(0) = lam X[:, mode-1].  It is solved through the same
-    descriptor pipeline with E = I.  The gain is lifted by feeding it the
-    model coordinates M_hat^{-1} X of each sine mode and replayed on the
-    eigenbasis model.
+    descriptor pipeline with E = I, so the cost is J_g, the gain on the
+    Galerkin coordinates is ``K_z`` and the coordinates a_g(t) are
+    ``traj.x``.
     """
     cfg = models.config
     N, N_u = cfg.N, cfg.N_u
@@ -341,22 +303,18 @@ def naive_galerkin_baseline(models: HeatModels) -> NaiveBaseline:
     B_naive = np.linalg.solve(models.gram, models.sine_overlap[:, :N_u])
     dae = DaeLti(np.eye(N), A_naive, B_naive)
     weights = LqWeights(models.gram, np.eye(N_u), np.zeros((N, N)))
-    assoc = associate(dae)
     a0 = cfg.lam * models.sine_overlap[:, cfg.mode - 1]
     steps = len(_time_grid(cfg.T)) - 1
-    sol = infinite_horizon(dae, assoc, weights, a0, T_sim=cfg.T, steps=steps)
-
-    coords_of_sines = np.linalg.solve(models.gram, models.sine_overlap)
-    lifted = _simulate_lifted(models, sol.K_z @ coords_of_sines)
-    return NaiveBaseline(sol.cost, sol.K_z, sol.traj.x, sol.traj, lifted)
+    return infinite_horizon(dae, associate(dae), weights, a0, T_sim=cfg.T, steps=steps)
 
 
 def error_curves(
     models: HeatModels,
     eigen: EigenReference,
-    dae_result: DaePipelineResult,
+    dae_result: InfiniteHorizonSolution,
     lifted: LiftedSimulation,
-    naive: NaiveBaseline,
+    naive: InfiniteHorizonSolution,
+    naive_lifted: LiftedSimulation,
 ) -> np.ndarray:
     """Squared H-norm error curves against the reference trajectory.
 
@@ -369,9 +327,8 @@ def error_curves(
     trajectories must share the reference time grid.
     """
     times = eigen.traj.times
-    for other in (dae_result.traj.times, lifted.traj.times, naive.traj.times,
-                  naive.lifted.traj.times):
-        if other.shape != times.shape or not np.allclose(other, times):
+    for other in (dae_result.traj, lifted.traj, naive.traj, naive_lifted.traj):
+        if other.times.shape != times.shape or not np.allclose(other.times, times):
             raise ValueError("trajectories are not on a common time grid")
 
     z_opt = eigen.traj.x
@@ -383,23 +340,24 @@ def error_curves(
         cross = np.sum((a @ overlap) * z, axis=1)
         return quad - 2.0 * cross + np.sum(z * z, axis=1)
 
-    e_sol = phi_vs_sine(dae_result.coords, z_opt)
+    e_sol = phi_vs_sine(dae_result.traj.x[:, : models.config.N], z_opt)
     e_sim = np.sum((lifted.traj.x - z_opt) ** 2, axis=1)
-    e_g = phi_vs_sine(naive.coords, z_opt)
-    e_sim_g = np.sum((naive.lifted.traj.x - z_opt) ** 2, axis=1)
+    e_g = phi_vs_sine(naive.traj.x, z_opt)
+    e_sim_g = np.sum((naive_lifted.traj.x - z_opt) ** 2, axis=1)
     return np.column_stack([times, e_sol, e_sim, e_g, e_sim_g])
 
 
 @dataclass(frozen=True)
 class HeatBenchmark:
-    """Everything the benchmark produces: the models, the four branches,
-    the error curves, and the headline numbers."""
+    """Everything the benchmark produces: the models, the four branches and
+    the two replays, the error curves, and the headline numbers."""
 
     models: HeatModels
     eigen: EigenReference
-    dae_result: DaePipelineResult
+    dae_result: InfiniteHorizonSolution
     lifted: LiftedSimulation
-    naive: NaiveBaseline
+    naive: InfiniteHorizonSolution
+    naive_lifted: LiftedSimulation
     curves: np.ndarray
 
     @property
@@ -409,7 +367,7 @@ class HeatBenchmark:
             "J_dae": self.dae_result.cost,
             "J_T": self.lifted.cost,
             "J_g": self.naive.cost,
-            "J_T_g": self.naive.lifted.cost,
+            "J_T_g": self.naive_lifted.cost,
         }
 
     @property
@@ -419,12 +377,22 @@ class HeatBenchmark:
 
 
 def run_heat_benchmark(cfg: HeatConfig | None = None) -> HeatBenchmark:
-    """Run all four branches on a common grid and collect the results."""
+    """Run all four branches on a common grid and collect the results.
+
+    The descriptor gain acts on the consistent value Lambda X z of sine
+    coordinates z and the naive gain on the coordinates M_hat^{-1} X z, so
+    each is lifted to sine coordinates by that product and replayed.
+    """
     cfg = HeatConfig() if cfg is None else cfg
     models = build_heat_models(cfg)
     eigen = eigenbasis_reference(models)
     dae_result = dae_lq_pipeline(models)
-    lifted = lift_and_simulate_closed_loop(models, dae_result.gain)
+    lifted = lift_and_simulate_closed_loop(
+        models, dae_result.K_z @ models.lambda_diag @ models.sine_overlap
+    )
     naive = naive_galerkin_baseline(models)
-    curves = error_curves(models, eigen, dae_result, lifted, naive)
-    return HeatBenchmark(models, eigen, dae_result, lifted, naive, curves)
+    naive_lifted = lift_and_simulate_closed_loop(
+        models, naive.K_z @ np.linalg.solve(models.gram, models.sine_overlap)
+    )
+    curves = error_curves(models, eigen, dae_result, lifted, naive, naive_lifted)
+    return HeatBenchmark(models, eigen, dae_result, lifted, naive, naive_lifted, curves)

@@ -239,7 +239,7 @@ def _internal_start(dae: DaeLti, assoc: AssociatedOdeLti, z) -> np.ndarray:
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.shape[0] != dae.c:
         raise ValueError(f"z must have length {dae.c}")
-    if not is_consistent(dae, assoc, z):
+    if not is_consistent(assoc, z):
         raise InconsistentInitialState(
             "z is not in the consistency set image(E C_s); no solution starts there"
         )
@@ -397,10 +397,10 @@ def finite_horizon(
     )
 
 
-def solve_are(
-    restr: StabilizableRestriction, w: LqWeights
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Solve the algebraic Riccati equation of the restricted system.
+def solve_are(sys: OdeLti, w: LqWeights) -> tuple[np.ndarray, np.ndarray, float]:
+    """Solve the algebraic Riccati equation of a restricted system.
+
+    ``sys`` is (A_g, B_g, C_g, D_g), a realization's ``restriction.sys_g``:
 
         0 = P A_g + A_g'P - K'(D_g'SD_g)K + C_g'SC_g,
         K = (D_g'SD_g)^{-1}(B_g'P + D_g'SC_g),
@@ -425,9 +425,9 @@ def solve_are(
     spectral abscissa ``abscissa`` (-inf when l = 0); raises
     NoStabilizingStart otherwise.
     """
-    sys, S = restr.sys_g, w.S
+    S = w.S
     cho, DSC, A_r, G, Q_r = _hamiltonian(sys, w)
-    l, k = restr.l, sys.n_inputs
+    l, k = sys.n_states, sys.n_inputs
     if l == 0:
         return np.zeros((0, 0)), np.zeros((k, 0)), -np.inf
 
@@ -522,7 +522,7 @@ def infinite_horizon(
         )
     v0 = restr.projector @ v_full
 
-    P, K, abscissa = solve_are(restr, w)
+    P, K, abscissa = solve_are(restr.sys_g, w)
     cl = _closed_loop(restr.sys_g, K)
 
     if T_sim is None:

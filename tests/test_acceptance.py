@@ -158,7 +158,7 @@ def test_criterion_4_lq_consistency_suite():
         if restr.l == 0:
             continue
         w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.eye(dae.c))
-        P, K, _ = solve_are(restr, w)
+        P, K, _ = solve_are(restr.sys_g, w)
         A, B, C, D = restr.A_g, restr.B_g, restr.C_g, restr.D_g
         S = w.S
         if np.linalg.norm(D) == 0.0:

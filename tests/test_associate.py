@@ -67,7 +67,7 @@ class TestWorkedExample:
 
     def test_lift_reproduces_exponential_solution(self, ex1, ex1_assoc):
         times = np.linspace(0.0, 1.0, 1001)
-        traj = lift_solution(ex1, ex1_assoc, np.array([1.0, 0.0]), None, times)
+        traj = lift_solution(ex1_assoc, np.array([1.0, 0.0]), None, times)
         assert np.allclose(traj.x[:, 0], np.exp(times), atol=1e-8)
         assert np.allclose(traj.x[:, 1:], 0.0, atol=1e-12)
 
@@ -285,7 +285,7 @@ class TestProjectLift:
         v0 = rng.standard_normal(2)
         g = 0.3 * rng.standard_normal((times.size, 2))
         g = np.cumsum(g, axis=0) * 0.01  # smooth-ish signal
-        traj = lift_solution(ex1, ex1_assoc, v0, g, times)
+        traj = lift_solution(ex1_assoc, v0, g, times)
         states, _ = simulate(ex1_assoc.as_ode(), v0, g, times)
         v_rec, g_rec = project_solution(ex1, ex1_assoc, traj)
         assert np.linalg.norm(v_rec - states) <= 1e-8 * (1 + np.linalg.norm(states))
@@ -301,7 +301,7 @@ class TestProjectLift:
         else:
             g[10, 1] = bad
         with pytest.raises(ValueError, match="initial state and inputs must be finite"):
-            lift_solution(ex1, ex1_assoc, v0, g, times)
+            lift_solution(ex1_assoc, v0, g, times)
 
     def test_round_trip_on_random_population(self):
         rng = np.random.default_rng(26)
@@ -312,7 +312,7 @@ class TestProjectLift:
             times = np.linspace(0.0, 0.25, 251)
             v0 = rng.standard_normal(assoc.n_hat)
             g = rng.standard_normal((times.size, assoc.k)) * 0.1
-            traj = lift_solution(dae, assoc, v0, g, times)
+            traj = lift_solution(assoc, v0, g, times)
             states, _ = simulate(assoc.as_ode(), v0, g, times)
             v_rec, g_rec = project_solution(dae, assoc, traj)
             assert np.linalg.norm(v_rec - states) <= 1e-8 * (

@@ -16,6 +16,7 @@ from hypothesis.extra.numpy import arrays
 import dae2ode
 from dae2ode import Trajectory, associate, behavior_residual
 from dae2ode.cli import main
+from dae2ode.heat import HeatConfig, run_heat_benchmark
 from dae2ode.matio import (
     _format_rows,
     format_matrix,
@@ -232,6 +233,16 @@ class TestSimulate:
         assert np.allclose(traj.x[0][:2], [1.0, 7.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("command", ["simulate", "lq-infinite"])
+def test_negative_steps_is_a_usage_error(tmp_path, capsys, command):
+    # --steps -1 asks for a grid with no samples, which simulate refuses.
+    path = ex1_problem(tmp_path, Q=np.eye(3).tolist(), R=[[1.0]])
+    rc = main([command, path, "--z", "1,7", "--steps", "-1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "dae2ode: simulation requires at least one time sample\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["lq-infinite", "lq-finite", "simulate"])
 class TestNonFiniteInitialValue:
@@ -428,6 +439,20 @@ class TestHeatDemo:
         capsys.readouterr()
         for name in ("costs.txt", "errors.csv", "gram.txt", "sine_overlap.txt"):
             assert (out_dir / name).read_bytes() == (rerun / name).read_bytes()
+
+    def test_every_config_flag_reaches_the_config(self, tmp_path, capsys):
+        # Each value differs from its HeatConfig default and moves the cost
+        # table or makes the config invalid, so a flag whose dest missed its
+        # field would show here.
+        out_dir = tmp_path / "demo"
+        flags = ["--N", "12", "--Nu", "10", "--mu", "0.02", "--c", "0.05", "--lambda", "3",
+                 "--mode", "5", "--T", "1", "--quad-order", "30", "--out-dir", str(out_dir)]
+        assert main(["heat-demo", *flags]) == 0
+        capsys.readouterr()
+        cfg = HeatConfig(N=12, N_u=10, mu=0.02, c=0.05, lam=3.0, mode=5, T=1.0, quad_order=30)
+        costs = run_heat_benchmark(cfg).costs
+        want = "".join(f"{key} = {value:.4f}\n" for key, value in costs.items())
+        assert (out_dir / "costs.txt").read_text() == want
 
     def test_invalid_config_exit_code(self, tmp_path, capsys):
         rc = main(

@@ -51,14 +51,14 @@ class TestConsistencySpace:
 
 class TestIsConsistent:
     def test_zero_value_always_consistent(self, ex1, ex1_assoc):
-        assert is_consistent(ex1, ex1_assoc, np.zeros(2))
+        assert is_consistent(ex1_assoc, np.zeros(2))
 
     def test_zero_e_rejects_nonzero(self):
         dae = DaeLti(np.zeros((2, 2)), np.eye(2), np.eye(2))
-        assert not is_consistent(dae, associate(dae), np.array([1.0, 0.0]))
+        assert not is_consistent(associate(dae), np.array([1.0, 0.0]))
 
     def test_worked_example_value(self, ex1, ex1_assoc):
-        assert is_consistent(ex1, ex1_assoc, np.array([1.0, 7.0]))
+        assert is_consistent(ex1_assoc, np.array([1.0, 7.0]))
 
 
 class TestImpulseControllable:
@@ -130,14 +130,14 @@ class TestBehaviorResidual:
         dae = DaeLti(np.eye(3), np.diag([-1.0, -2.0, -3.0]), np.ones((3, 1)))
         assoc = associate(dae)
         grid = np.linspace(0.0, 1.0, 1001)
-        traj = lift_solution(dae, assoc, np.array([1.0, 0.5, -0.5]), None, grid)
+        traj = lift_solution(assoc, np.array([1.0, 0.5, -0.5]), None, grid)
         assert behavior_residual(dae, traj) <= 1e-5
 
     def test_perturbed_sample_detected(self):
         dae = DaeLti(np.eye(3), np.diag([-1.0, -2.0, -3.0]), np.ones((3, 1)))
         assoc = associate(dae)
         grid = np.linspace(0.0, 1.0, 501)
-        traj = lift_solution(dae, assoc, np.array([1.0, 0.0, 0.0]), None, grid)
+        traj = lift_solution(assoc, np.array([1.0, 0.0, 0.0]), None, grid)
         x = traj.x.copy()
         x[250] += 1.0
         assert behavior_residual(dae, Trajectory(grid, x, traj.u)) >= 0.1

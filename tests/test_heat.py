@@ -15,13 +15,13 @@ from dae2ode.heat import (
     LiftedSimulation,
     _basis_values,
     _gram_matrix,
-    _simulate_lifted,
     _sine_overlap,
     _stiffness_matrix,
     build_heat_models,
     dae_lq_pipeline,
     eigenbasis_reference,
     error_curves,
+    lift_and_simulate_closed_loop,
     run_heat_benchmark,
 )
 
@@ -195,7 +195,7 @@ class TestLiftedSimulation:
     def test_zero_gain_matches_lyapunov_integral(self):
         cfg = HeatConfig(N=6, N_u=4, lam=2.0, mode=3, T=1.5)
         models = build_heat_models(cfg)
-        sim = _simulate_lifted(models, np.zeros((cfg.N_u, cfg.N)))
+        sim = lift_and_simulate_closed_loop(models, np.zeros((cfg.N_u, cfg.N)))
         a = np.diag(models.eig_A)
         z0 = np.zeros(cfg.N)
         z0[cfg.mode - 1] = cfg.lam
@@ -208,7 +208,7 @@ class TestDaePipeline:
         cfg = HeatConfig(T=12.0)
         models = build_heat_models(cfg)
         result = dae_lq_pipeline(models)
-        quad = trajectory_cost(models.weights, models.dae.E, result.solution.traj)
+        quad = trajectory_cost(models.weights, models.dae.E, result.traj)
         assert abs(result.cost - quad) <= 1e-5 * result.cost
 
     def test_input_is_feedback_on_value(self):
@@ -216,7 +216,7 @@ class TestDaePipeline:
         models = build_heat_models(cfg)
         result = dae_lq_pipeline(models)
         values = result.traj.x @ models.dae.E.T
-        defect = result.traj.u - values @ result.gain.T
+        defect = result.traj.u - values @ result.K_z.T
         assert np.max(np.abs(defect)) <= 1e-8
 
 
@@ -240,7 +240,7 @@ class TestBenchmark:
     def test_replay_of_reference_trajectory_has_zero_error(self, bench):
         fake = LiftedSimulation(0.0, bench.lifted.gain, bench.eigen.traj)
         curves = error_curves(
-            bench.models, bench.eigen, bench.dae_result, fake, bench.naive
+            bench.models, bench.eigen, bench.dae_result, fake, bench.naive, bench.naive_lifted
         )
         assert np.max(np.abs(curves[:, 2])) == 0.0
 
@@ -259,7 +259,8 @@ class TestBenchmark:
         )
         with pytest.raises(ValueError):
             error_curves(
-                bench.models, short, bench.dae_result, bench.lifted, bench.naive
+                bench.models, short, bench.dae_result, bench.lifted, bench.naive,
+                bench.naive_lifted,
             )
 
 

@@ -19,7 +19,6 @@ from dae2ode import (
     NoStabilizingStart,
     NotStabilizable,
     OdeLti,
-    StabilizableRestriction,
     Trajectory,
     associate,
     closed_loop_replay,
@@ -37,7 +36,7 @@ from dae2ode import (
 from dae2ode.dae import pencil_stabilizability_test
 from dae2ode.heat import HeatConfig, build_heat_models
 from dae2ode.lq import _are_residual, _gain, _hamiltonian
-from dae2ode.subspaces import ARE_RESIDUAL_TOL, POLISH_RESIDUAL_TOL, full_space
+from dae2ode.subspaces import ARE_RESIDUAL_TOL, POLISH_RESIDUAL_TOL
 
 from conftest import conditioned, random_autonomous_unstable, random_dae, random_spd
 
@@ -179,7 +178,7 @@ class TestSolveDre:
         w = LqWeights(np.eye(3), np.eye(1), np.zeros((2, 2)))
         restr = ex1_assoc.restriction
         assert restr.l == ex1_assoc.n_hat == 2
-        P_are, _, _ = solve_are(restr, w)
+        P_are, _, _ = solve_are(restr.sys_g, w)
         W = restr.projector.T
         P_dre = solve_dre(ex1_assoc, w, 10.0)[0][-1]
         want = W @ P_are @ W.T
@@ -398,7 +397,7 @@ class TestSolveAre:
         _, assoc = scalar_integrator()
         restr = assoc.restriction
         w = LqWeights(np.eye(1), np.eye(1), np.zeros((1, 1)))
-        P, K, abscissa = solve_are(restr, w)
+        P, K, abscissa = solve_are(restr.sys_g, w)
         assert abs(P[0, 0] - 1.0) <= 1e-10
         assert abs(K[0, 0] - 1.0) <= 1e-10
         assert abscissa == spectral_abscissa(restr.A_g - restr.B_g @ K)
@@ -413,7 +412,7 @@ class TestSolveAre:
         assoc = associate(dae)
         restr = assoc.restriction
         w = LqWeights(2.0 * np.eye(1), np.eye(1), np.zeros((2, 2)))
-        P, K, _ = solve_are(restr, w)
+        P, K, _ = solve_are(restr.sys_g, w)
         a = restr.A_g[0, 0]
         csc = (restr.C_g.T @ w.S @ restr.C_g).item()
         assert abs(P[0, 0] - csc / (-2.0 * a)) <= 1e-10
@@ -422,40 +421,28 @@ class TestSolveAre:
     def test_unstabilizable_restriction_raises_package_error(self):
         # An unstable, unactuated mode: the Hamiltonian has no stable
         # invariant subspace of full dimension.
-        restr = StabilizableRestriction(
-            OdeLti(
-                np.array([[1.0]]),
-                np.array([[0.0]]),
-                np.array([[1.0], [0.0]]),
-                np.array([[0.0], [1.0]]),
-            ),
-            M_g=np.eye(1),
-            subspace=full_space(1),
-            n=1,
-            m=1,
+        sys = OdeLti(
+            np.array([[1.0]]),
+            np.array([[0.0]]),
+            np.array([[1.0], [0.0]]),
+            np.array([[0.0], [1.0]]),
         )
         w = LqWeights(np.eye(1), np.eye(1), np.zeros((1, 1)))
         with pytest.raises(NoStabilizingStart):
-            solve_are(restr, w)
+            solve_are(sys, w)
 
     def test_imaginary_axis_hamiltonian_raises_package_error(self):
         # An unactuated, unweighted oscillator: the Hamiltonian's eigenvalues
         # +-i lie on the axis, so it has fewer than l stable ones.
-        restr = StabilizableRestriction(
-            OdeLti(
-                np.array([[0.0, 1.0], [-1.0, 0.0]]),
-                np.zeros((2, 1)),
-                np.zeros((2, 2)),
-                np.array([[0.0], [1.0]]),
-            ),
-            M_g=np.eye(2),
-            subspace=full_space(2),
-            n=1,
-            m=1,
+        sys = OdeLti(
+            np.array([[0.0, 1.0], [-1.0, 0.0]]),
+            np.zeros((2, 1)),
+            np.zeros((2, 2)),
+            np.array([[0.0], [1.0]]),
         )
         w = LqWeights(np.eye(1), np.eye(1), np.zeros((1, 1)))
         with pytest.raises(NoStabilizingStart, match="0 stable eigenvalues, not 2"):
-            solve_are(restr, w)
+            solve_are(sys, w)
 
     def test_random_stabilizable_population(self):
         rng = np.random.default_rng(1234)
@@ -467,7 +454,7 @@ class TestSolveAre:
             if restr.l == 0:
                 continue
             w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.eye(dae.c))
-            P, K, _ = solve_are(restr, w)
+            P, K, _ = solve_are(restr.sys_g, w)
             A, B, C, D = restr.A_g, restr.B_g, restr.C_g, restr.D_g
             S = w.S
             if np.linalg.norm(D) == 0.0:
@@ -505,7 +492,7 @@ class TestSolveAre:
     def test_matches_care_oracle_on_heat_restrictions(self):
         dims = []
         for restr, w in heat_restrictions(40):
-            P, _, _ = solve_are(restr, w)
+            P, _, _ = solve_are(restr.sys_g, w)
             P_care = care_oracle(restr, w)
             assert np.linalg.norm(P - P_care) <= 1e-10 * np.linalg.norm(P_care)
             dims.append((restr.l, restr.sys_g.n_inputs))
@@ -519,7 +506,7 @@ class TestSolveAre:
             (ex1_assoc.restriction, LqWeights(np.eye(3), np.eye(1), np.eye(2)))
         ] + heat_restrictions(40)
         for restr, w in cases:
-            P, K, _ = solve_are(restr, w)
+            P, K, _ = solve_are(restr.sys_g, w)
             assert _are_residual(restr.sys_g, w.S, P, K) <= 1e-15
             X = rng.standard_normal(P.shape)
             X += X.T
@@ -544,7 +531,7 @@ class TestSolveAre:
         ] + heat_restrictions(40)
         for restr, w in cases:
             calls.clear()
-            P, K, _ = solve_are(restr, w)
+            P, K, _ = solve_are(restr.sys_g, w)
             assert len(calls) == 1
             assert _are_residual(restr.sys_g, w.S, P, K) <= POLISH_RESIDUAL_TOL
 
@@ -561,7 +548,7 @@ class TestSolveAre:
             ambient = []
             for d, ww in ((dae, w), (fast, w_fast)):
                 restr = associate(d).restriction
-                P, _, _ = solve_are(restr, ww)
+                P, _, _ = solve_are(restr.sys_g, ww)
                 ambient.append(restr.projector.T @ P @ restr.projector)
             assert np.linalg.norm(restr.A_g, 2) >= 1e6
             slow, fast_P = ambient
@@ -574,7 +561,7 @@ class TestSolveAre:
             if restr.l == 0 or not is_behaviorally_stabilizable(dae, assoc, z):
                 continue
             w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.zeros((dae.c, dae.c)))
-            P, _, _ = solve_are(restr, w)
+            P, _, _ = solve_are(restr.sys_g, w)
             P_care = care_oracle(restr, w)
             assert np.linalg.norm(P - P_care) <= 1e-10 * np.linalg.norm(P_care)
             compared += 1
@@ -765,7 +752,7 @@ RICCATI_CALLS = pytest.mark.parametrize(
     [
         lambda dae, assoc, w: solve_dre(assoc, w, 1.0),
         lambda dae, assoc, w: finite_horizon(dae, assoc, w, np.ones(1), 1.0),
-        lambda dae, assoc, w: solve_are(assoc.restriction, w),
+        lambda dae, assoc, w: solve_are(assoc.restriction.sys_g, w),
     ],
     ids=["solve_dre", "finite_horizon", "solve_are"],
 )
@@ -901,9 +888,9 @@ class TestCachedDerivations:
         EC_s[:, 1] = 0.0
         replaced = dataclasses.replace(assoc, EC_s=EC_s)
         assert replaced.consistency_set.dim == 1
-        assert not is_consistent(ex1, replaced, z)
+        assert not is_consistent(replaced, z)
         assert assoc.consistency_set.dim == 2
-        assert is_consistent(ex1, assoc, z)
+        assert is_consistent(assoc, z)
 
 
 class TestCoordinateInvariance:

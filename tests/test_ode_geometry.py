@@ -134,6 +134,14 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(sys, np.array([0.0]), None, np.array([0.0, 0.1, 0.3]))
 
+    def test_grid_without_samples_rejected(self):
+        # One sample is the shortest grid: it holds v0 alone.
+        sys = OdeLti([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+        with pytest.raises(ValueError, match="at least one time sample"):
+            simulate(sys, np.array([1.0]), None, times=[])
+        states, outputs = simulate(sys, np.array([1.0]), None, times=[0.0])
+        assert states.tolist() == [[1.0]] and outputs.tolist() == [[1.0]]
+
     def test_forced_scalar_integral(self):
         # v' = q with q(t) = t integrates to t^2 / 2 (linear input is exact)
         sys = OdeLti(np.zeros((1, 1)), np.eye(1), np.eye(1), np.zeros((1, 1)))
