@@ -15,7 +15,6 @@ from .dae import (
     Trajectory,
     behavior_residual,
     impulse_controllable,
-    is_consistent,
     wong_limit,
 )
 from .errors import (
@@ -64,12 +63,11 @@ from .matio import (
 )
 from .odesys import (
     OdeLti,
-    output_nulling_friend,
     restrict_to_invariant,
     simulate,
     stabilizability_subspace,
     weakly_unobservable,
 )
-from .subspaces import Subspace, image, intersect, kernel, pinv, preimage, rank, subspace_sum
+from .subspaces import Subspace, image, kernel, pinv, preimage, rank
 
 __version__ = "0.1.0"

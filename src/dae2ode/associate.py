@@ -142,9 +142,8 @@ class AssociatedOdeLti:
 class StabilizableRestriction:
     """Restriction of an associated system to its stabilizability subspace.
 
-    ``subspace`` is that subspace, with orthonormal basis W; ``projector``
-    is the l x n_hat matrix W^T mapping the original state to the restricted
-    one, and M_g = projector @ M.
+    ``subspace`` is that subspace, with orthonormal basis W; W^T maps the
+    original state to the restricted one, and M_g = W^T M.
     """
 
     sys_g: OdeLti
@@ -154,26 +153,6 @@ class StabilizableRestriction:
     @property
     def l(self) -> int:
         return self.sys_g.n_states
-
-    @property
-    def projector(self) -> np.ndarray:
-        return self.subspace.basis.T
-
-    @property
-    def A_g(self) -> np.ndarray:
-        return self.sys_g.A
-
-    @property
-    def B_g(self) -> np.ndarray:
-        return self.sys_g.B
-
-    @property
-    def C_g(self) -> np.ndarray:
-        return self.sys_g.C
-
-    @property
-    def D_g(self) -> np.ndarray:
-        return self.sys_g.D
 
 
 def associate(

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .associate import associate, lift_solution, verify_associated
-from .dae import Trajectory, impulse_controllable, is_consistent, pencil_stabilizability_test
+from .dae import Trajectory, impulse_controllable, pencil_stabilizability_test
 from .errors import Dae2OdeError, InconsistentInitialState, NotStabilizable
 from .heat import HeatConfig, run_heat_benchmark
 from .lq import finite_horizon, infinite_horizon
@@ -234,7 +234,7 @@ def _cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
     z = _require_z(args, problem)
     assoc = associate(problem.dae, tol=args.tol)
-    if not is_consistent(assoc, z):
+    if not assoc.consistency_set.contains_vector(z):
         raise InconsistentInitialState("z is not a consistent value Ex(0)")
     steps = args.steps if args.steps is not None else 1000
     times = np.linspace(0.0, args.horizon, steps + 1)

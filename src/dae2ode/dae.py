@@ -4,10 +4,11 @@ A :class:`DaeLti` is a triple of real matrices (E, A, B) with E, A of shape
 c x n and B of shape c x m; no regularity or squareness is assumed.  The
 solution concept is behavioral: locally integrable (x, u) such that Ex is
 absolutely continuous and the equation holds almost everywhere.  This module
-provides the data types, the augmented Wong sequence, membership in the
-consistency set (which the realization keeps), the impulse-controllability
-rank test, the stabilizability test of the associated pair (A_l, B_l) and a
-numerical membership test for the behavior.
+provides the data types, the augmented Wong sequence, the
+impulse-controllability rank test, the stabilizability test of the
+associated pair (A_l, B_l) and a numerical membership test for the behavior.
+Membership in the consistency set is the realization's cached
+``consistency_set``.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import numpy as np
 
 from .subspaces import (
     Subspace,
-    _rank_from_singular_values,
     ensure_matrix,
     full_space,
     image,
@@ -31,10 +31,8 @@ __all__ = [
     "DaeLti",
     "Trajectory",
     "wong_limit",
-    "is_consistent",
     "impulse_controllable",
     "pencil_stabilizability_test",
-    "pencil_rank_probe",
     "behavior_residual",
 ]
 
@@ -115,13 +113,6 @@ def wong_limit(dae: DaeLti, tol: float | None = None) -> Subspace:
     return V
 
 
-def is_consistent(assoc, z) -> bool:
-    """Whether z admits a solution with Ex(0) = z: membership in the
-    consistency set V(E, A, B) = image(E C_s), the realization's cached
-    ``consistency_set``, within ``EQUALITY_TOL``."""
-    return assoc.consistency_set.contains_vector(z)
-
-
 def impulse_controllable(dae: DaeLti, tol: float | None = None) -> bool:
     """Rank test rank [E, A, B] == rank [E, A Z, B] with im Z = ker E.
 
@@ -141,15 +132,9 @@ def pencil_stabilizability_test(dae: DaeLti, assoc) -> bool:
     ``dae`` is not consulted.  For a pencil view, stabilizability of
     (A_l, B_l) is equivalent to rank [lambda E - A, B] = nrank [s E - A, B]
     for every lambda with nonnegative real part, which the test suite checks
-    independently with ``pencil_rank_probe``.
+    independently.
     """
     return assoc.restriction.l == assoc.n_hat
-
-
-def pencil_rank_probe(dae: DaeLti, lam: complex) -> int:
-    """rank [lambda E - A, B] at a single complex lambda (cross-check helper)."""
-    M = np.hstack([lam * dae.E - dae.A, dae.B.astype(complex)])
-    return _rank_from_singular_values(M, np.linalg.svd(M, compute_uv=False), None)
 
 
 def behavior_residual(dae: DaeLti, traj: Trajectory) -> float:

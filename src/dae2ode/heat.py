@@ -70,6 +70,8 @@ class HeatConfig:
     Setting quad_order to 4 * N or more gives converged moments, under
     which the descriptor design tracks the reference almost exactly and
     the costs J_dae, J_T and the replay error drop far below the table.
+    quad_order may not exceed 8 * N, twice that converged rule.  mu, c, lam
+    and T must be finite.
     """
 
     N: int = 40
@@ -88,10 +90,13 @@ class HeatConfig:
             raise ValueError("N_u must not exceed N")
         if not 1 <= self.mode <= self.N:
             raise ValueError("mode must lie in 1..N")
+        for name in ("mu", "c", "lam", "T"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.mu <= 0 or self.c <= 0 or self.T <= 0:
             raise ValueError("mu, c and T must be positive")
-        if self.quad_order is not None and self.quad_order < 2:
-            raise ValueError("quad_order must be at least 2")
+        if self.quad_order is not None and not 2 <= self.quad_order <= 8 * self.N:
+            raise ValueError(f"quad_order must lie in 2..{8 * self.N} (8 N), got {self.quad_order}")
 
     @property
     def nodes(self) -> int:

@@ -41,7 +41,7 @@ import numpy as np
 import scipy.linalg
 
 from .associate import AssociatedOdeLti, StabilizableRestriction
-from .dae import DaeLti, Trajectory, is_consistent
+from .dae import DaeLti, Trajectory
 from .errors import (
     ConstraintViolated,
     InconsistentInitialState,
@@ -239,7 +239,7 @@ def _internal_start(dae: DaeLti, assoc: AssociatedOdeLti, z) -> np.ndarray:
     z = np.asarray(z, dtype=float).reshape(-1)
     if z.shape[0] != dae.c:
         raise ValueError(f"z must have length {dae.c}")
-    if not is_consistent(assoc, z):
+    if not assoc.consistency_set.contains_vector(z):
         raise InconsistentInitialState(
             "z is not in the consistency set image(E C_s); no solution starts there"
         )
@@ -520,7 +520,7 @@ def infinite_horizon(
         raise NotStabilizable(
             "z is not behaviorally stabilizable: M(z) leaves the stabilizability subspace"
         )
-    v0 = restr.projector @ v_full
+    v0 = restr.subspace.basis.T @ v_full
 
     P, K, abscissa = solve_are(restr.sys_g, w)
     cl = _closed_loop(restr.sys_g, K)

@@ -8,8 +8,7 @@ subspace), a friend feedback F and the kernel matrix L, all three returned by
 its last step (Van Dooren 1981, IEEE TAC 26; Emami-Naeini & Van Dooren 1982,
 Automatica 18); the stabilizability subspace (reachable plus stable modal
 subspace); and the restriction of a system to an invariant subspace.  Each
-computation has one public entry, which is its only implementation;
-``output_nulling_friend`` solves for the friend of any other given V.
+computation has one public entry, which is its only implementation.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "OdeLti",
     "simulate",
     "weakly_unobservable",
-    "output_nulling_friend",
     "stabilizability_subspace",
     "restrict_to_invariant",
 ]
@@ -165,25 +163,6 @@ def simulate(
     return states, outputs
 
 
-def _input_block(sys: OdeLti, W: np.ndarray, W_out: np.ndarray, rule):
-    """M = [W_out^T B; D] and R = [W_out^T A W; C W] for the state basis W,
-    with M's full SVD (U, s, Vh) and its rank decided by ``rule``."""
-    M = np.vstack([W_out.T @ sys.B, sys.D])
-    R = np.vstack([W_out.T @ (sys.A @ W), sys.C @ W])
-    U, s, Vh = np.linalg.svd(M)
-    return M, R, U, s, Vh, _rank_from_singular_values(M, s, *rule)
-
-
-def _friend(W, M, R, U, s, Vh, rho) -> tuple[np.ndarray, np.ndarray]:
-    """F and L from an ``_input_block`` at W; see ``output_nulling_friend``."""
-    F_V = -Vh[:rho].T @ ((U[:, :rho].T @ R) / s[:rho, None])
-    resid = np.linalg.norm(M @ F_V + R, axis=0)
-    bad = np.flatnonzero(resid > EQUALITY_TOL * (1.0 + np.linalg.norm(R, axis=0)))
-    if bad.size:
-        raise ResidualTooLarge(f"no friend for basis vector {bad[0]}: residual {resid[bad[0]]:.3e}")
-    return F_V @ W.T, Vh[rho:].T
-
-
 def weakly_unobservable(
     sys: OdeLti, tol: float | None = None
 ) -> tuple[Subspace, np.ndarray, np.ndarray]:
@@ -193,57 +172,42 @@ def weakly_unobservable(
     One orthogonal staircase, run to its limit, gives all three.
     Q = [W | W_perp] starts from W = I.  Each step factors the input block
     M = [W_perp^T B; D], with left null space N, and takes the SVD of
-    N^T [W_perp^T A W; C W], whose row space (the part of W that leaves W or
-    reaches the output whatever the input) is rotated out of W.  When that
-    rank is zero, W spans V, and the same factored M gives F and L as in
-    ``output_nulling_friend``, so their rank decision is the one that
-    stopped the staircase.  The ranks are decided at ``tol`` against
+    N^T R, R = [W_perp^T A W; C W], whose row space (the part of W that
+    leaves W or reaches the output whatever the input) is rotated out of W.
+    When that rank is zero, W spans V, and the same factored M gives F and
+    L, so their rank decision is the one that stopped the staircase:
+    F = F_V W^T with F_V the minimum-norm solution of M F_V = -R, so F = 0
+    whenever the zero feedback is admissible, and L is the right null space
+    of M, an orthonormal basis of ker D intersected with B^{-1} V (s x 0
+    when that is zero).  The ranks are decided at ``tol`` against
     ||[B; D]||_2 and ||[A; C]||_2, as ``preimage`` decides its own.
 
-    Raises ResidualTooLarge, with the residual check of
-    ``output_nulling_friend``, when the V found is not output-nulling
-    within ``EQUALITY_TOL``.
+    Raises ResidualTooLarge when a column of M F_V + R exceeds
+    ``EQUALITY_TOL`` (1 + the norm of R's column): the V found is then not
+    output-nulling.
     """
     rule_BD = _projection_rule(np.vstack([sys.B, sys.D]), tol)
     rule_AC = _projection_rule(np.vstack([sys.A, sys.C]), tol)
     Q, d = np.eye(sys.n_states), sys.n_states
     while True:
-        W = Q[:, :d]
-        block = _input_block(sys, W, Q[:, d:], rule_BD)
-        _, R, U, _, _, rho = block
+        W, W_perp = Q[:, :d], Q[:, d:]
+        M = np.vstack([W_perp.T @ sys.B, sys.D])
+        R = np.vstack([W_perp.T @ (sys.A @ W), sys.C @ W])
+        U, s, Vh = np.linalg.svd(M)
+        rho = _rank_from_singular_values(M, s, *rule_BD)
         X = U[:, rho:].T @ R
-        _, s, Vh = np.linalg.svd(X)
-        tau = _rank_from_singular_values(X, s, *rule_AC)
+        _, sx, Vhx = np.linalg.svd(X)
+        tau = _rank_from_singular_values(X, sx, *rule_AC)
         if tau == 0:
-            return (_orthonormal(W), *_friend(W, *block))
-        Q[:, :d] = W @ np.vstack([Vh[tau:], Vh[:tau]]).T
+            break
+        Q[:, :d] = W @ np.vstack([Vhx[tau:], Vhx[:tau]]).T
         d -= tau
-
-
-def output_nulling_friend(
-    sys: OdeLti, V: Subspace, tol: float | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Friend F and kernel matrix L of any given output-nulling subspace V.
-
-    With the input block M = [W_perp^T B; D] at the basis W of V, of rank
-    decided at ``tol`` as in ``weakly_unobservable``, F = F_V W^T, where
-    F_V is the minimum-norm solution of M F_V = -[W_perp^T A W; C W] in one
-    pseudo-inverse solve, so F = 0 whenever the zero feedback is admissible.
-    L, the right null space of M, is an orthonormal basis of ker D
-    intersected with B^{-1} V (s x 0 when that is zero).  I - W W^T stands
-    in for W_perp^T; it keeps M's right singular vectors and minimum-norm
-    solutions.  The solve and its residual check are those of the last step
-    of ``weakly_unobservable``, which returns V's own F and L itself.
-
-    Raises
-    ------
-    ResidualTooLarge
-        If a column's residual exceeds ``EQUALITY_TOL`` (1 + its right-hand
-        side's norm): V is then not output-nulling for this system.
-    """
-    W = V.basis
-    rule = _projection_rule(np.vstack([sys.B, sys.D]), tol)
-    return _friend(W, *_input_block(sys, W, np.eye(sys.n_states) - W @ W.T, rule))
+    F_V = -Vh[:rho].T @ ((U[:, :rho].T @ R) / s[:rho, None])
+    resid = np.linalg.norm(M @ F_V + R, axis=0)
+    bad = np.flatnonzero(resid > EQUALITY_TOL * (1.0 + np.linalg.norm(R, axis=0)))
+    if bad.size:
+        raise ResidualTooLarge(f"no friend for basis vector {bad[0]}: residual {resid[bad[0]]:.3e}")
+    return _orthonormal(W), F_V @ W.T, Vh[rho:].T
 
 
 def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:

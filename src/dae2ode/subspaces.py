@@ -2,9 +2,9 @@
 
 Every geometric computation in this package (Wong sequences, consistency
 sets, stabilizability subspaces) reduces to a small set of primitives over
-orthonormal bases: image, kernel, sum, intersection and preimage.  All bases
-returned here have orthonormal columns; the zero subspace is represented by
-a basis with zero columns.  Only a caller's ``Subspace(basis)`` is checked.
+orthonormal bases: image, kernel and preimage.  All bases returned here
+have orthonormal columns; the zero subspace is represented by a basis with
+zero columns.  Only a caller's ``Subspace(basis)`` is checked.
 
 Conventions
 -----------
@@ -77,8 +77,6 @@ __all__ = [
     "pinv",
     "image",
     "kernel",
-    "subspace_sum",
-    "intersect",
     "preimage",
     "full_space",
     "zero_space",
@@ -100,7 +98,10 @@ CONDITION_BOUND = 1e12
 
 
 def ensure_matrix(M, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D float array and reject non-finite entries."""
+    """Coerce to a 2-D float array; reject complex and non-finite entries."""
+    M = np.asarray(M)
+    if np.iscomplexobj(M):
+        raise ValueError(f"{name} must be real, got dtype {M.dtype}")
     M = np.atleast_2d(np.asarray(M, dtype=float))
     if M.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {M.shape}")
@@ -168,7 +169,10 @@ class Subspace:
         return bool(np.linalg.norm(resid) <= EQUALITY_TOL * max(1.0, np.linalg.norm(v)))
 
     def contains(self, other: "Subspace") -> bool:
-        _check_same_ambient(self, other)
+        if self.ambient_dim != other.ambient_dim:
+            raise ValueError(
+                f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
+            )
         if other.dim == 0:
             return True
         resid = other.basis - self.basis @ (self.basis.T @ other.basis)
@@ -176,13 +180,6 @@ class Subspace:
 
     def equals(self, other: "Subspace") -> bool:
         return self.contains(other) and other.contains(self)
-
-
-def _check_same_ambient(U: Subspace, W: Subspace) -> None:
-    if U.ambient_dim != W.ambient_dim:
-        raise ValueError(
-            f"ambient dimensions differ: {U.ambient_dim} vs {W.ambient_dim}"
-        )
 
 
 def _orthonormal(basis: np.ndarray) -> Subspace:
@@ -234,29 +231,6 @@ def _rank_from_singular_values(
     if ref == 0.0:
         return 0
     return int(np.count_nonzero(s > tol * ref))
-
-
-def subspace_sum(U: Subspace, W: Subspace) -> Subspace:
-    """U + W, the image of the concatenated bases."""
-    _check_same_ambient(U, W)
-    return image(np.hstack([U.basis, W.basis]))
-
-
-def intersect(U: Subspace, W: Subspace) -> Subspace:
-    """U intersected with W.
-
-    Solves U a = W b through the kernel of [U, -W] and re-orthonormalizes
-    the resulting vectors expressed in the ambient space.
-    """
-    _check_same_ambient(U, W)
-    if U.dim == 0 or W.dim == 0:
-        return zero_space(U.ambient_dim)
-    if U.dim == U.ambient_dim:
-        return W
-    if W.dim == W.ambient_dim:
-        return U
-    N = kernel(np.hstack([U.basis, -W.basis]))
-    return image(U.basis @ N.basis[: U.dim, :])
 
 
 def preimage(M, W: Subspace, tol: float | None = None) -> Subspace:

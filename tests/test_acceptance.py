@@ -159,7 +159,7 @@ def test_criterion_4_lq_consistency_suite():
             continue
         w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.eye(dae.c))
         P, K, _ = solve_are(restr.sys_g, w)
-        A, B, C, D = restr.A_g, restr.B_g, restr.C_g, restr.D_g
+        A, B, C, D = restr.sys_g.A, restr.sys_g.B, restr.sys_g.C, restr.sys_g.D
         S = w.S
         if np.linalg.norm(D) == 0.0:
             resid = A.T @ P + P @ A + C.T @ S @ C

@@ -129,7 +129,7 @@ class TestSpecialShapes:
 class TestOneStaircasePass:
     def test_associate_takes_v_f_and_l_from_one_pass(self, ex1, monkeypatch):
         # One call of weakly_unobservable, which builds one ||[B; D]|| and one
-        # ||[A; C]|| rule; output_nulling_friend would add a third rule.
+        # ||[A; C]|| rule; a second friend solve would add a third rule.
         odesys = importlib.import_module("dae2ode.odesys")
         module = importlib.import_module("dae2ode.associate")
         original_rule = odesys._projection_rule
@@ -381,7 +381,7 @@ class TestStabilizableRestriction:
         dae = DaeLti(np.eye(1), np.eye(1), np.zeros((1, 1)))
         restriction = associate(dae).restriction
         assert restriction.l == 0
-        assert restriction.A_g.shape == (0, 0)
+        assert restriction.sys_g.A.shape == (0, 0)
 
     def test_stable_autonomous_modes_kept(self):
         dae = DaeLti(np.eye(2), -np.eye(2), np.zeros((2, 1)))

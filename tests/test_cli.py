@@ -460,6 +460,20 @@ class TestHeatDemo:
         )
         assert rc == 1
 
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [("--T", "inf", "T"), ("--lambda", "nan", "lam"), ("--c", "inf", "c"),
+         ("--mu", "nan", "mu"), ("--quad-order", "1000000000", "quad_order")],
+    )
+    def test_unusable_value_names_its_field(self, tmp_path, capsys, flag, value, field):
+        # Each is refused by HeatConfig before any model is built; the last
+        # asked for a billion quadrature nodes.
+        args = ["heat-demo", "--N", "6", "--Nu", "4", "--mode", "3", "--T", "1", flag, value]
+        assert main([*args, "--out-dir", str(tmp_path / "x")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"dae2ode: {field} must ")
+        assert not (tmp_path / "x").exists()
+
 
 finite_floats = st.floats(
     allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12

@@ -160,6 +160,18 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             HeatConfig(quad_order=1)
 
+    @pytest.mark.parametrize("field", ["mu", "c", "lam", "T"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_parameters(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            HeatConfig(**{field: value})
+
+    def test_quadrature_is_capped_at_eight_n(self):
+        # 4 N nodes converge the moments; 8 N is the most a config may ask.
+        assert HeatConfig(N=6, N_u=4, mode=3, quad_order=48).nodes == 48
+        with pytest.raises(ValueError, match="^quad_order must lie in 2..48"):
+            HeatConfig(N=6, N_u=4, mode=3, quad_order=49)
+
 
 class TestEigenReference:
     def test_riccati_matches_care_oracle(self):

@@ -8,9 +8,7 @@ import scipy.signal
 from dae2ode import (
     NotInvariant,
     OdeLti,
-    ResidualTooLarge,
     Subspace,
-    output_nulling_friend,
     restrict_to_invariant,
     simulate,
     stabilizability_subspace,
@@ -195,12 +193,11 @@ class TestWeaklyUnobservable:
         A[:2, 2:] = 0.0
         C = np.hstack([rng.standard_normal((2, 2)), np.zeros((2, 3))])
         sys = OdeLti(A, np.zeros((5, 0)), C, np.zeros((2, 0)))
-        V = weakly_unobservable(sys)[0]
+        V, F, L = weakly_unobservable(sys)
         ref = _brute_weakly_unobservable(sys)
         assert V.dim == ref.shape[1] == 3
         assert V.equals(Subspace(ref))
         assert V.equals(Subspace(np.eye(5)[:, 2:]))
-        F, L = output_nulling_friend(sys, V)
         assert F.shape == (0, 5) and L.shape == (0, 0)
 
     def test_zero_output_map_matches_reference(self):
@@ -224,13 +221,15 @@ class TestWeaklyUnobservable:
 
 
 class TestOutputNullingFriend:
+    # The friend properties of the F and L that weakly_unobservable returns
+    # with V, the ones associate builds its realization from.
+
     def test_zero_output_map_gives_zero_friend(self):
         rng = np.random.default_rng(6)
         A = rng.standard_normal((3, 3))
         B = rng.standard_normal((3, 2))
         sys = OdeLti(A, B, np.zeros((1, 3)), np.zeros((1, 2)))
-        V = weakly_unobservable(sys)[0]
-        F, L = output_nulling_friend(sys, V)
+        _, F, L = weakly_unobservable(sys)
         assert np.allclose(F, 0.0)
         # kernel of the zero feedthrough is everything, so L spans the inputs
         assert L.shape == (2, 2)
@@ -243,29 +242,17 @@ class TestOutputNullingFriend:
         rng = np.random.default_rng(16)
         A, B = rng.standard_normal((4, 4)), rng.standard_normal((4, 2))
         sys = OdeLti(A, B, np.zeros((3, 4)), np.zeros((3, 2)))
-        V = weakly_unobservable(sys)[0]
+        V, F, L = weakly_unobservable(sys)
         assert V.dim == _brute_weakly_unobservable(sys).shape[1] == 4
-        rotated = Subspace(np.linalg.qr(rng.standard_normal((4, 4)))[0])
-        for basis in (V, rotated):
-            F, L = output_nulling_friend(sys, basis)
-            assert np.all(F == 0.0)
-            assert L.shape == (2, 2)
-
-    def test_non_output_nulling_subspace_raises(self):
-        # The full space is not output-nulling when C != 0 and D = 0.
-        rng = np.random.default_rng(17)
-        A, B, C = (rng.standard_normal(shape) for shape in ((3, 3), (3, 2), (2, 3)))
-        sys = OdeLti(A, B, C, np.zeros((2, 2)))
-        with pytest.raises(ResidualTooLarge):
-            output_nulling_friend(sys, Subspace(np.eye(3)))
+        assert np.all(F == 0.0)
+        assert L.shape == (2, 2)
 
     def test_zero_subspace_friend_is_kernel_of_b(self):
         A = np.eye(3)
         B = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
         sys = OdeLti(A, B, np.eye(3), np.zeros((3, 2)))
-        V = weakly_unobservable(sys)[0]
+        V, F, L = weakly_unobservable(sys)
         assert V.dim == 0
-        F, L = output_nulling_friend(sys, V)
         assert np.allclose(F, 0.0)
         assert L.shape == (2, 1)
         assert np.allclose(np.abs(L[:, 0]), np.array([1.0, 1.0]) / np.sqrt(2.0))
@@ -275,8 +262,7 @@ class TestOutputNullingFriend:
         rng = np.random.default_rng(7)
         for _ in range(100):
             sys = _random_system(rng)
-            V = weakly_unobservable(sys)[0]
-            F, L = output_nulling_friend(sys, V)
+            V, F, L = weakly_unobservable(sys)
             scale = 1.0 + np.linalg.norm(sys.A) + np.linalg.norm(sys.B)
             if V.dim:
                 P_perp = np.eye(sys.n_states) - V.basis @ V.basis.T
@@ -295,10 +281,9 @@ class TestOutputNullingFriend:
         checked = 0
         while checked < 10:
             sys = _random_system(rng)
-            V = weakly_unobservable(sys)[0]
+            V, F, _ = weakly_unobservable(sys)
             if V.dim == 0:
                 continue
-            F, _ = output_nulling_friend(sys, V)
             closed = OdeLti(
                 sys.A + sys.B @ F,
                 np.zeros((sys.n_states, 1)),
@@ -312,6 +297,23 @@ class TestOutputNullingFriend:
             checked += 1
 
 
+def _output_nulling_friend(sys: OdeLti, W: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Reference minimum-norm friend F and kernel matrix L of the
+    output-nulling subspace with orthonormal basis W, written without the
+    package: the SVD of M = [P B; D] with P = I - W W^T, rank counted above
+    64 max(rows, cols) eps ||[B; D]||_2, F = -pinv(M) [P A W; C W] W^T and
+    L the right null space of M."""
+    BD = np.vstack([sys.B, sys.D])
+    P = np.eye(sys.n_states) - W @ W.T
+    M = np.vstack([P @ sys.B, sys.D])
+    R = np.vstack([P @ sys.A @ W, sys.C @ W])
+    U, s, Vh = np.linalg.svd(M)
+    scale = np.linalg.norm(BD, 2) if BD.size else 0.0
+    rho = int(np.count_nonzero(s > 64 * max(BD.shape) * np.finfo(float).eps * scale))
+    F_V = -Vh[:rho].T @ np.diag(1.0 / s[:rho]) @ U[:, :rho].T @ R
+    return F_V @ W.T, Vh[rho:].T
+
+
 class TestStaircaseFriend:
     def test_f_and_l_match_output_nulling_friend(self):
         # F is the minimum-norm friend, unique for a given basis; L is unique
@@ -320,7 +322,7 @@ class TestStaircaseFriend:
         for _ in range(100):
             sys = _random_system(rng)
             V, F, L = weakly_unobservable(sys)
-            F_ref, L_ref = output_nulling_friend(sys, V)
+            F_ref, L_ref = _output_nulling_friend(sys, V.basis)
             assert np.max(np.abs(F - F_ref), initial=0.0) <= EQUALITY_TOL
             assert L.shape == L_ref.shape
             assert np.max(np.abs(L @ L.T - L_ref @ L_ref.T), initial=0.0) <= EQUALITY_TOL

@@ -1,5 +1,8 @@
 """Every example in the README must actually run and print what it claims."""
 
+import dataclasses
+import importlib
+import inspect
 import json
 import re
 from pathlib import Path
@@ -45,3 +48,31 @@ def test_heat_demo_prints_documented_table(tmp_path, capsys):
         "max_replay_error = 0.001311",
     ):
         assert line in out
+
+
+def _resolves(module, name: str) -> bool:
+    """Whether ``name`` is an attribute of ``module``, or an attribute or
+    dataclass field of a class that the module defines or imports."""
+    if hasattr(module, name):
+        return True
+    classes = [obj for obj in vars(module).values() if inspect.isclass(obj)]
+    return any(
+        hasattr(cls, name)
+        or (dataclasses.is_dataclass(cls) and name in {f.name for f in dataclasses.fields(cls)})
+        for cls in classes
+    )
+
+
+def test_modules_table_names_resolve():
+    # A name a deletion leaves in the table is caught here; each part of a
+    # dotted name must resolve on its own.
+    section = README.read_text().split("## Modules", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(dae2ode\.\w+)` +\|(.*)\|$", section, flags=re.M)
+    assert len(rows) == 8
+    stale = []
+    for module_name, contents in rows:
+        module = importlib.import_module(module_name)
+        for name in re.findall(r"`([^`]*)`", contents):
+            assert re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*", name), name
+            stale += [f"{module_name}: {name}" for part in name.split(".") if not _resolves(module, part)]
+    assert not stale, stale

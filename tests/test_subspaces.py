@@ -14,13 +14,11 @@ from dae2ode import (
     OdeLti,
     Subspace,
     image,
-    intersect,
     kernel,
     pinv,
     preimage,
     rank,
     stabilizability_subspace,
-    subspace_sum,
     weakly_unobservable,
     wong_limit,
 )
@@ -114,40 +112,6 @@ class TestKernel:
         assert np.allclose(K.basis.T @ np.ones(3), 0.0, atol=1e-12)
 
 
-class TestSumIntersect:
-    def test_axis_sum(self):
-        S = subspace_sum(axis(3, 0), axis(3, 1))
-        assert S.equals(axis(3, 0, 1))
-
-    def test_sum_with_zero_is_identity(self):
-        U = image(np.random.default_rng(3).standard_normal((4, 2)))
-        assert subspace_sum(U, image(np.zeros((4, 1)))).equals(U)
-
-    def test_sum_idempotent(self):
-        U = image(np.random.default_rng(4).standard_normal((4, 2)))
-        assert subspace_sum(U, U).equals(U)
-
-    def test_plane_intersection(self):
-        xy = axis(3, 0, 1)
-        yz = axis(3, 1, 2)
-        assert intersect(xy, yz).equals(axis(3, 1))
-
-    def test_intersect_with_full_space(self):
-        U = image(np.random.default_rng(5).standard_normal((4, 2)))
-        assert intersect(U, image(np.eye(4))).equals(U)
-
-    def test_orthogonal_complements_intersect_trivially(self):
-        assert intersect(axis(4, 0, 1), axis(4, 2, 3)).dim == 0
-
-    def test_modular_law_on_random_pairs(self):
-        rng = np.random.default_rng(6)
-        for _ in range(100):
-            amb = int(rng.integers(1, 8))
-            U = image(rng.standard_normal((amb, int(rng.integers(1, amb + 1)))))
-            W = image(rng.standard_normal((amb, int(rng.integers(1, amb + 1)))))
-            assert intersect(U, W).dim + subspace_sum(U, W).dim == U.dim + W.dim
-
-
 class TestPreimage:
     def test_identity_map(self):
         W = axis(3, 0, 2)
@@ -192,8 +156,6 @@ class TestSubspaceInvariants:
         produced = [
             U,
             W,
-            subspace_sum(U, W),
-            intersect(U, W),
             preimage(random_rank(n, n), U),
             wong_limit(dae),
             weakly_unobservable(OdeLti(A, B, random_rank(p, n), random_rank(p, s)))[0],
@@ -225,6 +187,19 @@ class TestSubspaceInvariants:
             rank(np.array([[np.nan, 0.0]]))
         with pytest.raises(ValueError):
             image(np.array([[np.inf], [0.0]]))
+
+    def test_complex_entries_rejected(self):
+        # A cast to float would drop the imaginary parts: rank(diag(1j, 1j))
+        # would read 0 and E = [[1 + 1j]] would be stored as [[1]].
+        with pytest.raises(ValueError, match="matrix must be real"):
+            rank(np.diag([1j, 1j]))
+        with pytest.raises(ValueError, match="E must be real"):
+            DaeLti([[1.0 + 1.0j]], [[1.0]], [[1.0]])
+        with pytest.raises(ValueError, match="C must be real"):
+            OdeLti([[-1.0]], [[1.0]], np.array([[1.0]], dtype=complex), [[0.0]])
+        # A complex dtype is refused even when every imaginary part is zero.
+        with pytest.raises(ValueError, match="A must be real"):
+            OdeLti(np.eye(1, dtype=complex), [[1.0]], [[1.0]], [[0.0]])
 
 
 class TestThresholdsInOnePlace:
