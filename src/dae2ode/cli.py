@@ -20,8 +20,9 @@ decision (default max(rows, cols) * machine epsilon); it reaches
 `associate`, which records it on the realization for every later decision,
 and the impulse-controllability test, and nothing else.
 
-Exit codes: 0 success; 1 parse, shape, or usage error; 2 the problem is
-not behaviorally stabilizable; 3 the initial value is not consistent.
+Exit codes: 0 success; 1 parse, shape, or usage error, or a request too
+large for memory; 2 the problem is not behaviorally stabilizable; 3 the
+initial value is not consistent.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .associate import associate, lift_solution, verify_associated
 from .dae import Trajectory, impulse_controllable, pencil_stabilizability_test
 from .errors import Dae2OdeError, InconsistentInitialState, NotStabilizable
 from .heat import HeatConfig, run_heat_benchmark
-from .lq import finite_horizon, infinite_horizon
+from .lq import _internal_start, finite_horizon, infinite_horizon
 from .matio import (
     _format_rows,
     format_matrix,
@@ -234,11 +235,10 @@ def _cmd_simulate(args) -> int:
     problem = load_problem(args.problem)
     z = _require_z(args, problem)
     assoc = associate(problem.dae, tol=args.tol)
-    if not assoc.consistency_set.contains_vector(z):
-        raise InconsistentInitialState("z is not a consistent value Ex(0)")
+    v0 = _internal_start(assoc, z)
     steps = args.steps if args.steps is not None else 1000
     times = np.linspace(0.0, args.horizon, steps + 1)
-    traj = lift_solution(assoc, assoc.M @ z, None, times)
+    traj = lift_solution(assoc, v0, None, times)
     out_dir = _prepare_out_dir(args)
     _emit_trajectory("trajectory", traj, out_dir)
     print(f"samples: {len(times)}")
@@ -313,6 +313,9 @@ def main(argv=None) -> int:
         return 1
     except (ValueError, KeyError, OSError) as exc:
         print(f"dae2ode: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"dae2ode: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .subspaces import (
     Subspace,
+    _orthonormal,
     ensure_matrix,
-    full_space,
     image,
     kernel,
     preimage,
@@ -97,20 +97,25 @@ class Trajectory:
 def wong_limit(dae: DaeLti, tol: float | None = None) -> Subspace:
     """Limit of the augmented Wong sequence V_0 = R^n, V_{i+1} = A^{-1}(E V_i + im B).
 
-    The iterates are nested and decreasing, so the fixed point is reached as
-    soon as an iterate reproduces itself; a hard cap of n + 1 steps applies.
-    Every rank decision, the sum E V_i + im B's included, is taken at ``tol``.
+    The sequence is nested, so each step is taken inside the last iterate:
+    on an orthonormal basis W of V_i, V_{i+1} = W (A W)^{-1}(E V_i + im B).
+    A step that keeps the dimension keeps the subspace, which is then the
+    limit; any other step lowers the dimension, so at most n + 1 steps run.
+    Every rank decision, the sum E V_i + im B's included, is taken at
+    ``tol``; the preimage under A W is decided against ||A||, as on the
+    whole space, so an iterate inside ker A, where A W is only rounding
+    noise, is kept.
     """
     im_B = image(dae.B, tol)
-    V = full_space(dae.n)
-    for _ in range(dae.n + 1):
-        EV = image(dae.E @ V.basis, tol)
+    norm_A = np.linalg.norm(dae.A, 2) if dae.A.size else 0.0
+    W = np.eye(dae.n)
+    while True:
+        EV = image(dae.E @ W, tol)
         target = image(np.hstack([EV.basis, im_B.basis]), tol)
-        V_next = preimage(dae.A, target, tol)
-        if V_next.dim == V.dim and V.equals(V_next):
-            return V_next
-        V = V_next
-    return V
+        step = preimage(dae.A @ W, target, tol, norm_A)
+        if step.dim == W.shape[1]:
+            return _orthonormal(W)
+        W = W @ step.basis
 
 
 def impulse_controllable(dae: DaeLti, tol: float | None = None) -> bool:

@@ -234,11 +234,12 @@ def _feedback_forms(C_cl: np.ndarray, ME: np.ndarray, n: int):
     return K1[..., n:, :], K1, K2
 
 
-def _internal_start(dae: DaeLti, assoc: AssociatedOdeLti, z) -> np.ndarray:
+def _internal_start(assoc: AssociatedOdeLti, z) -> np.ndarray:
     """The internal state M z of a consistent initial value z = Ex(0)."""
     z = np.asarray(z, dtype=float).reshape(-1)
-    if z.shape[0] != dae.c:
-        raise ValueError(f"z must have length {dae.c}")
+    c = assoc.EC_s.shape[0]
+    if z.shape[0] != c:
+        raise ValueError(f"z must have length {c}")
     if not assoc.consistency_set.contains_vector(z):
         raise InconsistentInitialState(
             "z is not in the consistency set image(E C_s); no solution starts there"
@@ -376,7 +377,7 @@ def finite_horizon(
     The optimal pair is (x*, u*)(s) = (C_l - D_l K(t1 - s)) v(s) with
     v' = (A_l - B_l K(t1 - s)) v, v(0) = M z; the cost is M(z)'P(t1)M(z).
     """
-    v0 = _internal_start(dae, assoc, z)
+    v0 = _internal_start(assoc, z)
     P_samples, K_samples, Phi = solve_dre(assoc, w, t1, steps)
     n_nodes, n_hat = P_samples.shape[:2]
     grid = np.linspace(0.0, t1, n_nodes)
@@ -492,7 +493,7 @@ def is_behaviorally_stabilizable(dae: DaeLti, assoc: AssociatedOdeLti, z) -> boo
     Requires z consistent; the criterion is membership of M(z) in the
     stabilizability subspace of (A_l, B_l).
     """
-    v = _internal_start(dae, assoc, z)
+    v = _internal_start(assoc, z)
     return assoc.restriction.subspace.contains_vector(v)
 
 
@@ -514,7 +515,7 @@ def infinite_horizon(
 
     Raises NotStabilizable exactly when no behavior trajectory from z decays.
     """
-    v_full = _internal_start(dae, assoc, z)
+    v_full = _internal_start(assoc, z)
     restr = assoc.restriction
     if not restr.subspace.contains_vector(v_full):
         raise NotStabilizable(
@@ -614,7 +615,7 @@ def closed_loop_replay(
     a z outside the consistency set.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
-    _internal_start(dae, assoc, z)
+    _internal_start(assoc, z)
     traj = solution.traj
     gap = np.linalg.norm(dae.E @ traj.x[0] - z)
     if gap > EQUALITY_TOL * max(1.0, np.linalg.norm(z)):

@@ -14,7 +14,8 @@ Conventions
   ``preimage`` and the staircase pass a larger reference scale, the norm
   of the unprojected map (``_projection_rule``), so that a map composed
   with an orthogonal projector does not acquire spurious rank from
-  round-off residue.
+  round-off residue; ``wong_limit`` raises it further to ``||A||`` for
+  its restrictions A W.
 * ``tol`` is only ever that relative singular-value cutoff.  ``associate``
   records it on the realization, and every later rank decision about that
   realization reads it from there; the CLI's ``--tol`` sets it.
@@ -233,14 +234,19 @@ def _rank_from_singular_values(
     return int(np.count_nonzero(s > tol * ref))
 
 
-def preimage(M, W: Subspace, tol: float | None = None) -> Subspace:
+def preimage(
+    M, W: Subspace, tol: float | None = None, scale: float | None = None
+) -> Subspace:
     """{x : M x in W}, the kernel of the projection of M onto W's complement.
 
     The rank decision inside the kernel uses ``||M||`` as the reference scale,
     so a map landing entirely inside W (projected matrix numerically zero)
     yields the full source space instead of noise-rank artifacts.  Forming
     the projection costs a few rounding multiples of ``eps·||M||``, so the
-    default tolerance multiplier is inflated accordingly.
+    default tolerance multiplier is inflated accordingly.  A larger
+    ``scale``, as in :func:`kernel`, raises that reference: for M = A W, a
+    map restricted to a subspace, pass ``||A||`` so that a restriction
+    which is only rounding noise of A is not given full rank.
     """
     M = ensure_matrix(M)
     if M.shape[0] != W.ambient_dim:
@@ -248,9 +254,10 @@ def preimage(M, W: Subspace, tol: float | None = None) -> Subspace:
     if W.dim == W.ambient_dim:
         return full_space(M.shape[1])
     if W.dim == 0:
-        return kernel(M, tol)
+        return kernel(M, tol, scale)
     proj_out = M - W.basis @ (W.basis.T @ M)
-    return kernel(proj_out, *_projection_rule(M, tol))
+    tol, ref = _projection_rule(M, tol)
+    return kernel(proj_out, tol, ref if scale is None else max(ref, scale))
 
 
 def _projection_rule(M: np.ndarray, tol: float | None) -> tuple[float, float]:

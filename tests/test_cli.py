@@ -243,6 +243,54 @@ def test_negative_steps_is_a_usage_error(tmp_path, capsys, command):
     assert err == "dae2ode: simulation requires at least one time sample\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "lq-infinite", "lq-finite"])
+def test_wrong_length_z_is_a_usage_error(tmp_path, capsys, command):
+    # All three take z through the same consistent-start check.
+    path = ex1_problem(tmp_path, Q=np.eye(3).tolist(), R=[[1.0]], t1=1.0)
+    rc = main([command, path, "--z", "1,7,3"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == "dae2ode: z must have length 2\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lq-finite", "{problem}", "--t1", "1", "--steps", "100000000000"],
+        ["heat-demo", "--N", "6", "--Nu", "4", "--mode", "3", "--T", "1e15"],
+    ],
+    ids=["lq_finite_steps", "heat_demo_horizon"],
+)
+def test_allocation_failure_is_reported_not_raised(tmp_path, argv):
+    # A 2.91 TiB P stack and a 6.94 EiB time grid.  The child's address
+    # space is capped at 3 GiB, so the allocation fails whatever the host's
+    # overcommit policy.  One thread per BLAS and OpenMP runtime keeps
+    # their arenas from using up the cap before the package is imported.
+    resource = pytest.importorskip("resource")
+
+    def cap_address_space():
+        limit = 3 * 2**30
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    problem = ex1_problem(tmp_path, Q=np.eye(3).tolist(), R=[[1.0]], z=[1.0, 7.0])
+    argv = [a.replace("{problem}", problem) for a in argv]
+    argv += ["--out-dir", str(tmp_path / "out")]
+    src = str(Path(dae2ode.__file__).resolve().parent.parent)
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = dict(os.environ, PYTHONPATH=src, **dict.fromkeys(threads, "1"))
+    run = subprocess.run(
+        [sys.executable, "-m", "dae2ode.cli", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+        preexec_fn=cap_address_space,
+    )
+    assert run.returncode == 1, run.stderr
+    assert run.stderr.startswith("dae2ode: out of memory: ")
+    assert "Traceback" not in run.stderr
+
+
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command", ["lq-infinite", "lq-finite", "simulate"])
 class TestNonFiniteInitialValue:

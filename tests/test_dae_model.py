@@ -13,12 +13,13 @@ from dae2ode import (
     image,
     impulse_controllable,
     lift_solution,
+    verify_associated,
     wong_limit,
 )
 from dae2ode.dae import pencil_stabilizability_test
 from dae2ode.subspaces import _rank_from_singular_values
 
-from conftest import random_dae
+from conftest import conditioned, random_dae
 
 
 def pencil_rank_probe(dae: DaeLti, lam: complex) -> int:
@@ -26,6 +27,18 @@ def pencil_rank_probe(dae: DaeLti, lam: complex) -> int:
     rank rule on a complex SVD."""
     M = np.hstack([lam * dae.E - dae.A, dae.B.astype(complex)])
     return _rank_from_singular_values(M, np.linalg.svd(M, compute_uv=False), None)
+
+
+def _orthogonal(k, rng):
+    return np.linalg.qr(rng.standard_normal((k, k)))[0]
+
+
+def integrator_chain(n, change, rng) -> DaeLti:
+    """E = S N T, A = S T, B = S e_1 with N the n x n upper shift and S, T
+    drawn by ``change``: u is free, T x = (-u, 0, ..., 0), so n_hat = 0,
+    k = 1 and the Wong limit is T^{-1} span(e_1)."""
+    S, T = change(n, rng), change(n, rng)
+    return DaeLti(S @ np.eye(n, k=1) @ T, S @ T, S[:, :1])
 
 
 class TestWongLimit:
@@ -41,6 +54,48 @@ class TestWongLimit:
         V = wong_limit(dae)
         assert V.dim == 1
         assert V.contains_vector(np.array([1.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "change, tol",
+        [(_orthogonal, 1e-12), (lambda k, rng: conditioned(k, 100.0, rng), 1e-10)],
+        ids=["orthogonal", "condition_100"],
+    )
+    def test_integrator_chains_are_verified(self, change, tol):
+        # Ten chains at each n, seed 2.  The iterates must stay nested: an
+        # iterate recomputed on the whole space picks up the rounding of
+        # E V_i off ker E and stops above dimension 1.  Each change runs
+        # at a fixed cutoff, since the default one still misjudges a few
+        # chains.
+        rng = np.random.default_rng(2)
+        for n in (3, 5, 8, 12, 20, 40):
+            for idx in range(10):
+                dae = integrator_chain(n, change, rng)
+                assoc = associate(dae, tol=tol)
+                assert wong_limit(dae, tol).dim == 1, f"n = {n}, chain {idx}"
+                assert (assoc.n_hat, assoc.k) == (0, 1), f"n = {n}, chain {idx}"
+                assert verify_associated(dae, assoc).ok, f"n = {n}, chain {idx}"
+
+    @pytest.mark.parametrize("family", ["free_and_zero", "static_kernel"])
+    def test_limit_inside_ker_A_is_kept(self, family):
+        # The limit lies in ker A, so A W on the last iterate is rounding
+        # noise of A.  Judged against its own size that noise has full
+        # rank and the limit would shrink to {0}; judged against ||A|| the
+        # limit keeps dimension 1.  "free_and_zero" is x1' = u, 0 = x2 and
+        # "static_kernel" is 0 = A x with A of rank n - 1 and no input,
+        # each under random orthogonal S and T.
+        rng = np.random.default_rng(7)
+        for idx in range(20):
+            if family == "free_and_zero":
+                S, T = _orthogonal(2, rng), _orthogonal(2, rng)
+                E, A, B = np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), np.eye(2, 1)
+            else:
+                S, T = _orthogonal(3, rng), _orthogonal(3, rng)
+                E, A, B = np.zeros((3, 3)), np.diag([1.0, 2.0, 0.0]), np.zeros((3, 1))
+            dae = DaeLti(S @ E @ T, S @ A @ T, S @ B)
+            V = wong_limit(dae)
+            assert V.dim == 1, f"{family} {idx}"
+            assert V.contains_vector(T.T[:, -1] if family == "static_kernel" else T.T[:, 0])
+            assert verify_associated(dae, associate(dae)).ok, f"{family} {idx}"
 
 
 class TestConsistencySpace:

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.integrate import simpson
+from scipy.integrate import simpson, solve_ivp
 
 from dae2ode import (
     AssociatedOdeLti,
@@ -1018,7 +1018,8 @@ def index_one_instance(rng, cond, planted, refused):
     that eliminating x2 leaves x1' = A_hat x1 + B_hat (x3, u) with k unstable
     modes in the last k coordinates of x1 that (x3, u) cannot reach: k >= 1
     when ``planted``, else 0.  z = E x(0) has x1(0) with a nonzero part
-    there exactly when ``refused``.
+    there exactly when ``refused``.  S is returned last, since a terminal
+    weight Q0 on E x reads (S' Q0 S)[:r, :r] on x1.
     """
     r = int(rng.integers(2 if planted else 1, 5))
     q, f = (int(v) for v in rng.integers(0, 3, 2))
@@ -1048,22 +1049,18 @@ def index_one_instance(rng, cond, planted, refused):
     if not refused:
         x1[s:] = 0.0
     z = S @ np.concatenate([x1, np.zeros(q)])
-    return dae, w, z, (A_t, B_t, T.T @ w.Q @ T, w.R, r, k, x1)
+    return dae, w, z, (A_t, B_t, T.T @ w.Q @ T, w.R, r, k, x1), S
 
 
-def elimination_oracle(A_t, B_t, Q_t, R, r, k, x1):
-    """The optimal cost from x1(0) by eliminating x2 (Cobb 1983; Bender &
+def eliminated_system(A_t, B_t, Q_t, R, r):
+    """(F, G, W) of the problem left by eliminating x2 (Cobb 1983; Bender &
     Laub 1987), in hidden coordinates, where the state weight is Q_t.
 
     (x1, x2, x3, u) = Pi (x1, x3, u) with x2 = -A22^-1 (A21 x1 + A23 x3 +
-    B2 u), so x1' = [A11 A12 A13 B1] Pi (x1, x3, u) and the cost integrand is
-    (x1, x3, u)' Pi' diag(Q_t, R) Pi (x1, x3, u), cross-weighted.  SciPy's
-    CARE with ``s=`` solves it on the first r - k coordinates of x1, the
-    reachable ones.  None when x1(0) has a part in the last k, which no
-    input brings to rest.
+    B2 u), so x1' = F x1 + G (x3, u) with [F G] = [A11 A12 A13 B1] Pi, and
+    the cost integrand is (x1, x3, u)' W (x1, x3, u) with
+    W = Pi' diag(Q_t, R) Pi, cross-weighted.
     """
-    if np.any(x1[r - k :]):
-        return None
     c, n = A_t.shape
     rows = np.hstack([A_t, B_t])
     free = np.r_[0:r, c : rows.shape[1]]
@@ -1071,13 +1068,43 @@ def elimination_oracle(A_t, B_t, Q_t, R, r, k, x1):
     Pi[free, np.arange(free.size)] = 1.0
     Pi[r:c] = -np.linalg.solve(rows[r:, r:c], rows[r:, free])
     dyn = rows[:r] @ Pi
-    cost = Pi.T @ scipy.linalg.block_diag(Q_t, R) @ Pi
+    return dyn[:, :r], dyn[:, r:], Pi.T @ scipy.linalg.block_diag(Q_t, R) @ Pi
+
+
+def elimination_oracle(A_t, B_t, Q_t, R, r, k, x1):
+    """The optimal infinite-horizon cost from x1(0) on the eliminated
+    system.  SciPy's CARE with ``s=`` solves it on the first r - k
+    coordinates of x1, the reachable ones.  None when x1(0) has a part in
+    the last k, which no input brings to rest.
+    """
+    if np.any(x1[r - k :]):
+        return None
+    F, G, W = eliminated_system(A_t, B_t, Q_t, R, r)
     s = r - k
-    keep = np.r_[0:s, r : free.size]
-    A_hat, B_hat = dyn[:s, :s], dyn[:s, r:]
-    W = cost[np.ix_(keep, keep)]
-    P = scipy.linalg.solve_continuous_are(A_hat, B_hat, W[:s, :s], W[s:, s:], s=W[:s, s:])
+    keep = np.r_[0:s, r : W.shape[0]]
+    W = W[np.ix_(keep, keep)]
+    P = scipy.linalg.solve_continuous_are(F[:s, :s], G[:s], W[:s, :s], W[s:, s:], s=W[:s, s:])
     return float(x1[:s] @ P @ x1[:s])
+
+
+def finite_elimination_oracle(A_t, B_t, Q_t, R, r, x1, Q0_t, t1):
+    """The optimal cost x1(0)' P(t1) x1(0) over [0, t1] on the eliminated
+    system, with terminal weight Q0_t on x1(t1).  P(tau), tau the time to
+    go, solves dP/dtau = F'P + PF - (PG + N) W_vv^-1 (G'P + N') + W_xx from
+    P(0) = Q0_t, with W = [[W_xx, N], [N', W_vv]]; ``solve_ivp`` integrates
+    it with DOP853, sharing no code with ``solve_dre``.
+    """
+    F, G, W = eliminated_system(A_t, B_t, Q_t, R, r)
+    W_xx, N, W_vv = W[:r, :r], W[:r, r:], W[r:, r:]
+
+    def rhs(_, p):
+        P = p.reshape(r, r)
+        PG_N = P @ G + N
+        return (F.T @ P + P @ F - PG_N @ np.linalg.solve(W_vv, PG_N.T) + W_xx).ravel()
+
+    run = solve_ivp(rhs, (0.0, t1), Q0_t.ravel(), method="DOP853", rtol=1e-12, atol=1e-13)
+    assert run.success, run.message
+    return float(x1 @ run.y[:, -1].reshape(r, r) @ x1)
 
 
 class TestEliminationOracle:
@@ -1095,7 +1122,7 @@ class TestEliminationOracle:
             rng = np.random.default_rng(int(cond))
             for i in range(140):
                 planted = i % 4 >= 2
-                dae, w, z, data = index_one_instance(rng, cond, planted, i % 4 == 3)
+                dae, w, z, data, _ = index_one_instance(rng, cond, planted, i % 4 == 3)
                 expected = elimination_oracle(*data)
                 assoc = associate(dae, tol=1e-10 if planted else None)
                 assert is_behaviorally_stabilizable(dae, assoc, z) == (expected is not None)
@@ -1108,3 +1135,20 @@ class TestEliminationOracle:
                 assert abs(cost - expected) <= bound * expected, (cond, i, cost, expected)
                 solved += 1
         assert solved >= 300 and refused >= 50
+
+    def test_finite_horizon_agrees_with_elimination(self):
+        # No planted modes.  Every other instance has an SPD terminal
+        # weight Q0 on E x(t1), the rest none.  The bounds on the relative
+        # cost gap are fixed before the run.
+        bounds = {1.0: 1e-9, 30.0: 1e-9, 300.0: 1e-8}
+        for cond, bound in bounds.items():
+            rng = np.random.default_rng(1000 + int(cond))
+            for i in range(30):
+                dae, w, z, data, S = index_one_instance(rng, cond, False, False)
+                A_t, B_t, Q_t, R, r, _, x1 = data
+                if i % 2 == 0:
+                    w = dataclasses.replace(w, Q0=random_spd(dae.c, rng))
+                Q0_t = (S.T @ w.Q0 @ S)[:r, :r]
+                expected = finite_elimination_oracle(A_t, B_t, Q_t, R, r, x1, Q0_t, 1.0)
+                cost = finite_horizon(dae, associate(dae), w, z, 1.0).cost
+                assert abs(cost - expected) <= bound * expected, (cond, i, cost, expected)
