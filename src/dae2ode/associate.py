@@ -45,7 +45,6 @@ from .subspaces import (
     ROUND_TRIP_TOL,
     Subspace,
     _rank_from_singular_values,
-    default_rank_tol,
     image,
     pinv,
     rank,
@@ -67,35 +66,34 @@ __all__ = [
 class AssociatedOdeLti:
     """State-space realization (A_l, B_l, C_l, D_l) of a DAE-LTI behavior.
 
-    The output dimension is n + m and splits into the state part (first n
-    rows, maps C_s / D_s) and the input part (last m rows, maps C_u / D_u).
-    The input g has k components; a behavior with no free input has k = 0,
-    and B_l and D_l then have no columns.
-    ``M`` is the state map pinv(E C_s) and ``EC_s`` caches the product
-    E @ C_s (full column rank by construction).  ``tol`` is the relative
-    singular-value cutoff the realization was built with (None for the
-    default rule); every later rank decision about it reads ``tol`` from
-    here: the consistency set, the stabilizability subspace and its test,
-    the pseudo-inverses of ``project_solution`` and ``feedback_equivalence``
-    and the rank checks of ``verify_associated``.
+    The n + m outputs split into the state part (first n rows, maps C_s /
+    D_s) and the input part (last m rows, C_u / D_u), n the column count of
+    the DAE's ``E``, which the realization records.  The input g has k
+    components; with no free input k = 0, and B_l and D_l have no columns.
+    ``tol`` is the relative singular-value cutoff the realization was built
+    with (None for the default rule), read by every later rank decision.
 
-    Two derived objects are computed on first use and kept on the instance:
-    ``consistency_set``, image(EC_s) at ``tol``, and ``restriction``, the
-    restriction to the stabilizability subspace of (A_l, B_l).  Every LQ
-    call on the realization reads them from there, so they and the fields
-    are never modified in place; ``dataclasses.replace`` gives a fresh
-    realization that computes both anew.
+    Computed on first use and kept: ``EC_s`` = E @ C_s (full column rank by
+    construction), the state map ``M`` = pinv(EC_s) sending z = Ex to the
+    internal state, ``consistency_set`` = image(EC_s) and ``restriction``,
+    to the stabilizability subspace of (A_l, B_l).  So no field is modified
+    in place; ``dataclasses.replace`` gives a fresh realization.
     """
 
     A_l: np.ndarray
     B_l: np.ndarray
     C_l: np.ndarray
     D_l: np.ndarray
-    M: np.ndarray
-    EC_s: np.ndarray
-    n: int
-    m: int
+    E: np.ndarray
     tol: float | None = None
+
+    @property
+    def n(self) -> int:
+        return self.E.shape[1]
+
+    @property
+    def m(self) -> int:
+        return self.C_l.shape[0] - self.n
 
     @property
     def n_hat(self) -> int:
@@ -123,6 +121,14 @@ class AssociatedOdeLti:
 
     def as_ode(self) -> OdeLti:
         return OdeLti(self.A_l, self.B_l, self.C_l, self.D_l)
+
+    @cached_property
+    def EC_s(self) -> np.ndarray:
+        return self.E @ self.C_s
+
+    @cached_property
+    def M(self) -> np.ndarray:
+        return pinv(self.EC_s, self.tol)
 
     @cached_property
     def consistency_set(self) -> Subspace:
@@ -167,7 +173,7 @@ def associate(
     equivalent realizations (useful for equivalence testing).
     """
     E, A, B = dae.E, dae.A, dae.B
-    c, n, m = dae.c, dae.n, dae.m
+    c, n = dae.c, dae.n
 
     U, sigma, Vh = np.linalg.svd(E)
     r = _rank_from_singular_values(E, sigma, tol)
@@ -205,12 +211,7 @@ def associate(
 
     A_l = P.T @ (At + G @ F) @ P
     B_l = P.T @ (G @ L)
-    C_l = C_bar @ P
-    D_l = D_bar
-    C_s = C_l[:n]
-    EC_s = E @ C_s
-    M = pinv(EC_s, tol)
-    return AssociatedOdeLti(A_l, B_l, C_l, D_l, M, EC_s, n, m, tol)
+    return AssociatedOdeLti(A_l, B_l, C_bar @ P, D_bar, E, tol)
 
 
 @dataclass
@@ -236,24 +237,24 @@ class AssociationReport:
 def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     """Check the defining invariants and decide realization exactly.
 
-    Given E D_s = 0, every output of ``sys`` solves the DAE if and only if
-    E C_s A_l = A C_s + B C_u and E C_s B_l = A D_s + B D_u; the larger
-    residual, relative to (1 + the largest norm of E, A, B, A_l, B_l, C_l,
-    D_l)^2, must not exceed ``EQUALITY_TOL``.  Every solution is an output
-    if and only if im(E C_s) equals E times the Wong limit, the consistency
-    set computed independently of ``sys``.  Ranks and the Wong limit are
-    decided at ``sys.tol``.  The state map passes when ||M E C_s - I||_F is
-    at most n_hat max(``EQUALITY_TOL``, rho cond(E C_s)), with rho =
-    max(rows, cols) eps the default rank cutoff of E C_s: the rounding of a
-    pseudo-inverse grows with the condition number, and a well-conditioned
-    E C_s keeps the absolute bound.  One simulated round trip from a random
-    (v0, g) drawn from seed 0 checks ``lift_solution`` as well: the lifted
-    trajectory must satisfy the DAE within a central-difference residual of
-    ``ROUND_TRIP_TOL``.
+    The rank, identity and consistency checks read one product E C_s,
+    formed with the DAE's E.  Given E D_s = 0, every output of ``sys``
+    solves the DAE if and only if E C_s A_l = A C_s + B C_u and
+    E C_s B_l = A D_s + B D_u; the larger residual, relative to (1 + the
+    largest norm of E, A, B, A_l, B_l, C_l, D_l)^2, must not exceed
+    ``EQUALITY_TOL``.  Every solution is an output if and only if im(E C_s)
+    equals E times the Wong limit, the consistency set computed
+    independently of ``sys``.  Ranks and the Wong limit are decided at
+    ``sys.tol``.  M = pinv(E C_s) is built on ``sys.E``, so it is the state
+    map exactly when ``sys.E`` equals the DAE's E.  One simulated round
+    trip from a random (v0, g) drawn from seed 0 checks ``lift_solution`` as
+    well: the lifted trajectory must satisfy the DAE within a
+    central-difference residual of ``ROUND_TRIP_TOL``.
     """
     failures: list[str] = []
     E, A, B = dae.E, dae.A, dae.B
     tol = sys.tol
+    EC_s = E @ sys.C_s
 
     input_maps_ok = rank(sys.D_l, tol) == sys.k
     if not input_maps_ok:
@@ -264,32 +265,19 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     if not ed_s_zero:
         failures.append("E D_s is not zero")
 
-    sigma = np.linalg.svd(sys.EC_s, compute_uv=False)
-    ec_s_full_rank = _rank_from_singular_values(sys.EC_s, sigma, tol) == sys.n_hat
+    sigma = np.linalg.svd(EC_s, compute_uv=False)
+    ec_s_full_rank = _rank_from_singular_values(EC_s, sigma, tol) == sys.n_hat
     if not ec_s_full_rank:
         failures.append("E C_s does not have full column rank n_hat")
 
-    if sys.n_hat:
-        # pinv leaves M E C_s - I at the order of eps cond(E C_s), sized by
-        # the rank rule's default cutoff; a singular E C_s has no left inverse.
-        defect = np.linalg.norm(sys.M @ sys.EC_s - np.eye(sys.n_hat))
-        smallest = sigma[-1] if sigma.size == sys.n_hat else 0.0
-        rounding = default_rank_tol(sys.EC_s) * sigma[0]
-        state_map_ok = smallest > 0.0 and bool(
-            defect <= sys.n_hat * max(EQUALITY_TOL, rounding / smallest)
-        )
-    else:
-        state_map_ok = sys.M.shape == (0, dae.c)
+    state_map_ok = np.array_equal(sys.E, E)
     if not state_map_ok:
-        failures.append("state map M is not a left inverse of E C_s")
+        failures.append("state map M is built for a different E")
 
     state_dim_bound_ok = sys.n_hat <= rank(E, tol)
     if not state_dim_bound_ok:
         failures.append("state dimension exceeds rank E")
 
-    # Formed again rather than read from the cache, so that the exact checks
-    # below judge the quadruple (A_l, B_l, C_l, D_l) itself.
-    EC_s = E @ sys.C_s
     largest_norm = max(
         np.linalg.norm(M) for M in (E, A, B, sys.A_l, sys.B_l, sys.C_l, sys.D_l)
     )
@@ -311,14 +299,15 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     # ||E||, so that E V gets no rank decision of its own: along ker E its
     # singular values are rounding residue of size eps ||E||, which can pass
     # a threshold taken relative to its own largest singular value when E is
-    # badly scaled.
+    # badly scaled.  On an orthonormal basis of im C_s, one large column of
+    # C_s cannot hide the others.
     V = wong_limit(dae, tol).basis
     EV = E @ V
+    Q_c = np.linalg.qr(sys.C_s)[0]
     Q = image(EC_s, tol).basis
     norm_E = np.linalg.norm(E)
     consistency_ok = bool(
-        np.linalg.norm(EC_s - EV @ (V.T @ sys.C_s))
-        <= EQUALITY_TOL * norm_E * np.linalg.norm(sys.C_s)
+        np.linalg.norm(E @ Q_c - EV @ (V.T @ Q_c)) <= EQUALITY_TOL * norm_E
         and np.linalg.norm(EV - Q @ (Q.T @ EV)) <= EQUALITY_TOL * norm_E
     )
     if not consistency_ok:
@@ -370,14 +359,13 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
 
 
 def project_solution(
-    dae: DaeLti, assoc: AssociatedOdeLti, traj: Trajectory
+    assoc: AssociatedOdeLti, traj: Trajectory
 ) -> tuple[np.ndarray, np.ndarray]:
     """Recover the internal (v, g) samples of a behavior trajectory.
 
     v = M E x and g = pinv(D_l) ((x^T, u^T)^T - C_l M E x), samplewise.
     """
-    ME = assoc.M @ dae.E
-    v = traj.x @ ME.T
+    v = traj.x @ (assoc.M @ assoc.E).T
     w = np.hstack([traj.x, traj.u])
     g = (w - v @ assoc.C_l.T) @ pinv(assoc.D_l, assoc.tol).T
     return v, g

@@ -236,6 +236,8 @@ def _cmd_simulate(args) -> int:
     z = _require_z(args, problem)
     assoc = associate(problem.dae, tol=args.tol)
     v0 = _internal_start(assoc, z)
+    if not np.isfinite(args.horizon):
+        raise ValueError("--horizon must be finite")
     steps = args.steps if args.steps is not None else 1000
     times = np.linspace(0.0, args.horizon, steps + 1)
     traj = lift_solution(assoc, v0, None, times)

@@ -237,7 +237,7 @@ def _feedback_forms(C_cl: np.ndarray, ME: np.ndarray, n: int):
 def _internal_start(assoc: AssociatedOdeLti, z) -> np.ndarray:
     """The internal state M z of a consistent initial value z = Ex(0)."""
     z = np.asarray(z, dtype=float).reshape(-1)
-    c = assoc.EC_s.shape[0]
+    c = assoc.E.shape[0]
     if z.shape[0] != c:
         raise ValueError(f"z must have length {c}")
     if not assoc.consistency_set.contains_vector(z):
@@ -289,12 +289,12 @@ def solve_dre(
     right-hand side: f^d(P) = H_d + A_d'Z A_d with (I + P G_d) Z = P, and the
     fixed A_d and G_d act on the stack's rows in one matrix product each.
     The steps are exact up to rounding; every P is symmetrized.  ``steps``
-    defaults to max(2000, ceil(1000 t1)).
+    defaults to max(2000, ceil(1000 t1)); t1 must be positive and finite.
 
     Raises NonFiniteP, naming the first node, when P overflows.
     """
-    if t1 <= 0:
-        raise ValueError("t1 must be positive")
+    if not 0.0 < t1 < np.inf:
+        raise ValueError("t1 must be positive and finite")
     if steps is None:
         steps = max(2000, int(np.ceil(1000.0 * t1)))
     if steps < 100:
@@ -376,6 +376,7 @@ def finite_horizon(
 
     The optimal pair is (x*, u*)(s) = (C_l - D_l K(t1 - s)) v(s) with
     v' = (A_l - B_l K(t1 - s)) v, v(0) = M z; the cost is M(z)'P(t1)M(z).
+    ``dae`` is not consulted (E is ``assoc.E``); the benchmark still passes it.
     """
     v0 = _internal_start(assoc, z)
     P_samples, K_samples, Phi = solve_dre(assoc, w, t1, steps)
@@ -388,7 +389,7 @@ def finite_horizon(
     DK = assoc.D_l @ K_samples.swapaxes(0, 1).reshape(assoc.k, n_nodes * n_hat)
     C_cl = assoc.C_l - DK.reshape(p, n_nodes, n_hat).swapaxes(0, 1)[::-1]
     n = assoc.n
-    K_f_samples, K1_samples, K2 = _feedback_forms(C_cl, assoc.M @ dae.E, n)
+    K_f_samples, K1_samples, K2 = _feedback_forms(C_cl, assoc.M @ assoc.E, n)
     Kv = np.einsum("ijk,ik->ij", K_samples[::-1], v_samples)
     outputs = v_samples @ assoc.C_l.T - Kv @ assoc.D_l.T
     traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
@@ -491,7 +492,8 @@ def is_behaviorally_stabilizable(dae: DaeLti, assoc: AssociatedOdeLti, z) -> boo
     """Whether some behavior trajectory has Ex(0) = z and x(t) -> 0.
 
     Requires z consistent; the criterion is membership of M(z) in the
-    stabilizability subspace of (A_l, B_l).
+    stabilizability subspace of (A_l, B_l).  ``dae`` is not consulted; the
+    benchmark still passes it.
     """
     v = _internal_start(assoc, z)
     return assoc.restriction.subspace.contains_vector(v)
@@ -510,11 +512,15 @@ def infinite_horizon(
     Restricts the associated system to its stabilizability subspace, solves
     the ARE there, and forms the optimal pair
     (x*, u*)(s) = (C_g - D_g K) e^{(A_g - B_g K)s} M_g z with cost
-    (M_g z)' P (M_g z).  The trajectory field samples [0, T_sim] (default
-    50/|closed-loop abscissa|, capped at 1e4) exactly, through ``simulate``.
+    (M_g z)' P (M_g z).  The trajectory field samples [0, T_sim] (finite;
+    default 50/|closed-loop abscissa|, capped at 1e4) exactly, through
+    ``simulate``.  ``dae`` is not consulted (E is ``assoc.E``); the
+    benchmark still passes it.
 
     Raises NotStabilizable exactly when no behavior trajectory from z decays.
     """
+    if T_sim is not None and not np.isfinite(T_sim):
+        raise ValueError("the sampling horizon T_sim must be finite")
     v_full = _internal_start(assoc, z)
     restr = assoc.restriction
     if not restr.subspace.contains_vector(v_full):
@@ -537,7 +543,7 @@ def infinite_horizon(
     traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
 
     K_z = cl.C[n:] @ restr.M_g
-    K_f, K1, K2 = _feedback_forms(cl.C, restr.M_g @ dae.E, n)
+    K_f, K1, K2 = _feedback_forms(cl.C, restr.M_g @ assoc.E, n)
     cost = float(v0 @ P @ v0)
     return InfiniteHorizonSolution(
         P, K, K_f, K_z, K1, K2, traj, cost, abscissa, restr, v0
@@ -612,12 +618,13 @@ def closed_loop_replay(
 
     Raises ConstraintViolated when a check fails, and, as the solvers do,
     ValueError for a z of the wrong length and InconsistentInitialState for
-    a z outside the consistency set.
+    a z outside the consistency set.  ``dae`` is not consulted (E is
+    ``assoc.E``); the benchmark still passes it.
     """
     z = np.asarray(z, dtype=float).reshape(-1)
     _internal_start(assoc, z)
     traj = solution.traj
-    gap = np.linalg.norm(dae.E @ traj.x[0] - z)
+    gap = np.linalg.norm(assoc.E @ traj.x[0] - z)
     if gap > EQUALITY_TOL * max(1.0, np.linalg.norm(z)):
         raise ConstraintViolated(f"trajectory starts {gap:.3e} away from z: E x(0) != z")
     if isinstance(solution, InfiniteHorizonSolution):

@@ -111,12 +111,14 @@ def simulate(
     Phi^d with d = 1, 2, 4, ..., so there is no per-step loop.  ``inputs``
     holds one row per time sample, shape (T, s); any other shape raises
     ValueError.  It may be None for the zero input, in which case only A is
-    discretized.  A non-finite initial state or input, or a grid with no
-    samples, raises ValueError.
+    discretized.  A non-finite initial state, input or time sample, or a
+    grid with no samples, raises ValueError.
     """
     times = np.asarray(times, dtype=float).reshape(-1)
     if times.size == 0:
         raise ValueError("simulation requires at least one time sample")
+    if not np.isfinite(times).all():
+        raise ValueError("simulation requires a finite time grid")
     h = _check_uniform_grid(times)
     T = times.shape[0]
     r, s = sys.n_states, sys.n_inputs

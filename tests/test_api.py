@@ -34,3 +34,26 @@ def test_package_imports_only_public_names():
         names = [alias.name for alias in node.names]
         assert [name for name in names if name not in module.__all__] == [], node.module
         assert all(getattr(dae2ode, name) is getattr(module, name) for name in names)
+
+
+def test_unconsulted_dae_arguments_are_pinned():
+    # The public functions that take a ``dae`` and never read it.  They keep
+    # it only for callers that still pass one; no other may join them.
+    unread = set()
+    for name in MODULES:
+        public = set(importlib.import_module(f"dae2ode.{name}").__all__)
+        for node in ast.parse((PACKAGE / f"{name}.py").read_text()).body:
+            if not isinstance(node, ast.FunctionDef) or node.name not in public:
+                continue
+            if "dae" not in [a.arg for a in node.args.args + node.args.kwonlyargs]:
+                continue
+            body = ast.Module(body=node.body, type_ignores=[])
+            if not any(isinstance(n, ast.Name) and n.id == "dae" for n in ast.walk(body)):
+                unread.add(node.name)
+    assert unread == {
+        "pencil_stabilizability_test",
+        "is_behaviorally_stabilizable",
+        "finite_horizon",
+        "infinite_horizon",
+        "closed_loop_replay",
+    }

@@ -19,9 +19,9 @@ from dae2ode import (
     verify_associated,
     weakly_unobservable,
 )
-from dae2ode.subspaces import EQUALITY_TOL, pinv, rank
+from dae2ode.subspaces import EQUALITY_TOL, default_rank_tol, rank
 
-from conftest import conditioned, power_of_two_scaling, random_dae
+from conftest import conditioned, example_one, power_of_two_scaling, random_dae
 
 
 def tall_autonomous() -> DaeLti:
@@ -37,10 +37,7 @@ def printed_example_system() -> AssociatedOdeLti:
         np.array([[0.0, 1.0], [1.0, 0.0]]),
         np.vstack([np.eye(2), np.zeros((2, 2))]),
         np.vstack([np.zeros((2, 2)), np.eye(2)]),
-        np.eye(2),
-        np.eye(2),
-        3,
-        1,
+        example_one().E,
     )
 
 
@@ -70,6 +67,15 @@ class TestWorkedExample:
         traj = lift_solution(ex1_assoc, np.array([1.0, 0.0]), None, times)
         assert np.allclose(traj.x[:, 0], np.exp(times), atol=1e-8)
         assert np.allclose(traj.x[:, 1:], 0.0, atol=1e-12)
+
+
+class TestFields:
+    def test_realization_stores_only_what_it_cannot_derive(self, ex1_assoc):
+        fields = [f.name for f in dataclasses.fields(ex1_assoc)]
+        assert fields == ["A_l", "B_l", "C_l", "D_l", "E", "tol"]
+        for name in ("M", "EC_s", "n", "m"):
+            with pytest.raises(TypeError):
+                dataclasses.replace(ex1_assoc, **{name: getattr(ex1_assoc, name)})
 
 
 class TestSpecialShapes:
@@ -195,10 +201,7 @@ class TestVerifyAssociated:
             np.ones((1, 1)),
             C_l,
             np.array([[0.0], [0.0], [0.0], [1.0]]),
-            np.array([[1.0, 0.0]]),
-            ex1.E @ C_l[:3],
-            3,
-            1,
+            ex1.E,
         )
         report = verify_associated(ex1, partial)
         assert report.identity_residual <= 1e-15
@@ -216,12 +219,13 @@ class TestVerifyAssociated:
         assert not report.ok
 
     def test_tainted_state_map_detected(self, ex1, ex1_assoc):
-        # cond(E C_s) = 1 on ex1, so the bound stays the absolute one: M
-        # scaled by 2 and M perturbed by 1e-6 relative both fail.
-        M = ex1_assoc.M
-        bump = np.random.default_rng(1).standard_normal(M.shape)
-        for M_bad in (2.0 * M, M + 1e-6 * np.linalg.norm(M) / np.linalg.norm(bump) * bump):
-            report = verify_associated(ex1, dataclasses.replace(ex1_assoc, M=M_bad))
+        # M = pinv(E C_s) with the realization's own E, so a realization
+        # built for E doubled, or for E perturbed by 1e-6 relative, carries
+        # the state map of another system.
+        E = ex1_assoc.E
+        bump = np.random.default_rng(1).standard_normal(E.shape)
+        for E_bad in (2.0 * E, E + 1e-6 * np.linalg.norm(E) / np.linalg.norm(bump) * bump):
+            report = verify_associated(ex1, dataclasses.replace(ex1_assoc, E=E_bad))
             assert not report.state_map_ok
             assert not report.ok
 
@@ -234,8 +238,10 @@ class TestVerifyAssociated:
         # x = T x~ with the equations premultiplied by S, both drawn by
         # ``change``, seed 5: E C_s reaches condition 1e14, and pinv's
         # rounding leaves ||M E C_s - I|| far above the absolute bound
-        # EQUALITY_TOL n_hat on a correct realization.  The round trip may
-        # still fail some of them, so only the state map is asserted.
+        # EQUALITY_TOL n_hat on a correct realization, though within
+        # n_hat rho cond(E C_s), rho = max(rows, cols) eps the default rank
+        # cutoff of E C_s.  The round trip may still fail some of them, so
+        # only the state map is asserted.
         rng = np.random.default_rng(5)
         above_absolute = 0
         for idx in range(200):
@@ -250,14 +256,27 @@ class TestVerifyAssociated:
             if assoc.n_hat != associate(dae).n_hat or not report.consistency_ok:
                 continue
             assert report.state_map_ok, f"instance {idx}"
+            if not assoc.n_hat:
+                continue
+            sigma = np.linalg.svd(assoc.EC_s, compute_uv=False)
+            rounding = default_rank_tol(assoc.EC_s) * sigma[0] / sigma[-1]
             defect = np.linalg.norm(assoc.M @ assoc.EC_s - np.eye(assoc.n_hat))
+            assert defect <= assoc.n_hat * max(EQUALITY_TOL, rounding), f"instance {idx}"
             above_absolute += defect > EQUALITY_TOL * assoc.n_hat
         assert above_absolute >= 5
 
+    def test_realization_of_a_scaled_dae_is_rejected(self, ex1):
+        # (2E, 2A, 2B) has the same behavior, so the quadruple passes every
+        # check but the state map: M = pinv(2 E C_s) reads z = Ex as z / 2.
+        scaled = associate(DaeLti(2.0 * ex1.E, 2.0 * ex1.A, 2.0 * ex1.B))
+        report = verify_associated(ex1, scaled)
+        assert not report.state_map_ok
+        assert report.failures == ["state map M is built for a different E"]
+
     def test_rank_deficient_state_output_detected(self, ex1, ex1_assoc):
-        EC_bad = ex1_assoc.EC_s.copy()
-        EC_bad[:, 1] = 0.0
-        tainted = dataclasses.replace(ex1_assoc, EC_s=EC_bad)
+        C_bad = ex1_assoc.C_l.copy()
+        C_bad[: ex1_assoc.n, 1] = 0.0
+        tainted = dataclasses.replace(ex1_assoc, C_l=C_bad)
         report = verify_associated(ex1, tainted)
         assert not report.ec_s_full_rank
         assert not report.ok
@@ -268,10 +287,7 @@ class TestVerifyAssociated:
             np.zeros((3, 1)),
             np.vstack([np.eye(3), np.zeros((1, 3))]),
             np.zeros((4, 1)),
-            np.zeros((3, 2)),
-            ex1.E @ np.eye(3),
-            3,
-            1,
+            ex1.E,
         )
         report = verify_associated(ex1, fake)
         assert not report.state_dim_bound_ok
@@ -287,7 +303,7 @@ class TestProjectLift:
         g = np.cumsum(g, axis=0) * 0.01  # smooth-ish signal
         traj = lift_solution(ex1_assoc, v0, g, times)
         states, _ = simulate(ex1_assoc.as_ode(), v0, g, times)
-        v_rec, g_rec = project_solution(ex1, ex1_assoc, traj)
+        v_rec, g_rec = project_solution(ex1_assoc, traj)
         assert np.linalg.norm(v_rec - states) <= 1e-8 * (1 + np.linalg.norm(states))
         assert np.linalg.norm(g_rec - g) <= 1e-8 * (1 + np.linalg.norm(g))
 
@@ -314,7 +330,7 @@ class TestProjectLift:
             g = rng.standard_normal((times.size, assoc.k)) * 0.1
             traj = lift_solution(assoc, v0, g, times)
             states, _ = simulate(assoc.as_ode(), v0, g, times)
-            v_rec, g_rec = project_solution(dae, assoc, traj)
+            v_rec, g_rec = project_solution(assoc, traj)
             assert np.linalg.norm(v_rec - states) <= 1e-8 * (
                 1 + np.linalg.norm(states)
             )
@@ -339,8 +355,7 @@ class TestFeedbackEquivalence:
         B2 = T @ s1.B_l @ U
         C2 = (s1.C_l + s1.D_l @ K) @ T_inv
         D2 = s1.D_l @ U
-        EC2 = ex1.E @ C2[: s1.n]
-        s2 = AssociatedOdeLti(A2, B2, C2, D2, pinv(EC2), EC2, s1.n, s1.m)
+        s2 = AssociatedOdeLti(A2, B2, C2, D2, ex1.E)
         T_hat, K_hat, U_hat = feedback_equivalence(s1, s2, ex1)
         assert np.allclose(T_hat, T, atol=1e-8)
         assert np.allclose(K_hat, K, atol=1e-8)
@@ -364,6 +379,25 @@ class TestFeedbackEquivalence:
         other = associate(DaeLti(np.eye(3), np.eye(3), np.ones((3, 1))))
         with pytest.raises(NotEquivalent):
             feedback_equivalence(ex1_assoc, other, ex1)
+
+    def test_singular_state_change_rejected(self, ex1, ex1_assoc):
+        # A zero second column of C_s leaves E C_s2 = diag(1, 0), so
+        # T = M2 E C_s1 = diag(1, 0).
+        C_bad = ex1_assoc.C_l.copy()
+        C_bad[: ex1_assoc.n, 1] = 0.0
+        s2 = dataclasses.replace(ex1_assoc, C_l=C_bad)
+        with pytest.raises(NotEquivalent, match="state change T is numerically singular"):
+            feedback_equivalence(ex1_assoc, s2, ex1)
+
+    @pytest.mark.parametrize("name", ["A_l", "B_l"])
+    def test_failed_identity_rejected(self, ex1, ex1_assoc, name):
+        # T, K and U come from C_l and D_l alone, which agree: T = I, K = 0
+        # and U = I, so the perturbed A_l or B_l fails its identity.
+        M = getattr(ex1_assoc, name).copy()
+        M[0, 1] += 0.5
+        s2 = dataclasses.replace(ex1_assoc, **{name: M})
+        with pytest.raises(NotEquivalent, match=f"identity for {name[0]} fails"):
+            feedback_equivalence(ex1_assoc, s2, ex1)
 
     def test_singular_input_change_rejected(self, ex1, ex1_assoc):
         D_bad = ex1_assoc.D_l @ np.array([[1.0, 1.0], [1.0, 1.0]])

@@ -28,7 +28,7 @@ from dae2ode.matio import (
     parse_trajectory,
 )
 
-from conftest import example_one
+from conftest import example_one, power_of_two_scaling, random_dae
 
 EX1 = {
     "E": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
@@ -241,6 +241,42 @@ def test_negative_steps_is_a_usage_error(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert rc == 1
     assert err == "dae2ode: simulation requires at least one time sample\n"
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "command, flag, message",
+    [
+        ("lq-finite", "--t1", "t1 must be positive and finite"),
+        ("lq-infinite", "--horizon", "the sampling horizon T_sim must be finite"),
+        ("simulate", "--horizon", "--horizon must be finite"),
+    ],
+    ids=["lq_finite_t1", "lq_infinite_horizon", "simulate_horizon"],
+)
+def test_non_finite_horizon_is_a_usage_error(tmp_path, capsys, command, flag, message, value):
+    # Refused before any grid is built, so no overflow or warning escapes.
+    path = ex1_problem(tmp_path, Q=np.eye(3).tolist(), R=[[1.0]], z=[1.0, 7.0])
+    rc = main([command, path, flag, value])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == f"dae2ode: {message}\n"
+    assert "Traceback" not in err
+
+
+def test_package_error_exits_1(tmp_path, capsys):
+    # Instance 120 of the power-of-two population (seed 5) has no friend
+    # within the residual bound, so associate raises ResidualTooLarge.
+    rng = np.random.default_rng(5)
+    for _ in range(121):
+        dae = random_dae(rng)
+        S, T = power_of_two_scaling(dae.c, rng), power_of_two_scaling(dae.n, rng)
+    body = {"E": S @ dae.E @ T, "A": S @ dae.A @ T, "B": S @ dae.B}
+    path = write_problem(tmp_path / "p.json", {k: v.tolist() for k, v in body.items()})
+    rc = main(["associate", path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == "dae2ode: no friend for basis vector 0: residual 5.447e-04\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "lq-infinite", "lq-finite"])

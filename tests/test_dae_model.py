@@ -75,6 +75,25 @@ class TestWongLimit:
                 assert (assoc.n_hat, assoc.k) == (0, 1), f"n = {n}, chain {idx}"
                 assert verify_associated(dae, assoc).ok, f"n = {n}, chain {idx}"
 
+    def test_wrong_realizations_of_chains_are_rejected(self):
+        # At the default cutoff associate gets (n_hat, k) wrong on some
+        # condition-100 chains: n_hat = n - 1, with one singular value of
+        # C_s near 1e14 and the others near 1.  Checked on an orthonormal
+        # basis of im C_s, the containment im(E C_s) in E V is not hidden
+        # by the large column.
+        wrong = 0
+        for change in (_orthogonal, lambda k, rng: conditioned(k, 100.0, rng)):
+            rng = np.random.default_rng(2)
+            for n in (3, 5, 8, 12, 20, 40):
+                for idx in range(10):
+                    dae = integrator_chain(n, change, rng)
+                    assoc = associate(dae)
+                    if (assoc.n_hat, assoc.k) == (0, 1):
+                        continue
+                    wrong += 1
+                    assert not verify_associated(dae, assoc).ok, f"n = {n}, chain {idx}"
+        assert wrong > 0, "the chains must include wrong realizations"
+
     @pytest.mark.parametrize("family", ["free_and_zero", "static_kernel"])
     def test_limit_inside_ker_A_is_kept(self, family):
         # The limit lies in ker A, so A W on the last iterate is rounding

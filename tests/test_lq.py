@@ -125,6 +125,12 @@ class TestSolveDre:
         want = ex1_assoc.EC_s.T @ Q0 @ ex1_assoc.EC_s
         assert np.allclose(P_samples[0], want, atol=1e-14)
 
+    @pytest.mark.parametrize("t1", [np.inf, np.nan])
+    def test_non_finite_horizon_rejected(self, ex1_assoc, t1):
+        w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
+        with pytest.raises(ValueError, match="t1 must be positive and finite"):
+            solve_dre(ex1_assoc, w, t1)
+
     def test_scalar_riccati_matches_tanh(self):
         _, assoc = scalar_integrator()
         w = LqWeights(np.eye(1), np.eye(1), np.zeros((1, 1)))
@@ -719,6 +725,25 @@ class TestClosedLoopReplay:
             closed_loop_replay(ex1, ex1_assoc, sol, 2.0 * z)
 
 
+class TestRealizationOwnsE:
+    """The solvers read E from the realization: a DAE passed beside it is
+    not consulted, so one with E doubled changes no output."""
+
+    def test_e_doubled_dae_gives_the_matched_solution(self, ex1, ex1_assoc):
+        doubled = DaeLti(2.0 * ex1.E, ex1.A, ex1.B)
+        w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
+        z = np.array([1.0, 7.0])
+        want = infinite_horizon(ex1, ex1_assoc, w, z)
+        got = infinite_horizon(doubled, ex1_assoc, w, z)
+        assert np.array_equal(got.K_f, want.K_f)
+        assert got.cost == want.cost
+        assert closed_loop_replay(doubled, ex1_assoc, got, z) is got.traj
+        want = finite_horizon(ex1, ex1_assoc, w, z, 1.0)
+        got = finite_horizon(doubled, ex1_assoc, w, z, 1.0)
+        assert np.array_equal(got.K_f_samples, want.K_f_samples)
+        assert got.cost == want.cost
+
+
 class TestOneEntryPerSolve:
     """Each horizon solver reaches its Riccati equation through the public
     solver, once, and never through the other one."""
@@ -795,10 +820,7 @@ class TestSharedChecks:
             np.eye(1),
             np.array([[1.0], [0.0]]),
             np.zeros((2, 1)),
-            M=np.eye(1),
-            EC_s=np.eye(1),
-            n=1,
-            m=1,
+            E=dae.E,
         )
         w = LqWeights(np.eye(1), np.eye(1), np.eye(1))
         with pytest.raises(ValueError, match="D'SD is not positive definite"):
@@ -880,14 +902,17 @@ class TestCachedDerivations:
         assert 0 < refused < 90, "stream must exercise both outcomes"
 
     def test_replaced_realization_computes_its_own_consistency_set(self, ex1):
+        # E C_s is the identity on ex1; a zero second column of C_s, or a
+        # zero second row of E, leaves image(E C_s) = span(e_1).
         assoc = associate(ex1)
         z = np.array([0.0, 1.0])
         assert assoc.consistency_set.dim == 2
-        EC_s = assoc.EC_s.copy()
-        EC_s[:, 1] = 0.0
-        replaced = dataclasses.replace(assoc, EC_s=EC_s)
-        assert replaced.consistency_set.dim == 1
-        assert not replaced.consistency_set.contains_vector(z)
+        C_l, E = assoc.C_l.copy(), assoc.E.copy()
+        C_l[: assoc.n, 1] = 0.0
+        E[1] = 0.0
+        for replaced in (dataclasses.replace(assoc, C_l=C_l), dataclasses.replace(assoc, E=E)):
+            assert replaced.consistency_set.dim == 1
+            assert not replaced.consistency_set.contains_vector(z)
         assert assoc.consistency_set.dim == 2
         assert assoc.consistency_set.contains_vector(z)
 

@@ -140,6 +140,12 @@ class TestSimulate:
         states, outputs = simulate(sys, np.array([1.0]), None, times=[0.0])
         assert states.tolist() == [[1.0]] and outputs.tolist() == [[1.0]]
 
+    @pytest.mark.parametrize("end", [np.inf, np.nan])
+    def test_non_finite_grid_rejected(self, end):
+        sys = OdeLti([[-1.0]], [[1.0]], [[1.0]], [[0.0]])
+        with pytest.raises(ValueError, match="finite time grid"):
+            simulate(sys, np.array([1.0]), None, [0.0, end])
+
     def test_forced_scalar_integral(self):
         # v' = q with q(t) = t integrates to t^2 / 2 (linear input is exact)
         sys = OdeLti(np.zeros((1, 1)), np.eye(1), np.eye(1), np.zeros((1, 1)))

@@ -111,6 +111,11 @@ class TestKernel:
         assert K.dim == 2
         assert np.allclose(K.basis.T @ np.ones(3), 0.0, atol=1e-12)
 
+    def test_no_rows_gives_full_space(self):
+        K = kernel(np.zeros((0, 3)))
+        assert K.dim == 3
+        assert np.array_equal(K.basis, np.eye(3))
+
 
 class TestPreimage:
     def test_identity_map(self):
