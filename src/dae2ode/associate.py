@@ -249,8 +249,11 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     map exactly when ``sys.E`` equals the DAE's E.  One simulated round
     trip from a random (v0, g) drawn from seed 0 checks ``lift_solution`` as
     well: the lifted trajectory must satisfy the DAE within a
-    central-difference residual of ``ROUND_TRIP_TOL``.
+    central-difference residual of ``ROUND_TRIP_TOL``.  A realization with
+    other signal dimensions n, m than the DAE's raises ValueError.
     """
+    if (sys.n, sys.m) != (dae.n, dae.m):
+        raise ValueError(f"realization has n={sys.n}, m={sys.m}, the DAE n={dae.n}, m={dae.m}")
     failures: list[str] = []
     E, A, B = dae.E, dae.A, dae.B
     tol = sys.tol

@@ -16,9 +16,9 @@ the associated ODE-LTI and solving a Riccati problem in the internal state:
 * infinite horizon: an algebraic Riccati equation on the restriction of the
   associated system to its stabilizability subspace, solved by the Schur
   method (Laub 1979) from the ordered real Schur form of the 2l x 2l
-  Hamiltonian built on the DRE's reduced data and polished by
-  Kleinman-Newton steps, optimal cost (M_g z)' P (M_g z), solvable exactly
-  for behaviorally stabilizable z.
+  Hamiltonian built on the DRE's reduced data and balanced by a symplectic
+  diagonal scaling, then one Kleinman-Newton step, optimal cost
+  (M_g z)' P (M_g z), solvable exactly for behaviorally stabilizable z.
 
 Each equation has one public solver, its only implementation, which the
 horizon solver calls: ``solve_dre`` returns the samples together with the
@@ -53,7 +53,6 @@ from .odesys import OdeLti, simulate
 from .subspaces import (
     ARE_RESIDUAL_TOL,
     EQUALITY_TOL,
-    POLISH_RESIDUAL_TOL,
     REPLAY_TOL,
     SEMIDEFINITE_TOL,
     SYMMETRY_TOL,
@@ -289,7 +288,8 @@ def solve_dre(
     right-hand side: f^d(P) = H_d + A_d'Z A_d with (I + P G_d) Z = P, and the
     fixed A_d and G_d act on the stack's rows in one matrix product each.
     The steps are exact up to rounding; every P is symmetrized.  ``steps``
-    defaults to max(2000, ceil(1000 t1)); t1 must be positive and finite.
+    defaults to max(2000, ceil(1000 t1)); t1 must be positive and finite,
+    and Q0 must be c x c.
 
     Raises NonFiniteP, naming the first node, when P overflows.
     """
@@ -299,6 +299,9 @@ def solve_dre(
         steps = max(2000, int(np.ceil(1000.0 * t1)))
     if steps < 100:
         raise ValueError("steps must be at least 100")
+    c = assoc.E.shape[0]
+    if w.Q0.shape != (c, c):
+        raise ValueError(f"Q0 must be {c} x {c}, got {w.Q0.shape[0]} x {w.Q0.shape[1]}")
 
     n_hat = assoc.n_hat
     h = t1 / steps
@@ -413,19 +416,21 @@ def solve_are(sys: OdeLti, w: LqWeights) -> tuple[np.ndarray, np.ndarray, float]
     and W = D_g'SD_g: the ordered real Schur form U'HU of the 2l x 2l
     Hamiltonian H = [[A_r, -G], [-Q_r, -A_r']] puts its l stable
     eigenvalues first, and P = U_21 U_11^{-1} from the first l Schur
-    vectors.  Kleinman-Newton polish steps follow (Kleinman 1968, IEEE TAC
-    13), each one Lyapunov solve on the closed loop A_g - B_g K: at least
-    one and at most three, stopping as soon as the scaled residual
-    ``_are_residual`` is at most ``POLISH_RESIDUAL_TOL``.  The restricted
+    vectors, after balancing H by the symplectic similarity T = diag(d, 1/d)
+    (Benner 2000, "Symplectic balancing of Hamiltonian matrices", SIAM J.
+    Sci. Comput. 22) with d_i = 2^round(log2 sqrt(s_i/s_{l+i})) from the
+    scaling s of ``scipy.linalg.matrix_balance``: each d_i is a power of
+    two, so P_ij = P'_ij / (d_i d_j) maps the balanced solution P' back
+    exactly.  One Kleinman-Newton step follows (Kleinman 1968, IEEE TAC 13),
+    a Lyapunov solve on the closed loop A_g - B_g K.  The restricted
     associated system has no invariant zeros, so the Hamiltonian has no
     eigenvalues on the imaginary axis and exactly l stable ones.  With no
-    input (k = 0) G = 0, K has no rows and the first polish step is the
-    Lyapunov solve for the observability Gramian.
+    input (k = 0) G = 0, K has no rows and the step is the Lyapunov solve
+    for the observability Gramian.
 
-    Returns (P, K, abscissa) with P symmetric, the last polish step's
-    residual at most ``ARE_RESIDUAL_TOL`` and A_g - B_g K stable, of
-    spectral abscissa ``abscissa`` (-inf when l = 0); raises
-    NoStabilizingStart otherwise.
+    Returns (P, K, abscissa) with P symmetric, its ``_are_residual`` at most
+    ``ARE_RESIDUAL_TOL`` and A_g - B_g K stable, of spectral abscissa
+    ``abscissa`` (-inf when l = 0); raises NoStabilizingStart otherwise.
     """
     S = w.S
     cho, DSC, A_r, G, Q_r = _hamiltonian(sys, w)
@@ -436,7 +441,10 @@ def solve_are(sys: OdeLti, w: LqWeights) -> tuple[np.ndarray, np.ndarray, float]
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     H = np.block([[A_r, -_sym(G)], [-_sym(Q_r), -A_r.T]])
     try:
-        _, U, sdim = scipy.linalg.schur(H, output="real", sort="lhp")
+        _, (s, _) = scipy.linalg.matrix_balance(H, permute=False, separate=True)
+        d = np.exp2(np.round(0.5 * np.log2(s[:l] / s[l:])))
+        t = np.concatenate([d, 1.0 / d])
+        _, U, sdim = scipy.linalg.schur(H * t / t[:, None], output="real", sort="lhp")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
         raise NoStabilizingStart(f"Hamiltonian Schur form failed: {exc}") from exc
     if sdim != l:
@@ -448,18 +456,13 @@ def solve_are(sys: OdeLti, w: LqWeights) -> tuple[np.ndarray, np.ndarray, float]
     # A U11 that is singular to working precision may overflow instead.
     if P is None or not np.all(np.isfinite(P)):
         raise NoStabilizingStart("stable Schur basis has a singular U11")
-    P = _sym(P)
+    K = _gain(cho, DSC, B, _sym(P / d / d[:, None]))
+    C_cl = C - D @ K
+    P = _sym(scipy.linalg.solve_continuous_lyapunov((A - B @ K).T, -(C_cl.T @ S @ C_cl)))
+    if not np.all(np.isfinite(P)):
+        raise NoStabilizingStart("Kleinman-Newton step diverged")
     K = _gain(cho, DSC, B, P)
-    for _ in range(3):
-        C_cl = C - D @ K
-        P = _sym(scipy.linalg.solve_continuous_lyapunov((A - B @ K).T, -(C_cl.T @ S @ C_cl)))
-        if not np.all(np.isfinite(P)):
-            raise NoStabilizingStart("Kleinman-Newton polish diverged")
-        K = _gain(cho, DSC, B, P)
-        rel = _are_residual(sys, S, P, K)
-        if rel <= POLISH_RESIDUAL_TOL:
-            break
-
+    rel = _are_residual(sys, S, P, K)
     if rel > ARE_RESIDUAL_TOL:
         raise NoStabilizingStart(
             f"ARE residual {rel:.3e} exceeds tolerance {ARE_RESIDUAL_TOL:.1e}"
@@ -588,15 +591,26 @@ def trajectory_cost(
     """Quadrature of x'Qx + u'Ru by composite Simpson's rule on the
     trajectory's own grid (``_simpson``: Cartwright's correction closes an
     even sample count, the trapezoid two samples), plus
-    (Ex(t1))'Q0(Ex(t1)) when ``terminal`` is set."""
+    (Ex(t1))'Q0(Ex(t1)) when ``terminal`` is set.  A Q, R, E or Q0 that does
+    not fit the trajectory raises ValueError naming it."""
     if traj.times.shape[0] < 2:
         raise ValueError("trajectory must have at least two samples")
+    n, m = traj.x.shape[1], traj.u.shape[1]
+    if w.n != n:
+        raise ValueError(f"Q must be {n} x {n} for the trajectory's x, got {w.n} x {w.n}")
+    if w.m != m:
+        raise ValueError(f"R must be {m} x {m} for the trajectory's u, got {w.m} x {w.m}")
     integrand = np.sum((traj.x @ w.Q) * traj.x, axis=1) + np.sum(
         (traj.u @ w.R) * traj.u, axis=1
     )
     total = _simpson(integrand, traj.times)
     if terminal:
         E = ensure_matrix(E, "E")
+        if E.shape[1] != n:
+            raise ValueError(f"E must have {n} columns for the trajectory's x, got {E.shape[1]}")
+        c = E.shape[0]
+        if w.Q0.shape != (c, c):
+            raise ValueError(f"Q0 must be {c} x {c} for E, got {w.Q0.shape[0]} x {w.Q0.shape[1]}")
         z_end = E @ traj.x[-1]
         total += float(z_end @ w.Q0 @ z_end)
     return total

@@ -42,8 +42,6 @@ Conventions
   - ``ARE_RESIDUAL_TOL`` (1e-10): the ARE residual ||R||_F relative to
     2 ||A - BK||_F ||P||_F + ||(C - DK)^T S (C - DK)||_F, the norms of its
     closed-loop Lyapunov form.
-  - ``POLISH_RESIDUAL_TOL`` (1e-14): a Kleinman-Newton step that brings
-    that scaled ARE residual to this or below ends the polish.
   - ``REPLAY_TOL`` (1e-6): the max defect of K1 x + K2 u = 0 in a
     closed-loop replay.
   - ``ROUND_TRIP_TOL`` (1e-5): the behavior residual of the simulated
@@ -67,7 +65,6 @@ __all__ = [
     "SYMMETRY_TOL",
     "SEMIDEFINITE_TOL",
     "ARE_RESIDUAL_TOL",
-    "POLISH_RESIDUAL_TOL",
     "REPLAY_TOL",
     "ROUND_TRIP_TOL",
     "CONDITION_BOUND",
@@ -92,7 +89,6 @@ GRID_TOL = 1e-9
 SYMMETRY_TOL = 1e-12
 SEMIDEFINITE_TOL = 1e-12
 ARE_RESIDUAL_TOL = 1e-10
-POLISH_RESIDUAL_TOL = 1e-14
 REPLAY_TOL = 1e-6
 ROUND_TRIP_TOL = 1e-5
 CONDITION_BOUND = 1e12

@@ -273,6 +273,17 @@ class TestVerifyAssociated:
         assert not report.state_map_ok
         assert report.failures == ["state map M is built for a different E"]
 
+    def test_realization_of_another_shape_is_refused(self, ex1):
+        # A realization with other n or m is refused before any product,
+        # naming both shapes, as feedback_equivalence refuses them.
+        others = [
+            (DaeLti(np.eye(2), np.eye(2), np.ones((2, 1))), "n=2, m=1"),
+            (DaeLti(ex1.E, ex1.A, np.hstack([ex1.B, ex1.B])), "n=3, m=2"),
+        ]
+        for other, shape in others:
+            with pytest.raises(ValueError, match=f"^realization has {shape}, the DAE n=3, m=1$"):
+                verify_associated(ex1, associate(other))
+
     def test_rank_deficient_state_output_detected(self, ex1, ex1_assoc):
         C_bad = ex1_assoc.C_l.copy()
         C_bad[: ex1_assoc.n, 1] = 0.0

@@ -263,6 +263,16 @@ def test_non_finite_horizon_is_a_usage_error(tmp_path, capsys, command, flag, me
     assert "Traceback" not in err
 
 
+def test_terminal_weight_of_another_size_is_named(tmp_path, capsys):
+    # Q0 weighs E x(t1), two rows on the worked example; 3 x 3 is a usage error.
+    path = ex1_problem(tmp_path, Q=np.eye(3).tolist(), R=[[1.0]], Q0=np.eye(3).tolist())
+    rc = main(["lq-finite", path, "--z", "1,7", "--t1", "1"])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("dae2ode: Q0")
+    assert "Traceback" not in err
+
+
 def test_package_error_exits_1(tmp_path, capsys):
     # Instance 120 of the power-of-two population (seed 5) has no friend
     # within the residual bound, so associate raises ResidualTooLarge.

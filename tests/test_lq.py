@@ -35,7 +35,7 @@ from dae2ode import (
 from dae2ode.dae import pencil_stabilizability_test
 from dae2ode.heat import HeatConfig, build_heat_models
 from dae2ode.lq import _are_residual, _gain, _hamiltonian
-from dae2ode.subspaces import ARE_RESIDUAL_TOL, POLISH_RESIDUAL_TOL
+from dae2ode.subspaces import ARE_RESIDUAL_TOL
 
 from conftest import conditioned, random_autonomous_unstable, random_dae, random_spd
 
@@ -130,6 +130,12 @@ class TestSolveDre:
         w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
         with pytest.raises(ValueError, match="t1 must be positive and finite"):
             solve_dre(ex1_assoc, w, t1)
+
+    def test_terminal_weight_of_another_size_rejected(self, ex1_assoc):
+        # Q0 weighs Ex(t1), c = 2 rows here; a 3 x 3 one is named, not multiplied.
+        w = LqWeights(np.eye(3), np.eye(1), np.eye(3))
+        with pytest.raises(ValueError, match=r"^Q0 must be 2 x 2, got 3 x 3$"):
+            solve_dre(ex1_assoc, w, 1.0)
 
     def test_scalar_riccati_matches_tanh(self):
         _, assoc = scalar_integrator()
@@ -520,9 +526,9 @@ class TestSolveAre:
             K_bad = _gain(cho, DSC, restr.sys_g.B, P_bad)
             assert _are_residual(restr.sys_g, w.S, P_bad, K_bad) > ARE_RESIDUAL_TOL
 
-    def test_polish_stops_on_the_residual(self, ex1_assoc, monkeypatch):
-        # One Kleinman-Newton step brings the Schur start to the residual
-        # floor on ex1 and on both heat restrictions; no further solve runs.
+    def test_one_newton_step_reaches_the_residual_floor(self, ex1_assoc, monkeypatch):
+        # From the balanced Schur start, the one Kleinman-Newton step brings
+        # ex1 and both heat restrictions, up to N = 320, to the residual floor.
         lyapunov = scipy.linalg.solve_continuous_lyapunov
         calls = []
 
@@ -533,12 +539,12 @@ class TestSolveAre:
         monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counted)
         cases = [
             (ex1_assoc.restriction, LqWeights(np.eye(3), np.eye(1), np.eye(2)))
-        ] + heat_restrictions(40)
+        ] + heat_restrictions(40) + heat_restrictions(160) + heat_restrictions(320)
         for restr, w in cases:
             calls.clear()
             P, K, _ = solve_are(restr.sys_g, w)
             assert len(calls) == 1
-            assert _are_residual(restr.sys_g, w.S, P, K) <= POLISH_RESIDUAL_TOL
+            assert _are_residual(restr.sys_g, w.S, P, K) <= 1e-14
 
     def test_time_scaled_problem_keeps_its_solution(self, ex1):
         # Running time 2^20 times faster scales A, B, Q and R exactly and
@@ -995,6 +1001,21 @@ class TestTrajectoryCost:
         assert abs(trajectory_cost(w, np.eye(1), traj) - 1.0) <= 1e-12
         with_terminal = trajectory_cost(w, np.eye(1), traj, terminal=True)
         assert abs(with_terminal - 3.0) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "Q, R, Q0, E, message",
+        [
+            (np.eye(3), np.eye(1), np.eye(2), np.eye(2), "Q must be 2 x 2"),
+            (np.eye(2), np.eye(2), np.eye(2), np.eye(2), "R must be 1 x 1"),
+            (np.eye(2), np.eye(1), np.eye(2), np.eye(2, 3), "E must have 2 columns"),
+            (np.eye(2), np.eye(1), np.eye(3), np.eye(2), "Q0 must be 2 x 2"),
+        ],
+        ids=["Q", "R", "E", "Q0"],
+    )
+    def test_weight_that_does_not_fit_is_named(self, Q, R, Q0, E, message):
+        traj = Trajectory(np.linspace(0.0, 1.0, 11), np.ones((11, 2)), np.ones((11, 1)))
+        with pytest.raises(ValueError, match=f"^{message}"):
+            trajectory_cost(LqWeights(Q, R, Q0), E, traj, terminal=True)
 
     @pytest.mark.parametrize(
         "samples, uniform",
