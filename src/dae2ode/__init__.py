@@ -24,7 +24,6 @@ from .errors import (
     NonFiniteP,
     NoStabilizingStart,
     NotEquivalent,
-    NotInvariant,
     NotStabilizable,
     ResidualTooLarge,
 )
@@ -61,13 +60,7 @@ from .matio import (
     save_matrix,
     save_trajectory,
 )
-from .odesys import (
-    OdeLti,
-    restrict_to_invariant,
-    simulate,
-    stabilizability_subspace,
-    weakly_unobservable,
-)
+from .odesys import OdeLti, simulate, stabilizability_subspace, weakly_unobservable
 from .subspaces import Subspace, image, kernel, pinv, preimage, rank
 
 __version__ = "0.1.0"

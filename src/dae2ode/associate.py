@@ -20,7 +20,9 @@ The construction:
 Also here: verification of the defining invariants, projection/lifting of
 solutions between the two representations, constructive recovery of the
 feedback equivalence between any two such systems, and the restriction to
-the stabilizability subspace used by the infinite-horizon solver.
+the stabilizability subspace used by the infinite-horizon solver, formed
+directly on the basis that the controllability staircase returns, which is
+invariant by construction.
 """
 
 from __future__ import annotations
@@ -32,13 +34,7 @@ import numpy as np
 
 from .dae import DaeLti, Trajectory, behavior_residual, wong_limit
 from .errors import NotEquivalent
-from .odesys import (
-    OdeLti,
-    restrict_to_invariant,
-    simulate,
-    stabilizability_subspace,
-    weakly_unobservable,
-)
+from .odesys import OdeLti, simulate, stabilizability_subspace, weakly_unobservable
 from .subspaces import (
     CONDITION_BOUND,
     EQUALITY_TOL,
@@ -138,10 +134,12 @@ class AssociatedOdeLti:
     @cached_property
     def restriction(self) -> StabilizableRestriction:
         """The restriction to the stabilizability subspace of (A_l, B_l),
-        decided at ``tol``."""
+        decided at ``tol``: (W^T A_l W, W^T B_l, C_l W, D_l) on its
+        orthonormal basis W, which is invariant by construction."""
         V_g = stabilizability_subspace(self.A_l, self.B_l, self.tol)
-        sys_g = restrict_to_invariant(self.as_ode(), V_g)
-        return StabilizableRestriction(sys_g, V_g.basis.T @ self.M, V_g)
+        W = V_g.basis
+        sys_g = OdeLti(W.T @ self.A_l @ W, W.T @ self.B_l, self.C_l @ W, self.D_l)
+        return StabilizableRestriction(sys_g, W.T @ self.M, V_g)
 
 
 @dataclass(frozen=True)

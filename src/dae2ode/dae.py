@@ -82,6 +82,8 @@ class Trajectory:
         t = np.asarray(self.times, dtype=float).reshape(-1)
         x = ensure_matrix(self.x, "x samples")
         u = ensure_matrix(self.u, "u samples")
+        if not np.isfinite(t).all():
+            raise ValueError("time samples must be finite")
         if np.any(np.diff(t) <= 0):
             raise ValueError("time grid must be strictly increasing")
         if x.shape[0] != t.shape[0] or u.shape[0] != t.shape[0]:

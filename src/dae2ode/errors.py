@@ -3,7 +3,6 @@
 __all__ = [
     "Dae2OdeError",
     "ResidualTooLarge",
-    "NotInvariant",
     "NotEquivalent",
     "NonFiniteP",
     "NoStabilizingStart",
@@ -19,10 +18,6 @@ class Dae2OdeError(Exception):
 
 class ResidualTooLarge(Dae2OdeError):
     """A linear system that theory says is solvable had no solution within tol."""
-
-
-class NotInvariant(Dae2OdeError):
-    """A restriction was requested onto a subspace that is not invariant."""
 
 
 class NotEquivalent(Dae2OdeError):

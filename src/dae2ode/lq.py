@@ -246,6 +246,20 @@ def _internal_start(assoc: AssociatedOdeLti, z) -> np.ndarray:
     return assoc.M @ z
 
 
+def _check_weights(assoc: AssociatedOdeLti, w: LqWeights) -> None:
+    """Refuse weights that do not fit the realization: Q must be n x n,
+    R m x m and Q0 c x c, so a Q and an R that split n + m otherwise are
+    named, not only a diag(Q, R) of the wrong size."""
+    n, m, c = assoc.n, assoc.m, assoc.E.shape[0]
+    if (w.n, w.m) != (n, m):
+        raise ValueError(
+            f"weights are for signal dimensions n={w.n}, m={w.m}, but the realization "
+            f"has n={n}, m={m}: Q must be {n} x {n} and R {m} x {m}"
+        )
+    if w.Q0.shape != (c, c):
+        raise ValueError(f"Q0 must be {c} x {c}, got {w.Q0.shape[0]} x {w.Q0.shape[1]}")
+
+
 def _sym(X: np.ndarray) -> np.ndarray:
     """Symmetric part of a matrix, or of each matrix in a stack."""
     return 0.5 * (X + X.swapaxes(-1, -2))
@@ -289,7 +303,7 @@ def solve_dre(
     fixed A_d and G_d act on the stack's rows in one matrix product each.
     The steps are exact up to rounding; every P is symmetrized.  ``steps``
     defaults to max(2000, ceil(1000 t1)); t1 must be positive and finite,
-    and Q0 must be c x c.
+    and Q must be n x n, R m x m and Q0 c x c.
 
     Raises NonFiniteP, naming the first node, when P overflows.
     """
@@ -299,9 +313,7 @@ def solve_dre(
         steps = max(2000, int(np.ceil(1000.0 * t1)))
     if steps < 100:
         raise ValueError("steps must be at least 100")
-    c = assoc.E.shape[0]
-    if w.Q0.shape != (c, c):
-        raise ValueError(f"Q0 must be {c} x {c}, got {w.Q0.shape[0]} x {w.Q0.shape[1]}")
+    _check_weights(assoc, w)
 
     n_hat = assoc.n_hat
     h = t1 / steps
@@ -518,12 +530,13 @@ def infinite_horizon(
     (M_g z)' P (M_g z).  The trajectory field samples [0, T_sim] (finite;
     default 50/|closed-loop abscissa|, capped at 1e4) exactly, through
     ``simulate``.  ``dae`` is not consulted (E is ``assoc.E``); the
-    benchmark still passes it.
+    benchmark still passes it.  Q must be n x n, R m x m and Q0 c x c.
 
     Raises NotStabilizable exactly when no behavior trajectory from z decays.
     """
     if T_sim is not None and not np.isfinite(T_sim):
         raise ValueError("the sampling horizon T_sim must be finite")
+    _check_weights(assoc, w)
     v_full = _internal_start(assoc, z)
     restr = assoc.restriction
     if not restr.subspace.contains_vector(v_full):

@@ -6,9 +6,11 @@ subspace), a friend feedback F and the kernel matrix L, all three returned by
 ``weakly_unobservable`` from one orthogonal staircase deflation of the pencil
 [[A - lambda I, B], [C, D]] run to its limit, F and L from the input block of
 its last step (Van Dooren 1981, IEEE TAC 26; Emami-Naeini & Van Dooren 1982,
-Automatica 18); the stabilizability subspace (reachable plus stable modal
-subspace); and the restriction of a system to an invariant subspace.  Each
-computation has one public entry, which is its only implementation.
+Automatica 18); and the stabilizability subspace (reachable plus stable
+modal subspace) from the dual staircase on (A, B), the orthogonal
+controllability staircase (Paige 1981, IEEE TAC 26), whose basis is
+invariant by construction.  Each computation has one public entry, which is
+its only implementation.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import NotInvariant, ResidualTooLarge
+from .errors import ResidualTooLarge
 from .subspaces import (
     EQUALITY_TOL,
     GRID_TOL,
@@ -29,7 +31,6 @@ from .subspaces import (
     _rank_from_singular_values,
     ensure_matrix,
     full_space,
-    image,
     zero_space,
 )
 
@@ -38,7 +39,6 @@ __all__ = [
     "simulate",
     "weakly_unobservable",
     "stabilizability_subspace",
-    "restrict_to_invariant",
 ]
 
 @dataclass(frozen=True)
@@ -215,15 +215,19 @@ def weakly_unobservable(
 def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
     """Reachable subspace of (A, B) plus the stable modal subspace of A.
 
-    The reachable subspace is grown orthogonally from R = im B by
-    R <- im [R, A R] until its dimension stops growing (Paige 1981), so the
-    Krylov matrix [B, AB, ..., A^{r-1} B] and its overflow never arise.  A
-    reachable pair returns the whole space on the identity basis, so its
-    restriction is the system itself in its own coordinates.  Otherwise the
-    stable modal subspace is taken from an ordered real Schur form;
+    One orthogonal controllability staircase (Paige 1981; Van Dooren 1981)
+    splits the state: Q = [Q_reached | Q_u] starts from Q = I, and each step
+    takes the SVD of the block (B first, then Q_u^T A Q_new for the columns
+    Q_new reached last), rotates Q_u by it and moves the block's rank out of
+    Q_u, until that rank is zero.  So the Krylov matrix [B, AB, ...] never
+    arises, and every rank is decided at ``tol`` against ||[A, B]||_2, as
+    ``preimage`` decides its own.  The stable modes are taken from an
+    ordered real Schur form Z of the unreached block Q_u^T A Q_u alone;
     eigenvalues with real part >= -STABLE_EIG_TOL (marginal included) count
-    as unstable.  Every rank decision, the final sum's included, is taken at
-    ``tol``.
+    as unstable.  The basis [Q_reached | Q_u Z_stable] is then orthonormal,
+    A-invariant and contains im B by construction.  A stabilizable pair
+    returns the whole space on the identity basis, so its restriction is
+    the system itself in its own coordinates.
     """
     A = ensure_matrix(A, "A")
     B = ensure_matrix(B, "B")
@@ -235,45 +239,23 @@ def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
     if r == 0:
         return zero_space(0)
 
-    reachable = image(B, tol)
-    while 0 < reachable.dim < r:
-        grown = image(np.hstack([reachable.basis, A @ reachable.basis]), tol)
-        if grown.dim == reachable.dim:
+    rule = _projection_rule(np.hstack([A, B]), tol)
+    Q, d, block = np.eye(r), 0, B
+    while d < r:
+        U, s, _ = np.linalg.svd(block)
+        rho = _rank_from_singular_values(block, s, *rule)
+        if rho == 0:
             break
-        reachable = grown
-    if reachable.dim == r:
+        Q[:, d:] = Q[:, d:] @ U
+        block = Q[:, d + rho :].T @ (A @ Q[:, d : d + rho])
+        d += rho
+    if d == r:
         return full_space(r)
 
+    Q_u = Q[:, d:]
     _, Z, sdim = scipy.linalg.schur(
-        A, output="real", sort=lambda re, im: re < -STABLE_EIG_TOL
+        Q_u.T @ A @ Q_u, output="real", sort=lambda re, im: re < -STABLE_EIG_TOL
     )
-    stable = Subspace(Z[:, :sdim]) if sdim else zero_space(r)
-    return image(np.hstack([reachable.basis, stable.basis]), tol)
-
-
-def restrict_to_invariant(sys: OdeLti, V: Subspace) -> OdeLti:
-    """Matrices of the maps restricted to an (A-invariant, im B containing) V.
-
-    The returned system expresses the dynamics in V's orthonormal basis W:
-    (W^T A W, W^T B, C W, D).
-
-    Raises
-    ------
-    NotInvariant
-        If A V is not contained in V or im B is not contained in V, within
-        ``EQUALITY_TOL`` relative to 1 + the norm of A or B.
-    """
-    if V.ambient_dim != sys.n_states:
-        raise ValueError("subspace does not live in the system's state space")
-    W = V.basis
-    P_out = np.eye(V.ambient_dim) - W @ W.T
-    scale_A = 1.0 + np.linalg.norm(sys.A)
-    scale_B = 1.0 + np.linalg.norm(sys.B)
-    resid_A = np.linalg.norm(P_out @ sys.A @ W)
-    resid_B = np.linalg.norm(P_out @ sys.B)
-    if resid_A > EQUALITY_TOL * scale_A or resid_B > EQUALITY_TOL * scale_B:
-        raise NotInvariant(
-            f"subspace is not invariant: |proj A V| = {resid_A:.3e}, "
-            f"|proj B| = {resid_B:.3e}"
-        )
-    return OdeLti(W.T @ sys.A @ W, W.T @ sys.B, sys.C @ W, sys.D)
+    if d + sdim == r:
+        return full_space(r)
+    return _orthonormal(np.hstack([Q[:, :d], Q_u @ Z[:, :sdim]]))

@@ -1,21 +1,23 @@
 """Rank-revealing subspace algebra built on the singular value decomposition.
 
-Every geometric computation in this package (Wong sequences, consistency
-sets, stabilizability subspaces) reduces to a small set of primitives over
-orthonormal bases: image, kernel and preimage.  All bases returned here
-have orthonormal columns; the zero subspace is represented by a basis with
-zero columns.  Only a caller's ``Subspace(basis)`` is checked.
+The geometric computations of this package (Wong sequences, consistency
+sets) reduce to a small set of primitives over orthonormal bases: image,
+kernel and preimage; the two staircases (``weakly_unobservable`` and
+``stabilizability_subspace``) call the rank rule directly.  All bases
+returned here have orthonormal columns; the zero subspace is represented
+by a basis with zero columns.  Only a caller's ``Subspace(basis)`` is checked.
 
 Conventions
 -----------
 * One rank rule, ``_rank_from_singular_values``, makes every rank decision
   in the package: it counts singular values above ``tol * sigma_max`` where
   ``tol`` defaults to ``max(rows, cols) * machine epsilon``.  Only
-  ``preimage`` and the staircase pass a larger reference scale, the norm
-  of the unprojected map (``_projection_rule``), so that a map composed
-  with an orthogonal projector does not acquire spurious rank from
-  round-off residue; ``wong_limit`` raises it further to ``||A||`` for
-  its restrictions A W.
+  ``preimage`` and the two staircases pass a larger reference scale, the
+  norm of the unprojected map (``_projection_rule``), so that a map
+  composed with an orthogonal projector does not acquire spurious rank
+  from round-off residue: ``||[A, B]||`` for every block of the
+  controllability staircase; ``wong_limit`` raises it further to ``||A||``
+  for its restrictions A W.
 * ``tol`` is only ever that relative singular-value cutoff.  ``associate``
   records it on the realization, and every later rank decision about that
   realization reads it from there; the CLI's ``--tol`` sets it.
@@ -24,12 +26,12 @@ Conventions
 
   - ``EQUALITY_TOL`` (1e-8): the residual bounds.  A vector w belongs to
     span(B) when ``||(I - B B^T) w|| <= EQUALITY_TOL * max(1, ||w||)``;
-    subspace containment and equality, the friend's residual, invariance
-    under A and B, the realization identities and feedback equivalence
-    are all decided against it.
+    subspace containment and equality, the friend's residual, the
+    realization identities and feedback equivalence are all decided
+    against it.
   - ``PROJECTION_ROUNDING`` (64): the default rank tolerance of a
     projected map is this many times the plain one (``preimage``, the
-    staircase).
+    two staircases).
   - ``ORTHONORMAL_TOL`` (1e-10): max |B^T B - I| of a caller's basis.
   - ``STABLE_EIG_TOL`` (1e-9): eigenvalues with real part at or above
     -STABLE_EIG_TOL count as unstable, so marginal modes are never

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from dae2ode import DaeLti, associate
 
@@ -37,6 +40,59 @@ def conditioned(k, cond, rng):
     Q1 = np.linalg.qr(rng.standard_normal((k, k)))[0]
     Q2 = np.linalg.qr(rng.standard_normal((k, k)))[0]
     return Q1 @ np.diag(np.logspace(0.0, np.log10(cond), k)) @ Q2
+
+
+@dataclass(frozen=True)
+class PlantedDae:
+    """A DAE of known structure: the n_hat, k and l that associate must find."""
+
+    dae: DaeLti
+    n_hat: int
+    k: int
+    l: int
+
+
+def planted_dae(rng: np.random.Generator, cond: float | None = 1.0) -> PlantedDae:
+    """Block-diagonal DAE of known Kronecker structure (Gantmacher 1959;
+    Van Dooren 1979), hidden behind changes S, T and R of rows, states and
+    inputs of condition ``cond`` (1 is orthogonal; None leaves it unhidden).
+
+    Every block is at most 4 wide:
+    * 0-4 finite blocks x' = lambda x, lambda ~ U(-2, 2);
+    * 0-2 right blocks L_eps, eps in 0..3: x_1' = x_2, ..., x_eps' = g, with
+      g an input column or a free state column;
+    * 0-2 infinite blocks N_mu, mu in 1..4: E the mu x mu upper shift and
+      A = I, so x = 0;
+    * 0-1 left blocks L_eta^T, eta in 1..4: E = [I; 0] and A = [0; I],
+      (eta + 1) x eta, so x = 0.
+
+    So n_hat is the number of finite blocks plus the sum of eps, k the number
+    of right blocks, and l the sum of eps plus the finite blocks with
+    lambda < 0.  An empty draw is drawn again.
+    """
+    blocks = []  # (E, A, B) of each block, B with the block's input columns
+    while not blocks:
+        lams = rng.uniform(-2.0, 2.0, int(rng.integers(0, 5)))
+        blocks = [(np.eye(1), np.array([[lam]]), np.zeros((1, 0))) for lam in lams]
+        eps = rng.integers(0, 4, int(rng.integers(0, 3)))
+        for e in eps:
+            if rng.uniform() < 0.5:  # g is an input column
+                B = np.eye(e)[:, -1:] if e else np.zeros((0, 1))
+                blocks.append((np.eye(e), np.eye(e, k=1), B))
+            else:  # g is a free state column
+                blocks.append((np.eye(e, e + 1), np.eye(e, e + 1, k=1), np.zeros((e, 0))))
+        for mu in rng.integers(1, 5, int(rng.integers(0, 3))):
+            blocks.append((np.eye(mu, k=1), np.eye(mu), np.zeros((mu, 0))))
+        for eta in rng.integers(1, 5, int(rng.integers(0, 2))):
+            blocks.append(
+                (np.eye(eta + 1, eta), np.eye(eta + 1, eta, k=-1), np.zeros((eta + 1, 0)))
+            )
+    E, A, B = (scipy.linalg.block_diag(*parts) for parts in zip(*blocks))
+    if cond is not None:
+        S, T, R = (conditioned(k, cond, rng) for k in (*E.shape, B.shape[1]))
+        E, A, B = S @ E @ T, S @ A @ T, S @ B @ R
+    n_hat = len(lams) + int(eps.sum())
+    return PlantedDae(DaeLti(E, A, B), n_hat, len(eps), n_hat - int(np.sum(lams >= 0.0)))
 
 
 def power_of_two_scaling(k, rng):

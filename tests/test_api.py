@@ -57,3 +57,17 @@ def test_unconsulted_dae_arguments_are_pinned():
         "infinite_horizon",
         "closed_loop_replay",
     }
+
+
+def test_every_error_class_is_raised():
+    # A class in errors.__all__ that no module raises is dead code; the base
+    # class is only caught, through its subclasses.
+    errors = importlib.import_module("dae2ode.errors")
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    assert set(errors.__all__) - raised == {"Dae2OdeError"}

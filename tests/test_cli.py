@@ -273,6 +273,27 @@ def test_terminal_weight_of_another_size_is_named(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["lq-infinite", "lq-finite"])
+def test_weights_that_split_n_plus_m_otherwise_are_named(tmp_path, capsys, command):
+    # n + m = 4 on the worked example, but n = 3: a 2 x 2 Q and a 2 x 2 R
+    # are a usage error, not a cost.
+    path = ex1_problem(
+        tmp_path,
+        Q=np.eye(2).tolist(),
+        R=(2.0 * np.eye(2)).tolist(),
+        Q0=np.eye(2).tolist(),
+        z=[1.0, 7.0],
+        t1=1.0,
+    )
+    rc = main([command, path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err.startswith("dae2ode: weights are for signal dimensions n=2, m=2")
+    assert "Q must be 3 x 3 and R 1 x 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_package_error_exits_1(tmp_path, capsys):
     # Instance 120 of the power-of-two population (seed 5) has no friend
     # within the residual bound, so associate raises ResidualTooLarge.
@@ -633,6 +654,15 @@ class TestMatio:
         traj = parse_trajectory(text)
         assert traj.x.shape == (2, 2)
         assert traj.u.shape == (2, 1)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_trajectory_with_a_non_finite_time_is_refused(self, bad):
+        # np.diff(t) <= 0 is False next to a NaN, so the order check alone
+        # let such a grid through.
+        with pytest.raises(ValueError, match="^time samples must be finite$"):
+            parse_trajectory(f"t,x1,u1\n0,1,1\n{bad},1,1\n2,1,1\n")
+        with pytest.raises(ValueError, match="^time samples must be finite$"):
+            Trajectory([0.0, float(bad)], np.ones((2, 1)), np.ones((2, 1)))
 
     def test_problem_defaults(self, tmp_path):
         path = write_problem(

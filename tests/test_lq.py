@@ -594,6 +594,27 @@ class TestStabilizability:
     def test_worked_example_is_stabilizable(self, ex1, ex1_assoc):
         assert is_behaviorally_stabilizable(ex1, ex1_assoc, np.array([1.0, 7.0]))
 
+    @pytest.mark.parametrize("tol", [None, 1e-10], ids=["default", "1e-10"])
+    def test_unreached_unstable_mode_behind_orthogonal_changes(self, tol):
+        # x1' = 0.7 x1, x2' = -0.4 x2, x3 free, and an input that acts on
+        # nothing.  Behind S and T, B_l is rounding alone; ranked against its
+        # own size, that rounding would reach x1 (l = 2), and the ARE would
+        # have no stabilizing solution.
+        rng = np.random.default_rng(26)
+        E = np.eye(2, 3)
+        A = np.hstack([np.diag([0.7, -0.4]), np.zeros((2, 1))])
+        w = LqWeights(np.eye(3), np.eye(1), np.zeros((2, 2)))
+        for idx in range(200):
+            S = np.linalg.qr(rng.standard_normal((2, 2)))[0]
+            T = np.linalg.qr(rng.standard_normal((3, 3)))[0]
+            dae = DaeLti(S @ E @ T, S @ A @ T, np.zeros((2, 1)))
+            assoc = associate(dae, tol)
+            assert assoc.restriction.l == 1, f"system {idx}"
+            z = S[:, 0]
+            assert not is_behaviorally_stabilizable(dae, assoc, z), f"system {idx}"
+            with pytest.raises(NotStabilizable):
+                infinite_horizon(dae, assoc, w, z)
+
 
 class TestInfiniteHorizon:
     def test_zero_start_costs_nothing(self, ex1, ex1_assoc):
@@ -815,6 +836,22 @@ class TestSharedChecks:
         w = LqWeights(np.eye(2), np.eye(1), np.eye(1))
         with pytest.raises(ValueError, match="weights are for signal dimensions"):
             solve(dae, assoc, w)
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda dae, assoc, w, z: infinite_horizon(dae, assoc, w, z),
+            lambda dae, assoc, w, z: finite_horizon(dae, assoc, w, z, 1.0),
+        ],
+        ids=["infinite_horizon", "finite_horizon"],
+    )
+    def test_weights_that_split_n_plus_m_otherwise_rejected(self, ex1, ex1_assoc, solve):
+        # n = 3 and m = 1 on the worked example.  A 2 x 2 Q and a 2 x 2 R
+        # fill the same four output rows, so diag(Q, R) alone has the right
+        # size, and the split must be checked against n and m.
+        w = LqWeights(np.eye(2), 2.0 * np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match=r"Q must be 3 x 3 and R 1 x 1$"):
+            solve(ex1, ex1_assoc, w, np.array([1.0, 7.0]))
 
     @RICCATI_CALLS
     def test_zero_feedthrough_with_actuated_state_rejected(self, solve):

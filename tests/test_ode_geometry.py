@@ -6,10 +6,8 @@ import scipy.linalg
 import scipy.signal
 
 from dae2ode import (
-    NotInvariant,
     OdeLti,
     Subspace,
-    restrict_to_invariant,
     simulate,
     stabilizability_subspace,
     weakly_unobservable,
@@ -401,46 +399,28 @@ class TestStabilizabilitySubspace:
         assert V.dim == 40
         assert len(schur_calls) == 1
 
+    def test_basis_keeps_the_reached_and_the_stable_unreached_modes(self):
+        # (A_r, B_r) reachable, the unreached modes -1 and 2, hidden behind
+        # an orthogonal Q: W^T A W has the spectrum of A_r and -1, and W^T B
+        # keeps all of B.
+        rng = np.random.default_rng(26)
+        for _ in range(20):
+            A_r = rng.standard_normal((2, 2))
+            A = np.block(
+                [[A_r, rng.standard_normal((2, 2))], [np.zeros((2, 2)), np.diag([-1.0, 2.0])]]
+            )
+            B = np.vstack([rng.standard_normal((2, 1)), np.zeros((2, 1))])
+            Q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+            W = stabilizability_subspace(Q @ A @ Q.T, Q @ B).basis
+            assert W.shape == (4, 3)
+            got = np.sort_complex(np.linalg.eigvals(W.T @ Q @ A @ Q.T @ W))
+            want = np.sort_complex(np.append(np.linalg.eigvals(A_r), -1.0))
+            assert np.allclose(got, want, atol=1e-10)
+            assert np.isclose(np.linalg.norm(W.T @ Q @ B), np.linalg.norm(B), rtol=1e-12)
+
     def test_mixed_spectrum_splits(self):
         A = np.diag([-1.0, 2.0])
         V = stabilizability_subspace(A, np.zeros((2, 1)))
         assert V.dim == 1
         assert V.contains_vector(np.array([1.0, 0.0]))
 
-
-class TestRestrictToInvariant:
-    def test_full_space_preserves_spectrum(self):
-        rng = np.random.default_rng(12)
-        A = rng.standard_normal((4, 4))
-        B = rng.standard_normal((4, 2))
-        sys = OdeLti(A, B, np.eye(4), np.zeros((4, 2)))
-        sub = restrict_to_invariant(sys, Subspace(np.eye(4)))
-        got = np.sort_complex(np.linalg.eigvals(sub.A))
-        want = np.sort_complex(np.linalg.eigvals(A))
-        assert np.allclose(got, want, atol=1e-8)
-
-    def test_zero_space_gives_empty_system(self):
-        sys = OdeLti(np.eye(2), np.zeros((2, 1)), np.eye(2), np.zeros((2, 1)))
-        sub = restrict_to_invariant(sys, Subspace(np.zeros((2, 0))))
-        assert sub.A.shape == (0, 0)
-        assert sub.B.shape == (0, 1)
-        assert sub.C.shape == (2, 0)
-
-    def test_block_triangular_structure(self):
-        rng = np.random.default_rng(13)
-        k, r = 2, 5
-        A = rng.standard_normal((r, r))
-        A[k:, :k] = 0.0
-        B = np.vstack([rng.standard_normal((k, 1)), np.zeros((r - k, 1))])
-        C = rng.standard_normal((2, r))
-        sys = OdeLti(A, B, C, np.zeros((2, 1)))
-        sub = restrict_to_invariant(sys, Subspace(np.eye(r)[:, :k]))
-        assert np.allclose(sub.A, A[:k, :k], atol=1e-12)
-        assert np.allclose(sub.B, B[:k], atol=1e-12)
-        assert np.allclose(sub.C, C[:, :k], atol=1e-12)
-
-    def test_non_invariant_subspace_rejected(self):
-        A = np.array([[0.0, 0.0], [1.0, 0.0]])
-        sys = OdeLti(A, np.zeros((2, 1)), np.eye(2), np.zeros((2, 1)))
-        with pytest.raises(NotInvariant):
-            restrict_to_invariant(sys, Subspace(np.eye(2)[:, :1]))
