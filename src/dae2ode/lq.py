@@ -20,6 +20,12 @@ the associated ODE-LTI and solving a Riccati problem in the internal state:
   diagonal scaling, then one Kleinman-Newton step, optimal cost
   (M_g z)' P (M_g z), solvable exactly for behaviorally stabilizable z.
 
+The Riccati layer calls LAPACK's drivers itself, with SciPy's finiteness
+checks and error maps but without its wrappers' per-call dispatch, which
+outweighs the arithmetic on small systems: ``dgebal`` balances, ``dgees``
+(``odesys._schur``) gives every Schur form, ``dtrsyl`` the Lyapunov solve
+on it, and ``dpotrf``/``dpotrs`` factor and apply W = D'SD.
+
 Each equation has one public solver, its only implementation, which the
 horizon solver calls: ``solve_dre`` returns the samples together with the
 exponential the closed loop steps back by, ``solve_are`` the solution
@@ -34,6 +40,7 @@ returned trajectory against it without solving anything again.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -49,7 +56,7 @@ from .errors import (
     NoStabilizingStart,
     NotStabilizable,
 )
-from .odesys import OdeLti, simulate
+from .odesys import OdeLti, _finite, _schur, simulate
 from .subspaces import (
     ARE_RESIDUAL_TOL,
     EQUALITY_TOL,
@@ -172,12 +179,21 @@ def spectral_abscissa(A: np.ndarray) -> float:
     return float(np.max(np.real(np.linalg.eigvals(A))))
 
 
+def _cho_solve(cho: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """W^{-1} b from the upper Cholesky factor ``cho`` of W, by LAPACK
+    ``dpotrs``; an empty b (no input, or no state) gives an empty solution.
+    A non-finite b raises ValueError, as ``scipy.linalg.cho_solve`` does."""
+    if b.size == 0:
+        return np.empty_like(b)
+    return scipy.linalg.lapack.dpotrs(cho, _finite(b))[0]
+
+
 def _hamiltonian(sys: OdeLti, w: LqWeights):
     """Reduced Hamiltonian data of the LQ problem on (A, B, C, D) with output
-    weight S = diag(Q, R): (cho, DSC, A_r, G, Q_r) with cho the Cholesky
-    factor of W = D'SD, DSC = D'SC, A_r = A - B W^{-1}D'SC,
-    G = B W^{-1}B' and Q_r = C'SC - C'SD W^{-1}D'SC.  With no input (k = 0)
-    W is 0 x 0, A_r = A, G = 0 and Q_r = C'SC.
+    weight S = diag(Q, R): (cho, DSC, A_r, G, Q_r) with cho the upper
+    Cholesky factor of W = D'SD (LAPACK ``dpotrf``), DSC = D'SC,
+    A_r = A - B W^{-1}D'SC, G = B W^{-1}B' and Q_r = C'SC - C'SD W^{-1}D'SC.
+    With no input (k = 0) W is 0 x 0, A_r = A, G = 0 and Q_r = C'SC.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     S = w.S
@@ -186,32 +202,32 @@ def _hamiltonian(sys: OdeLti, w: LqWeights):
             f"weights are for signal dimensions n={w.n}, m={w.m}, "
             f"but the system outputs {C.shape[0]} rows"
         )
-    try:
-        cho = scipy.linalg.cho_factor(D.T @ S @ D)
-    except scipy.linalg.LinAlgError as exc:
+    cho, info = scipy.linalg.lapack.dpotrf(_finite(D.T @ S @ D))
+    if info:
         raise ValueError(
             "D'SD is not positive definite; the LQ gain is undefined "
             "(requires full column rank D and positive definite Q, R)"
-        ) from exc
+        )
     DSC = D.T @ S @ C
     n = A.shape[0]
-    F = scipy.linalg.cho_solve(cho, np.hstack([DSC, B.T]))
+    F = _cho_solve(cho, np.hstack([DSC, B.T]))
     return cho, DSC, A - B @ F[:, :n], B @ F[:, n:], C.T @ S @ C - DSC.T @ F[:, :n]
 
 
 def _gain(cho, DSC, B: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """K = W^{-1}(B'P + D'SC) for one P or, in one solve, for each P of a
-    stack; K has no rows when there is no input (k = 0).
+    """K = W^{-1}(B'P + D'SC), with cho the upper Cholesky factor of W, for
+    one P or, in one solve, for each P of a stack; K has no rows when there
+    is no input (k = 0).
 
     Every P of a stack is symmetric, so B'P_j = (P_j B)' and one product over
     the stack's rows forms them all.
     """
     if P.ndim == 2:
-        return scipy.linalg.cho_solve(cho, B.T @ P + DSC)
+        return _cho_solve(cho, B.T @ P + DSC)
     N, n = P.shape[:2]
     k = B.shape[1]
     PB = (P.reshape(N * n, n) @ B).reshape(N, n, k) + DSC.T
-    K = scipy.linalg.cho_solve(cho, PB.reshape(N * n, k).T)
+    K = _cho_solve(cho, PB.reshape(N * n, k).T)
     return K.reshape(k, N, n).swapaxes(0, 1)
 
 
@@ -414,6 +430,33 @@ def finite_horizon(
     )
 
 
+def _left_half_plane(re: float, im: float) -> bool:
+    """The ``dgees`` order of the stable eigenvalues first."""
+    return re < 0.0
+
+
+def _lyapunov(a: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """X with a X + X a' = q by Bartels-Stewart (Bartels & Stewart 1972,
+    CACM 15): the real Schur form a = U T U' (``_schur``), then LAPACK
+    ``dtrsyl`` on T Y + Y T' = U'qU and X = U Y U'.
+
+    Operation for operation ``scipy.linalg.solve_continuous_lyapunov`` on a
+    finite nonempty a: it warns, as that does, when an eigenvalue pair of a
+    sums to nearly zero and ``dtrsyl`` perturbs it.
+    """
+    T, U, _ = _schur(a)
+    Y, scale, info = scipy.linalg.lapack.dtrsyl(T, T, U.T.dot(_finite(q).dot(U)), tranb="T")
+    if info == 1:
+        warnings.warn(
+            'Input "a" has an eigenvalue pair whose sum is very close to or exactly '
+            "zero. The solution is obtained via perturbing the coefficients.",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    Y *= scale
+    return U.dot(Y).dot(U.T)
+
+
 def solve_are(sys: OdeLti, w: LqWeights) -> tuple[np.ndarray, np.ndarray, float]:
     """Solve the algebraic Riccati equation of a restricted system.
 
@@ -431,12 +474,14 @@ def solve_are(sys: OdeLti, w: LqWeights) -> tuple[np.ndarray, np.ndarray, float]
     vectors, after balancing H by the symplectic similarity T = diag(d, 1/d)
     (Benner 2000, "Symplectic balancing of Hamiltonian matrices", SIAM J.
     Sci. Comput. 22) with d_i = 2^round(log2 sqrt(s_i/s_{l+i})) from the
-    scaling s of ``scipy.linalg.matrix_balance``: each d_i is a power of
-    two, so P_ij = P'_ij / (d_i d_j) maps the balanced solution P' back
-    exactly.  One Kleinman-Newton step follows (Kleinman 1968, IEEE TAC 13),
-    a Lyapunov solve on the closed loop A_g - B_g K.  The restricted
-    associated system has no invariant zeros, so the Hamiltonian has no
-    eigenvalues on the imaginary axis and exactly l stable ones.  With no
+    scaling s of LAPACK ``dgebal`` (scaling only, no permutation): each d_i
+    is a power of two, so P_ij = P'_ij / (d_i d_j) maps the balanced
+    solution P' back exactly.  The Schur form is LAPACK ``dgees``
+    (``odesys._schur``).  One Kleinman-Newton step follows (Kleinman 1968,
+    IEEE TAC 13), a Bartels-Stewart Lyapunov solve (``_lyapunov``) on the
+    closed loop A_g - B_g K.  The restricted associated system has no
+    invariant zeros, so the Hamiltonian has no eigenvalues on the imaginary
+    axis and exactly l stable ones.  With no
     input (k = 0) G = 0, K has no rows and the step is the Lyapunov solve
     for the observability Gramian.
 
@@ -453,11 +498,11 @@ def solve_are(sys: OdeLti, w: LqWeights) -> tuple[np.ndarray, np.ndarray, float]
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     H = np.block([[A_r, -_sym(G)], [-_sym(Q_r), -A_r.T]])
     try:
-        _, (s, _) = scipy.linalg.matrix_balance(H, permute=False, separate=True)
+        s = scipy.linalg.lapack.dgebal(_finite(H), scale=1)[3]
         d = np.exp2(np.round(0.5 * np.log2(s[:l] / s[l:])))
         t = np.concatenate([d, 1.0 / d])
-        _, U, sdim = scipy.linalg.schur(H * t / t[:, None], output="real", sort="lhp")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        _, U, sdim = _schur(H * t / t[:, None], _left_half_plane)
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise NoStabilizingStart(f"Hamiltonian Schur form failed: {exc}") from exc
     if sdim != l:
         raise NoStabilizingStart(f"Hamiltonian has {sdim} stable eigenvalues, not {l}")
@@ -470,7 +515,7 @@ def solve_are(sys: OdeLti, w: LqWeights) -> tuple[np.ndarray, np.ndarray, float]
         raise NoStabilizingStart("stable Schur basis has a singular U11")
     K = _gain(cho, DSC, B, _sym(P / d / d[:, None]))
     C_cl = C - D @ K
-    P = _sym(scipy.linalg.solve_continuous_lyapunov((A - B @ K).T, -(C_cl.T @ S @ C_cl)))
+    P = _sym(_lyapunov((A - B @ K).T, -(C_cl.T @ S @ C_cl)))
     if not np.all(np.isfinite(P)):
         raise NoStabilizingStart("Kleinman-Newton step diverged")
     K = _gain(cho, DSC, B, P)

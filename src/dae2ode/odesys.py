@@ -82,6 +82,43 @@ class OdeLti:
         return self.C.shape[0]
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a`` itself; ValueError when it holds an inf or a NaN, as SciPy's
+    own finiteness check says it, before a LAPACK driver reads it."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+def _unsorted(re: float, im: float) -> None:
+    """The ``dgees`` callback of an unordered Schur form; never called."""
+
+
+def _schur(H: np.ndarray, select=None) -> tuple[np.ndarray, np.ndarray, int]:
+    """(T, Z, sdim): the real Schur form H = Z T Z' of a finite nonempty
+    square H by LAPACK ``dgees``, with the eigenvalues re + i im for which
+    ``select(re, im)`` holds ordered first and sdim of them (0 unordered).
+
+    It is ``scipy.linalg.schur(H, output="real", sort=select)`` without the
+    wrapper's dispatch: the same workspace query, so the same blocked
+    reduction and the same bits, the same finiteness check and the same
+    failures, LinAlgError when the QR algorithm or the reordering fails.
+    """
+    gees = scipy.linalg.lapack.dgees
+    lwork = int(gees(_unsorted, _finite(H), lwork=-1)[-2][0])
+    T, sdim, _, _, Z, _, info = gees(
+        select or _unsorted, H, lwork=lwork, sort_t=select is not None
+    )
+    n = H.shape[0]
+    if info == n + 1:
+        raise np.linalg.LinAlgError("Eigenvalues could not be separated for reordering.")
+    if info == n + 2:
+        raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
+    if info:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+    return T, Z, sdim
+
+
 def _check_uniform_grid(times: np.ndarray) -> float:
     steps = np.diff(times)
     if steps.size == 0:
@@ -222,7 +259,8 @@ def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
     Q_u, until that rank is zero.  So the Krylov matrix [B, AB, ...] never
     arises, and every rank is decided at ``tol`` against ||[A, B]||_2, as
     ``preimage`` decides its own.  The stable modes are taken from an
-    ordered real Schur form Z of the unreached block Q_u^T A Q_u alone;
+    ordered real Schur form Z of the unreached block Q_u^T A Q_u alone
+    (``_schur``, LAPACK ``dgees``; LinAlgError when the reordering fails);
     eigenvalues with real part >= -STABLE_EIG_TOL (marginal included) count
     as unstable.  The basis [Q_reached | Q_u Z_stable] is then orthonormal,
     A-invariant and contains im B by construction.  A stabilizable pair
@@ -253,9 +291,7 @@ def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
         return full_space(r)
 
     Q_u = Q[:, d:]
-    _, Z, sdim = scipy.linalg.schur(
-        Q_u.T @ A @ Q_u, output="real", sort=lambda re, im: re < -STABLE_EIG_TOL
-    )
+    _, Z, sdim = _schur(Q_u.T @ A @ Q_u, lambda re, im: re < -STABLE_EIG_TOL)
     if d + sdim == r:
         return full_space(r)
     return _orthonormal(np.hstack([Q[:, :d], Q_u @ Z[:, :sdim]]))

@@ -106,6 +106,20 @@ def random_spd(k: int, rng: np.random.Generator) -> np.ndarray:
     return M @ M.T + k * np.eye(k)
 
 
+@pytest.fixture
+def failing_dgees(monkeypatch):
+    """LAPACK ``dgees`` answering every call but the workspace query with
+    info = n + 2, its report that rounding moved a leading eigenvalue across
+    the sort condition after reordering."""
+    dgees = scipy.linalg.lapack.dgees
+
+    def failing(select, H, lwork, sort_t=0):
+        result = dgees(select, H, lwork=lwork, sort_t=sort_t)
+        return result if lwork == -1 else (*result[:-1], H.shape[0] + 2)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dgees", failing)
+
+
 def example_one() -> DaeLti:
     """The 2x3 worked system: d/dt[x1, x2] = [x1 + u, x2 + x3]."""
     E = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

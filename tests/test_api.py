@@ -59,6 +59,31 @@ def test_unconsulted_dae_arguments_are_pinned():
     }
 
 
+# SciPy wrappers of the LAPACK drivers that odesys._schur (dgees),
+# lq._lyapunov (dtrsyl), solve_are (dgebal) and lq's Cholesky solves
+# (dpotrf, dpotrs) call directly.
+REPLACED_WRAPPERS = {
+    "schur", "solve_continuous_lyapunov", "matrix_balance", "cho_factor", "cho_solve"
+}
+
+
+def test_no_module_calls_a_replaced_scipy_wrapper():
+    # One Schur path and one Cholesky path: a call or an import of the
+    # wrappers would start a second one, with its own checks and bits.
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                names = [func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n in REPLACED_WRAPPERS]
+    assert found == []
+
+
 def test_every_error_class_is_raised():
     # A class in errors.__all__ that no module raises is dead code; the base
     # class is only caught, through its subclasses.

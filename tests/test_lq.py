@@ -34,7 +34,7 @@ from dae2ode import (
 )
 from dae2ode.dae import pencil_stabilizability_test
 from dae2ode.heat import HeatConfig, build_heat_models
-from dae2ode.lq import _are_residual, _gain, _hamiltonian
+from dae2ode.lq import _are_residual, _gain, _hamiltonian, _lyapunov
 from dae2ode.subspaces import ARE_RESIDUAL_TOL
 
 from conftest import conditioned, random_autonomous_unstable, random_dae, random_spd
@@ -455,6 +455,49 @@ class TestSolveAre:
         with pytest.raises(NoStabilizingStart, match="0 stable eigenvalues, not 2"):
             solve_are(sys, w)
 
+    def test_failed_schur_reordering_is_no_stabilizing_start(self, failing_dgees):
+        # The LinAlgError of a failed reordering becomes solve_are's own.
+        _, assoc = scalar_integrator()
+        w = LqWeights(np.eye(1), np.eye(1), np.zeros((1, 1)))
+        with pytest.raises(NoStabilizingStart, match="sort condition"):
+            solve_are(assoc.restriction.sys_g, w)
+
+    def test_overflowing_weights_are_no_stabilizing_start(self):
+        # Q = 1e308 I fits in a double, but the balanced Hamiltonian does
+        # not: its Schur form refuses the infs as SciPy's does.
+        rng = np.random.default_rng(2702)
+        sys = OdeLti(
+            rng.standard_normal((3, 3)),
+            rng.standard_normal((3, 1)),
+            np.vstack([np.eye(3), np.zeros((1, 3))]),
+            np.vstack([np.zeros((3, 1)), np.eye(1)]),
+        )
+        w = LqWeights(1e308 * np.eye(3), np.eye(1), np.eye(1))
+        with np.errstate(over="ignore"), pytest.raises(NoStabilizingStart, match="infs or NaNs"):
+            solve_are(sys, w)
+
+    @pytest.mark.parametrize("shift", [-3.0, 0.0])
+    def test_lyapunov_matches_scipy_bitwise(self, shift):
+        rng = np.random.default_rng(2703)
+        for n in range(1, 13):
+            a = rng.standard_normal((n, n)) + shift * np.eye(n)
+            X = rng.standard_normal((n, n))
+            q = -(X @ X.T)
+            want = scipy.linalg.solve_continuous_lyapunov(a, q)
+            assert np.array_equal(_lyapunov(a, q), want), n
+
+    def test_lyapunov_refuses_non_finite_data(self):
+        a, q = -np.eye(2), -np.eye(2)
+        for bad_a, bad_q in ((np.inf, 0.0), (0.0, np.nan)):
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                _lyapunov(a + np.array([[0.0, bad_a], [0.0, 0.0]]), q + bad_q)
+
+    def test_lyapunov_warns_on_a_singular_operator(self):
+        # The eigenvalues +-i of a sum to zero: dtrsyl perturbs them, as
+        # inside scipy's solver, and says so.
+        with pytest.warns(RuntimeWarning, match="perturbing"):
+            _lyapunov(np.array([[0.0, 1.0], [-1.0, 0.0]]), -np.eye(2))
+
     def test_random_stabilizable_population(self):
         rng = np.random.default_rng(1234)
         solved = 0
@@ -529,14 +572,15 @@ class TestSolveAre:
     def test_one_newton_step_reaches_the_residual_floor(self, ex1_assoc, monkeypatch):
         # From the balanced Schur start, the one Kleinman-Newton step brings
         # ex1 and both heat restrictions, up to N = 320, to the residual floor.
-        lyapunov = scipy.linalg.solve_continuous_lyapunov
+        lq = importlib.import_module("dae2ode.lq")
+        lyapunov = lq._lyapunov
         calls = []
 
         def counted(*args):
             calls.append(1)
             return lyapunov(*args)
 
-        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", counted)
+        monkeypatch.setattr(lq, "_lyapunov", counted)
         cases = [
             (ex1_assoc.restriction, LqWeights(np.eye(3), np.eye(1), np.eye(2)))
         ] + heat_restrictions(40) + heat_restrictions(160) + heat_restrictions(320)
@@ -1013,7 +1057,7 @@ class TestGain:
     def test_stack_matches_each_p(self, n_hat, k):
         rng = np.random.default_rng(7)
         B, DSC = rng.standard_normal((n_hat, k)), rng.standard_normal((k, n_hat))
-        cho = scipy.linalg.cho_factor(random_spd(k, rng))
+        cho = scipy.linalg.lapack.dpotrf(random_spd(k, rng))[0]
         X = rng.standard_normal((40, n_hat, n_hat))
         P = 0.5 * (X + X.swapaxes(1, 2))
         K = _gain(cho, DSC, B, P)

@@ -12,8 +12,10 @@ from dae2ode import (
     stabilizability_subspace,
     weakly_unobservable,
 )
+from dae2ode import odesys
 from dae2ode.heat import HeatConfig, build_heat_models
-from dae2ode.subspaces import EQUALITY_TOL
+from dae2ode.lq import _left_half_plane
+from dae2ode.subspaces import EQUALITY_TOL, STABLE_EIG_TOL
 
 
 def _random_system(rng, r=None, s=None, p=None):
@@ -373,7 +375,7 @@ class TestStabilizabilitySubspace:
         def no_schur(*args, **kwargs):
             raise AssertionError("a reachable pair needs no modal split")
 
-        monkeypatch.setattr(scipy.linalg, "schur", no_schur)
+        monkeypatch.setattr(odesys, "_schur", no_schur)
         rng = np.random.default_rng(19)
         for r, s in ((4, 4), (6, 1), (5, 2)):
             A = rng.standard_normal((r, r)) + 2.0 * np.eye(r)
@@ -387,14 +389,14 @@ class TestStabilizabilitySubspace:
         models = build_heat_models(cfg)
         A = np.linalg.solve(models.gram, models.stiffness)
         B = np.linalg.solve(models.gram, models.sine_overlap[:, : cfg.N_u])
-        schur = scipy.linalg.schur
+        schur = odesys._schur
         schur_calls = []
 
         def counted(*args, **kwargs):
             schur_calls.append(1)
             return schur(*args, **kwargs)
 
-        monkeypatch.setattr(scipy.linalg, "schur", counted)
+        monkeypatch.setattr(odesys, "_schur", counted)
         V = stabilizability_subspace(A, B)
         assert V.dim == 40
         assert len(schur_calls) == 1
@@ -424,3 +426,48 @@ class TestStabilizabilitySubspace:
         assert V.dim == 1
         assert V.contains_vector(np.array([1.0, 0.0]))
 
+
+def _stable(re, im):
+    return re < -STABLE_EIG_TOL
+
+
+class TestSchur:
+    """``odesys._schur`` calls LAPACK ``dgees`` itself: it must give the bits
+    of ``scipy.linalg.schur`` and fail where that fails."""
+
+    # (select for _schur, sort for scipy.linalg.schur)
+    SORTS = {
+        "unsorted": (None, None),
+        "lhp": (_left_half_plane, "lhp"),
+        "stable": (_stable, _stable),
+    }
+
+    @pytest.mark.parametrize("sort", sorted(SORTS))
+    def test_matches_scipy_bitwise(self, sort):
+        select, scipy_sort = self.SORTS[sort]
+        rng = np.random.default_rng(2701)
+        for n in range(1, 13):
+            for shift in (-1.0, 0.0, 1.0):
+                H = rng.standard_normal((n, n)) + shift * np.eye(n)
+                T, Z, sdim = odesys._schur(H, select)
+                if scipy_sort is None:
+                    T_ref, Z_ref = scipy.linalg.schur(H, output="real")
+                    sdim_ref = 0
+                else:
+                    T_ref, Z_ref, sdim_ref = scipy.linalg.schur(H, output="real", sort=scipy_sort)
+                assert np.array_equal(T, T_ref), (n, shift)
+                assert np.array_equal(Z, Z_ref), (n, shift)
+                assert sdim == sdim_ref, (n, shift)
+
+    def test_non_finite_input_raises_value_error(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            H = np.eye(3)
+            H[1, 2] = bad
+            with pytest.raises(ValueError, match="infs or NaNs"):
+                odesys._schur(H, _left_half_plane)
+
+    def test_failed_reordering_raises_linalg_error(self, failing_dgees):
+        with pytest.raises(np.linalg.LinAlgError, match="sort condition"):
+            odesys._schur(np.diag([-1.0, 2.0]), _left_half_plane)
+        with pytest.raises(np.linalg.LinAlgError, match="sort condition"):
+            stabilizability_subspace(np.diag([-1.0, 2.0]), np.zeros((2, 1)))
