@@ -520,7 +520,7 @@ def solve_are(sys: OdeLti, w: LqWeights) -> tuple[np.ndarray, np.ndarray, float]
         raise NoStabilizingStart("Kleinman-Newton step diverged")
     K = _gain(cho, DSC, B, P)
     rel = _are_residual(sys, S, P, K)
-    if rel > ARE_RESIDUAL_TOL:
+    if not rel <= ARE_RESIDUAL_TOL:
         raise NoStabilizingStart(
             f"ARE residual {rel:.3e} exceeds tolerance {ARE_RESIDUAL_TOL:.1e}"
         )
@@ -537,15 +537,17 @@ def _are_residual(sys: OdeLti, S: np.ndarray, P: np.ndarray, K: np.ndarray) -> f
 
     Scaling time scales A, B and S, and R and the denominator alike, so the
     check reads the same on a fast system as on a slow one.  Both terms
-    vanish only when R does, and 0/0 reads 0.
+    vanish only when R does, and 0/0 reads 0.  Norms that overflow read
+    inf or NaN, without a warning, and fail the caller's check.
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     resid = P @ A + A.T @ P - K.T @ (D.T @ S @ D) @ K + C.T @ S @ C
     C_cl = C - D @ K
-    scale = 2.0 * np.linalg.norm(A - B @ K) * np.linalg.norm(P) + np.linalg.norm(
-        C_cl.T @ S @ C_cl
-    )
-    return float(np.linalg.norm(resid) / scale) if scale else 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = 2.0 * np.linalg.norm(A - B @ K) * np.linalg.norm(P) + np.linalg.norm(
+            C_cl.T @ S @ C_cl
+        )
+        return float(np.linalg.norm(resid) / scale) if scale else 0.0
 
 
 def is_behaviorally_stabilizable(dae: DaeLti, assoc: AssociatedOdeLti, z) -> bool:

@@ -9,8 +9,9 @@ its last step (Van Dooren 1981, IEEE TAC 26; Emami-Naeini & Van Dooren 1982,
 Automatica 18); and the stabilizability subspace (reachable plus stable
 modal subspace) from the dual staircase on (A, B), the orthogonal
 controllability staircase (Paige 1981, IEEE TAC 26), whose basis is
-invariant by construction.  Each computation has one public entry, which is
-its only implementation.
+invariant by construction.  Each staircase ranks against the norm of the
+system it deflates.  Each computation has one public entry, which is its
+only implementation.
 """
 
 from __future__ import annotations
@@ -218,25 +219,24 @@ def weakly_unobservable(
     F = F_V W^T with F_V the minimum-norm solution of M F_V = -R, so F = 0
     whenever the zero feedback is admissible, and L is the right null space
     of M, an orthonormal basis of ker D intersected with B^{-1} V (s x 0
-    when that is zero).  The ranks are decided at ``tol`` against
-    ||[B; D]||_2 and ||[A; C]||_2, as ``preimage`` decides its own.
+    when that is zero).  Every rank is decided at ``tol`` against
+    ||[A B; C D]||_2, so an input block of rounding alone has rank zero.
 
     Raises ResidualTooLarge when a column of M F_V + R exceeds
     ``EQUALITY_TOL`` (1 + the norm of R's column): the V found is then not
     output-nulling.
     """
-    rule_BD = _projection_rule(np.vstack([sys.B, sys.D]), tol)
-    rule_AC = _projection_rule(np.vstack([sys.A, sys.C]), tol)
+    rule = _projection_rule(np.vstack([np.hstack([sys.A, sys.B]), np.hstack([sys.C, sys.D])]), tol)
     Q, d = np.eye(sys.n_states), sys.n_states
     while True:
         W, W_perp = Q[:, :d], Q[:, d:]
         M = np.vstack([W_perp.T @ sys.B, sys.D])
         R = np.vstack([W_perp.T @ (sys.A @ W), sys.C @ W])
         U, s, Vh = np.linalg.svd(M)
-        rho = _rank_from_singular_values(M, s, *rule_BD)
+        rho = _rank_from_singular_values(M, s, *rule)
         X = U[:, rho:].T @ R
         _, sx, Vhx = np.linalg.svd(X)
-        tau = _rank_from_singular_values(X, sx, *rule_AC)
+        tau = _rank_from_singular_values(X, sx, *rule)
         if tau == 0:
             break
         Q[:, :d] = W @ np.vstack([Vhx[tau:], Vhx[:tau]]).T

@@ -15,8 +15,8 @@ Conventions
   ``preimage`` and the two staircases pass a larger reference scale, the
   norm of the unprojected map (``_projection_rule``), so that a map
   composed with an orthogonal projector does not acquire spurious rank
-  from round-off residue: ``||[A, B]||`` for every block of the
-  controllability staircase; ``wong_limit`` raises it further to ``||A||``
+  from round-off residue: ``||[A B; C D]||`` and ``||[A, B]||`` for every
+  rank of the two staircases; ``wong_limit`` raises it further to ``||A||``
   for its restrictions A W.
 * ``tol`` is only ever that relative singular-value cutoff.  ``associate``
   records it on the realization, and every later rank decision about that

@@ -44,12 +44,14 @@ def conditioned(k, cond, rng):
 
 @dataclass(frozen=True)
 class PlantedDae:
-    """A DAE of known structure: the n_hat, k and l that associate must find."""
+    """A DAE of known structure: the n_hat, k and l that associate must find,
+    and the dimension of its Wong limit."""
 
     dae: DaeLti
     n_hat: int
     k: int
     l: int
+    wong_dim: int
 
 
 def planted_dae(rng: np.random.Generator, cond: float | None = 1.0) -> PlantedDae:
@@ -68,19 +70,23 @@ def planted_dae(rng: np.random.Generator, cond: float | None = 1.0) -> PlantedDa
 
     So n_hat is the number of finite blocks plus the sum of eps, k the number
     of right blocks, and l the sum of eps plus the finite blocks with
-    lambda < 0.  An empty draw is drawn again.
+    lambda < 0.  The Wong limit holds the states of the finite and right
+    blocks, so its dimension is n_hat plus one for each right block whose g
+    is a state column.  An empty draw is drawn again.
     """
     blocks = []  # (E, A, B) of each block, B with the block's input columns
     while not blocks:
         lams = rng.uniform(-2.0, 2.0, int(rng.integers(0, 5)))
         blocks = [(np.eye(1), np.array([[lam]]), np.zeros((1, 0))) for lam in lams]
         eps = rng.integers(0, 4, int(rng.integers(0, 3)))
+        free_columns = 0
         for e in eps:
             if rng.uniform() < 0.5:  # g is an input column
                 B = np.eye(e)[:, -1:] if e else np.zeros((0, 1))
                 blocks.append((np.eye(e), np.eye(e, k=1), B))
             else:  # g is a free state column
                 blocks.append((np.eye(e, e + 1), np.eye(e, e + 1, k=1), np.zeros((e, 0))))
+                free_columns += 1
         for mu in rng.integers(1, 5, int(rng.integers(0, 3))):
             blocks.append((np.eye(mu, k=1), np.eye(mu), np.zeros((mu, 0))))
         for eta in rng.integers(1, 5, int(rng.integers(0, 2))):
@@ -92,7 +98,8 @@ def planted_dae(rng: np.random.Generator, cond: float | None = 1.0) -> PlantedDa
         S, T, R = (conditioned(k, cond, rng) for k in (*E.shape, B.shape[1]))
         E, A, B = S @ E @ T, S @ A @ T, S @ B @ R
     n_hat = len(lams) + int(eps.sum())
-    return PlantedDae(DaeLti(E, A, B), n_hat, len(eps), n_hat - int(np.sum(lams >= 0.0)))
+    l = n_hat - int(np.sum(lams >= 0.0))
+    return PlantedDae(DaeLti(E, A, B), n_hat, len(eps), l, n_hat + free_columns)
 
 
 def power_of_two_scaling(k, rng):

@@ -134,8 +134,8 @@ class TestSpecialShapes:
 
 class TestOneStaircasePass:
     def test_associate_takes_v_f_and_l_from_one_pass(self, ex1, monkeypatch):
-        # One call of weakly_unobservable, which builds one ||[B; D]|| and one
-        # ||[A; C]|| rule; a second friend solve would add a third rule.
+        # One call of weakly_unobservable, which builds one ||[A B; C D]||
+        # rule; a second friend solve would add a second rule.
         odesys = importlib.import_module("dae2ode.odesys")
         module = importlib.import_module("dae2ode.associate")
         original_rule = odesys._projection_rule
@@ -158,7 +158,7 @@ class TestOneStaircasePass:
             passes.clear()
             associate(dae)
             assert len(passes) == 1
-            assert len(rules) == 2
+            assert len(rules) == 1
 
 
 class TestVerifyAssociated:

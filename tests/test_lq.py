@@ -476,6 +476,22 @@ class TestSolveAre:
         with np.errstate(over="ignore"), pytest.raises(NoStabilizingStart, match="infs or NaNs"):
             solve_are(sys, w)
 
+    def test_overflowing_residual_is_no_stabilizing_start(self):
+        # Q = 1e200 I passes the Schur form, but the residual's norms
+        # overflow and read NaN, which the residual check must refuse.
+        rng = np.random.default_rng(3)
+        sys = OdeLti(
+            rng.standard_normal((3, 3)),
+            rng.standard_normal((3, 1)),
+            np.vstack([np.eye(3), np.zeros((1, 3))]),
+            np.vstack([np.zeros((3, 1)), np.eye(1)]),
+        )
+        w = LqWeights(1e200 * np.eye(3), np.eye(1), np.eye(1))
+        with pytest.warns(RuntimeWarning, match="perturbing"), pytest.raises(
+            NoStabilizingStart, match="ARE residual"
+        ):
+            solve_are(sys, w)
+
     @pytest.mark.parametrize("shift", [-3.0, 0.0])
     def test_lyapunov_matches_scipy_bitwise(self, shift):
         rng = np.random.default_rng(2703)

@@ -243,7 +243,7 @@ class TestOutputNullingFriend:
 
     def test_full_space_with_zero_feedthrough_gives_exact_zero_friend(self):
         # V = R^r with B != 0 and D = 0: the input block [W_perp^T B; D] is
-        # rounding residue next to ||[B; D]||, so its rank is 0 and the
+        # rounding residue next to ||[A B; C D]||, so its rank is 0 and the
         # friend is exactly zero, not amplified noise.
         rng = np.random.default_rng(16)
         A, B = rng.standard_normal((4, 4)), rng.standard_normal((4, 2))
@@ -307,15 +307,15 @@ def _output_nulling_friend(sys: OdeLti, W: np.ndarray) -> tuple[np.ndarray, np.n
     """Reference minimum-norm friend F and kernel matrix L of the
     output-nulling subspace with orthonormal basis W, written without the
     package: the SVD of M = [P B; D] with P = I - W W^T, rank counted above
-    64 max(rows, cols) eps ||[B; D]||_2, F = -pinv(M) [P A W; C W] W^T and
-    L the right null space of M."""
-    BD = np.vstack([sys.B, sys.D])
+    64 max(rows, cols) eps ||[A B; C D]||_2, F = -pinv(M) [P A W; C W] W^T
+    and L the right null space of M."""
+    ABCD = np.block([[sys.A, sys.B], [sys.C, sys.D]])
     P = np.eye(sys.n_states) - W @ W.T
     M = np.vstack([P @ sys.B, sys.D])
     R = np.vstack([P @ sys.A @ W, sys.C @ W])
     U, s, Vh = np.linalg.svd(M)
-    scale = np.linalg.norm(BD, 2) if BD.size else 0.0
-    rho = int(np.count_nonzero(s > 64 * max(BD.shape) * np.finfo(float).eps * scale))
+    scale = np.linalg.norm(ABCD, 2) if ABCD.size else 0.0
+    rho = int(np.count_nonzero(s > 64 * max(ABCD.shape) * np.finfo(float).eps * scale))
     F_V = -Vh[:rho].T @ np.diag(1.0 / s[:rho]) @ U[:, :rho].T @ R
     return F_V @ W.T, Vh[rho:].T
 
