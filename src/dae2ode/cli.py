@@ -15,10 +15,11 @@ One executable, subcommand style::
 Problem files are JSON objects with members "E", "A", "B" and optional
 "Q", "R", "Q0", "z", "t1" (see `dae2ode.matio`).  Matrices are emitted in
 the matrix text format, trajectories as CSV.  Runs are deterministic for
-fixed flags.  --tol is the relative singular-value cutoff of every rank
-decision (default max(rows, cols) * machine epsilon); it reaches
-`associate`, which records it on the realization for every later decision,
-and the impulse-controllability test, and nothing else.
+fixed flags.  `main` loads the problem and calls `associate` once for
+every subcommand but heat-demo.  --tol is the relative singular-value
+cutoff of every rank decision (default max(rows, cols) * machine epsilon);
+it reaches that call, which records it on the realization for every later
+decision, and the impulse-controllability test, and nothing else.
 
 Exit codes: 0 success; 1 parse, shape, or usage error, or a request too
 large for memory; 2 the problem is not behaviorally stabilizable; 3 the
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -156,35 +158,22 @@ def _prepare_out_dir(args) -> Path | None:
     return out
 
 
-def _cmd_associate(args) -> int:
-    problem = load_problem(args.problem)
-    assoc = associate(problem.dae, tol=args.tol)
+def _cmd_associate(args, problem, assoc) -> int:
     out_dir = _prepare_out_dir(args)
-    for name, M in (
-        ("A_l", assoc.A_l),
-        ("B_l", assoc.B_l),
-        ("C_l", assoc.C_l),
-        ("D_l", assoc.D_l),
-        ("M", assoc.M),
-    ):
-        _emit_matrix(name, M, out_dir)
+    for name in ("A_l", "B_l", "C_l", "D_l", "M"):
+        _emit_matrix(name, getattr(assoc, name), out_dir)
     report = verify_associated(problem.dae, assoc)
-    print(f"input_maps_ok: {str(report.input_maps_ok).lower()}")
-    print(f"ed_s_zero: {str(report.ed_s_zero).lower()}")
-    print(f"ec_s_full_rank: {str(report.ec_s_full_rank).lower()}")
-    print(f"state_map_ok: {str(report.state_map_ok).lower()}")
-    print(f"state_dim_bound_ok: {str(report.state_dim_bound_ok).lower()}")
-    print(f"identity_residual: {report.identity_residual:.3e}")
-    print(f"consistency_ok: {str(report.consistency_ok).lower()}")
-    print(f"max_lift_residual: {report.max_lift_residual:.3e}")
-    print(f"realization_ok: {str(report.realization_ok).lower()}")
+    for field in fields(report):
+        if field.name == "failures":
+            continue
+        value = getattr(report, field.name)
+        text = f"{value:.3e}" if isinstance(value, float) else str(value).lower()
+        print(f"{field.name}: {text}")
     print(f"verified: {str(report.ok).lower()}")
     return 0 if report.ok else 1
 
 
-def _cmd_check(args) -> int:
-    problem = load_problem(args.problem)
-    assoc = associate(problem.dae, tol=args.tol)
+def _cmd_check(args, problem, assoc) -> int:
     imp = impulse_controllable(problem.dae, tol=args.tol)
     stab = pencil_stabilizability_test(problem.dae, assoc)
     dim = assoc.consistency_set.dim
@@ -196,14 +185,12 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_lq_finite(args) -> int:
-    problem = load_problem(args.problem)
+def _cmd_lq_finite(args, problem, assoc) -> int:
     w = _require_weights(problem)
     z = _require_z(args, problem)
     t1 = args.t1 if args.t1 is not None else problem.t1
     if t1 is None:
         raise ValueError("no horizon: pass --t1 or add \"t1\" to the problem file")
-    assoc = associate(problem.dae, tol=args.tol)
     sol = finite_horizon(problem.dae, assoc, w, z, t1, steps=args.steps)
     out_dir = _prepare_out_dir(args)
     _emit_matrix("P", sol.P_terminal, out_dir)
@@ -214,11 +201,9 @@ def _cmd_lq_finite(args) -> int:
     return 0
 
 
-def _cmd_lq_infinite(args) -> int:
-    problem = load_problem(args.problem)
+def _cmd_lq_infinite(args, problem, assoc) -> int:
     w = _require_weights(problem)
     z = _require_z(args, problem)
-    assoc = associate(problem.dae, tol=args.tol)
     sol = infinite_horizon(problem.dae, assoc, w, z, T_sim=args.horizon, steps=args.steps)
     out_dir = _prepare_out_dir(args)
     _emit_matrix("P", sol.P, out_dir)
@@ -231,13 +216,13 @@ def _cmd_lq_infinite(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    problem = load_problem(args.problem)
+def _cmd_simulate(args, problem, assoc) -> int:
     z = _require_z(args, problem)
-    assoc = associate(problem.dae, tol=args.tol)
     v0 = _internal_start(assoc, z)
     if not np.isfinite(args.horizon):
         raise ValueError("--horizon must be finite")
+    if args.horizon <= 0.0:
+        raise ValueError("--horizon must be positive")
     steps = args.steps if args.steps is not None else 1000
     times = np.linspace(0.0, args.horizon, steps + 1)
     traj = lift_solution(assoc, v0, None, times)
@@ -254,13 +239,7 @@ def _cmd_heat_demo(args) -> int:
     out = Path(args.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    cost_lines = [
-        f"J_e = {bench.costs['J_e']:.4f}",
-        f"J_dae = {bench.costs['J_dae']:.4f}",
-        f"J_T = {bench.costs['J_T']:.4f}",
-        f"J_g = {bench.costs['J_g']:.4f}",
-        f"J_T_g = {bench.costs['J_T_g']:.4f}",
-    ]
+    cost_lines = [f"{name} = {cost:.4f}" for name, cost in bench.costs.items()]
     (out / "costs.txt").write_text("\n".join(cost_lines) + "\n")
 
     header = "t,e_sol,e_sim,e_g,e_sim_g"
@@ -290,30 +269,30 @@ def _cmd_heat_demo(args) -> int:
     return 0
 
 
-_DISPATCH = {
+_PROBLEM_COMMANDS = {
     "associate": _cmd_associate,
     "check": _cmd_check,
     "lq-finite": _cmd_lq_finite,
     "lq-infinite": _cmd_lq_infinite,
     "simulate": _cmd_simulate,
-    "heat-demo": _cmd_heat_demo,
 }
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _DISPATCH[args.command](args)
+        if args.command == "heat-demo":
+            return _cmd_heat_demo(args)
+        problem = load_problem(args.problem)
+        assoc = associate(problem.dae, tol=args.tol)
+        return _PROBLEM_COMMANDS[args.command](args, problem, assoc)
     except NotStabilizable as exc:
         print(f"dae2ode: not stabilizable: {exc}", file=sys.stderr)
         return 2
     except InconsistentInitialState as exc:
         print(f"dae2ode: inconsistent initial value: {exc}", file=sys.stderr)
         return 3
-    except Dae2OdeError as exc:
-        print(f"dae2ode: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (Dae2OdeError, ValueError, KeyError, OSError) as exc:
         print(f"dae2ode: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

@@ -334,13 +334,13 @@ def solve_dre(
     n_hat = assoc.n_hat
     h = t1 / steps
     cho, DSC, A_r, G, Q_r = _hamiltonian(assoc.as_ode(), w)
-    Phi = scipy.linalg.expm(h * np.block([[-A_r, G], [Q_r, A_r.T]]))
     n_nodes = steps + 1
     P_samples = np.empty((n_nodes, n_hat, n_hat))
     P_samples[0] = assoc.EC_s.T @ w.Q0 @ assoc.EC_s
     I = np.eye(n_hat)
     # Overflow is reported by NonFiniteP alone, not by a warning first.
     with np.errstate(over="ignore", invalid="ignore"):
+        Phi = scipy.linalg.expm(h * np.block([[-A_r, G], [Q_r, A_r.T]]))
         A = np.linalg.inv(Phi[:n_hat, :n_hat])
         G = _sym(A @ Phi[:n_hat, n_hat:])
         H = _sym(Phi[n_hat:, :n_hat] @ A)
@@ -574,15 +574,17 @@ def infinite_horizon(
     Restricts the associated system to its stabilizability subspace, solves
     the ARE there, and forms the optimal pair
     (x*, u*)(s) = (C_g - D_g K) e^{(A_g - B_g K)s} M_g z with cost
-    (M_g z)' P (M_g z).  The trajectory field samples [0, T_sim] (finite;
-    default 50/|closed-loop abscissa|, capped at 1e4) exactly, through
-    ``simulate``.  ``dae`` is not consulted (E is ``assoc.E``); the
+    (M_g z)' P (M_g z).  The trajectory field samples [0, T_sim] (positive
+    and finite; default 50/|closed-loop abscissa|, capped at 1e4) exactly,
+    through ``simulate``.  ``dae`` is not consulted (E is ``assoc.E``); the
     benchmark still passes it.  Q must be n x n, R m x m and Q0 c x c.
 
     Raises NotStabilizable exactly when no behavior trajectory from z decays.
     """
     if T_sim is not None and not np.isfinite(T_sim):
         raise ValueError("the sampling horizon T_sim must be finite")
+    if T_sim is not None and T_sim <= 0.0:
+        raise ValueError("the sampling horizon T_sim must be positive")
     _check_weights(assoc, w)
     v_full = _internal_start(assoc, z)
     restr = assoc.restriction

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from dae2ode import DaeLti, associate
+from dae2ode import AssociatedOdeLti, DaeLti, associate
 
 
 def random_dae(rng: np.random.Generator) -> DaeLti:
@@ -45,13 +45,18 @@ def conditioned(k, cond, rng):
 @dataclass(frozen=True)
 class PlantedDae:
     """A DAE of known structure: the n_hat, k and l that associate must find,
-    and the dimension of its Wong limit."""
+    the dimension of its Wong limit, the planted eps of its right blocks and
+    lambda of its finite blocks, and a realization ``hand`` built block by
+    block, which shares no code with associate."""
 
     dae: DaeLti
     n_hat: int
     k: int
     l: int
     wong_dim: int
+    eps: np.ndarray
+    lams: np.ndarray
+    hand: AssociatedOdeLti
 
 
 def planted_dae(rng: np.random.Generator, cond: float | None = 1.0) -> PlantedDae:
@@ -73,19 +78,33 @@ def planted_dae(rng: np.random.Generator, cond: float | None = 1.0) -> PlantedDa
     lambda < 0.  The Wong limit holds the states of the finite and right
     blocks, so its dimension is n_hat plus one for each right block whose g
     is a state column.  An empty draw is drawn again.
+
+    ``hand`` realizes each block on its own: a finite block by v' = lambda v
+    with x = v, a right block by the Brunovsky chain v' = shift v + e_eps g
+    with x = v and g its input or its free state, the other blocks by x = 0.
+    Mapped through T^-1 and R^-1 it realizes the hidden DAE, at tol = 1e-10.
     """
     blocks = []  # (E, A, B) of each block, B with the block's input columns
     while not blocks:
+        parts = []  # (A_l, B_l, C_s, D_s, C_u, D_u) of each block's realization
         lams = rng.uniform(-2.0, 2.0, int(rng.integers(0, 5)))
-        blocks = [(np.eye(1), np.array([[lam]]), np.zeros((1, 0))) for lam in lams]
+        for lam in lams:
+            blocks.append((np.eye(1), np.array([[lam]]), np.zeros((1, 0))))
+            parts.append((np.array([[lam]]), np.zeros((1, 0)), np.eye(1), np.zeros((1, 0)),
+                          np.zeros((0, 1)), np.zeros((0, 0))))
         eps = rng.integers(0, 4, int(rng.integers(0, 3)))
         free_columns = 0
         for e in eps:
+            shift = np.eye(e, k=1)
+            last = np.eye(e)[:, -1:] if e else np.zeros((0, 1))
             if rng.uniform() < 0.5:  # g is an input column
-                B = np.eye(e)[:, -1:] if e else np.zeros((0, 1))
-                blocks.append((np.eye(e), np.eye(e, k=1), B))
+                blocks.append((np.eye(e), shift, last))
+                parts.append((shift, last, np.eye(e), np.zeros((e, 1)),
+                              np.zeros((1, e)), np.eye(1)))
             else:  # g is a free state column
                 blocks.append((np.eye(e, e + 1), np.eye(e, e + 1, k=1), np.zeros((e, 0))))
+                parts.append((shift, last, np.eye(e + 1, e), np.eye(e + 1)[:, -1:],
+                              np.zeros((0, e)), np.zeros((0, 1))))
                 free_columns += 1
         for mu in rng.integers(1, 5, int(rng.integers(0, 3))):
             blocks.append((np.eye(mu, k=1), np.eye(mu), np.zeros((mu, 0))))
@@ -93,13 +112,22 @@ def planted_dae(rng: np.random.Generator, cond: float | None = 1.0) -> PlantedDa
             blocks.append(
                 (np.eye(eta + 1, eta), np.eye(eta + 1, eta, k=-1), np.zeros((eta + 1, 0)))
             )
-    E, A, B = (scipy.linalg.block_diag(*parts) for parts in zip(*blocks))
+    for E_block, _, _ in blocks[len(parts):]:  # infinite and left blocks: x = 0
+        x_rows = np.zeros((E_block.shape[1], 0))
+        parts.append((np.zeros((0, 0)),) * 2 + (x_rows, x_rows) + (np.zeros((0, 0)),) * 2)
+    E, A, B = (scipy.linalg.block_diag(*block) for block in zip(*blocks))
+    A_l, B_l, C_s, D_s, C_u, D_u = (scipy.linalg.block_diag(*part) for part in zip(*parts))
     if cond is not None:
         S, T, R = (conditioned(k, cond, rng) for k in (*E.shape, B.shape[1]))
         E, A, B = S @ E @ T, S @ A @ T, S @ B @ R
+        C_s, D_s = np.linalg.solve(T, C_s), np.linalg.solve(T, D_s)
+        C_u, D_u = np.linalg.solve(R, C_u), np.linalg.solve(R, D_u)
+    hand = AssociatedOdeLti(A_l, B_l, np.vstack([C_s, C_u]), np.vstack([D_s, D_u]), E, 1e-10)
     n_hat = len(lams) + int(eps.sum())
     l = n_hat - int(np.sum(lams >= 0.0))
-    return PlantedDae(DaeLti(E, A, B), n_hat, len(eps), l, n_hat + free_columns)
+    return PlantedDae(
+        DaeLti(E, A, B), n_hat, len(eps), l, n_hat + free_columns, eps, lams, hand
+    )
 
 
 def power_of_two_scaling(k, rng):
@@ -114,17 +142,26 @@ def random_spd(k: int, rng: np.random.Generator) -> np.ndarray:
 
 
 @pytest.fixture
-def failing_dgees(monkeypatch):
-    """LAPACK ``dgees`` answering every call but the workspace query with
-    info = n + 2, its report that rounding moved a leading eigenvalue across
-    the sort condition after reordering."""
+def dgees_info(monkeypatch):
+    """Installer of a LAPACK ``dgees`` that answers every call but the
+    workspace query with info = ``report(n)``, n the order of the matrix."""
     dgees = scipy.linalg.lapack.dgees
 
-    def failing(select, H, lwork, sort_t=0):
-        result = dgees(select, H, lwork=lwork, sort_t=sort_t)
-        return result if lwork == -1 else (*result[:-1], H.shape[0] + 2)
+    def install(report):
+        def failing(select, H, lwork, sort_t=0):
+            result = dgees(select, H, lwork=lwork, sort_t=sort_t)
+            return result if lwork == -1 else (*result[:-1], report(H.shape[0]))
 
-    monkeypatch.setattr(scipy.linalg.lapack, "dgees", failing)
+        monkeypatch.setattr(scipy.linalg.lapack, "dgees", failing)
+
+    return install
+
+
+@pytest.fixture
+def failing_dgees(dgees_info):
+    """``dgees`` answering with info = n + 2, its report that rounding moved
+    a leading eigenvalue across the sort condition after reordering."""
+    dgees_info(lambda n: n + 2)
 
 
 def example_one() -> DaeLti:

@@ -96,3 +96,14 @@ def test_every_error_class_is_raised():
                 if isinstance(exc, ast.Name):
                     raised.add(exc.id)
     assert set(errors.__all__) - raised == {"Dae2OdeError"}
+
+
+def test_cli_loads_and_realizes_each_problem_in_one_place():
+    # main loads the problem and calls associate once for every problem
+    # subcommand, so --tol reaches the realization by one path.
+    calls = [
+        node.func.id
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+    ]
+    assert (calls.count("load_problem"), calls.count("associate")) == (1, 1)

@@ -263,6 +263,25 @@ def test_non_finite_horizon_is_a_usage_error(tmp_path, capsys, command, flag, me
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize(
+    "command, message",
+    [
+        ("lq-infinite", "the sampling horizon T_sim must be positive"),
+        ("simulate", "--horizon must be positive"),
+    ],
+    ids=["lq_infinite", "simulate"],
+)
+def test_non_positive_horizon_is_named(tmp_path, capsys, command, message, value):
+    # Named before a grid is built, not as a grid that fails to increase.
+    path = ex1_problem(tmp_path, Q=np.eye(3).tolist(), R=[[1.0]], z=[1.0, 7.0])
+    rc = main([command, path, "--horizon", value])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == f"dae2ode: {message}\n"
+
+
 def test_terminal_weight_of_another_size_is_named(tmp_path, capsys):
     # Q0 weighs E x(t1), two rows on the worked example; 3 x 3 is a usage error.
     path = ex1_problem(tmp_path, Q=np.eye(3).tolist(), R=[[1.0]], Q0=np.eye(3).tolist())
@@ -308,6 +327,15 @@ def test_package_error_exits_1(tmp_path, capsys):
     assert rc == 1
     assert captured.out == ""
     assert captured.err == "dae2ode: no friend for basis vector 0: residual 5.447e-04\n"
+
+
+@pytest.mark.parametrize("command", ["simulate", "lq-infinite", "lq-finite"])
+def test_missing_initial_value_is_a_usage_error(tmp_path, capsys, command):
+    path = ex1_problem(tmp_path, Q=np.eye(3).tolist(), R=[[1.0]], t1=1.0)
+    rc = main([command, path])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err == 'dae2ode: no initial value: pass --z or add "z" to the problem file\n'
 
 
 @pytest.mark.parametrize("command", ["simulate", "lq-infinite", "lq-finite"])
@@ -663,6 +691,33 @@ class TestMatio:
             parse_trajectory(f"t,x1,u1\n0,1,1\n{bad},1,1\n2,1,1\n")
         with pytest.raises(ValueError, match="^time samples must be finite$"):
             Trajectory([0.0, float(bad)], np.ones((2, 1)), np.ones((2, 1)))
+
+    @pytest.mark.parametrize(
+        "read, message",
+        [
+            (lambda tmp: format_matrix(np.zeros((2, 2, 2))), "^expected a matrix, got ndim=3$"),
+            (lambda tmp: parse_matrix(" \n"), "^empty matrix text$"),
+            (lambda tmp: parse_matrix("2\n1 2"), "^matrix header must be 'rows cols', got '2'$"),
+            (lambda tmp: load_problem(write_problem(tmp / "p.json", dict(EX1, E=[1.0, 0.0]))),
+             '^"E" must be an array of row arrays$'),
+            (lambda tmp: load_problem(write_problem(tmp / "p.json", [EX1])),
+             "^problem file must be a JSON object$"),
+            (lambda tmp: parse_trajectory("t,x1,u1\n"),
+             "^trajectory CSV needs a header and at least one row$"),
+            (lambda tmp: parse_trajectory("s,x1,u1\n0,1,1"),
+             '^trajectory CSV header must start with "t"$'),
+            (lambda tmp: parse_trajectory("t,x1,v1\n0,1,1"),
+             "^unrecognized trajectory header 't,x1,v1'$"),
+            (lambda tmp: parse_trajectory("t,x1,u1\n0,1"),
+             "^trajectory rows do not match the header width$"),
+        ],
+        ids=["format_ndim", "empty_matrix", "matrix_header", "problem_matrix",
+             "problem_not_object", "trajectory_rows", "trajectory_t", "trajectory_header",
+             "trajectory_width"],
+    )
+    def test_malformed_text_is_refused_by_name(self, tmp_path, read, message):
+        with pytest.raises(ValueError, match=message):
+            read(tmp_path)
 
     def test_problem_defaults(self, tmp_path):
         path = write_problem(

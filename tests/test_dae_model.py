@@ -259,3 +259,25 @@ class TestPopulationInvariants:
             assert behavior_residual(dae, sol.traj) <= 1e-5
             assert np.linalg.norm(dae.E @ sol.traj.x[0] - z) <= 1e-8
             done += 1
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DaeLti(np.eye(2), np.eye(3), np.zeros((2, 1))),
+         r"^E and A must share shape, got \(2, 2\) vs \(3, 3\)$"),
+        (lambda: DaeLti(np.eye(2), np.eye(2), np.zeros((3, 1))), "^B must have 2 rows, got 3$"),
+        (lambda: Trajectory([0.0, 1.0, 1.0], np.zeros((3, 1)), np.zeros((3, 1))),
+         "^time grid must be strictly increasing$"),
+        (lambda: Trajectory([1.0, 0.0], np.zeros((2, 1)), np.zeros((2, 1))),
+         "^time grid must be strictly increasing$"),
+        (lambda: Trajectory([0.0, 1.0], np.zeros((3, 1)), np.zeros((2, 1))),
+         "^sample counts must match the grid length$"),
+        (lambda: Trajectory([0.0, 1.0], np.zeros((2, 1)), np.zeros((1, 1))),
+         "^sample counts must match the grid length$"),
+    ],
+    ids=["E_A_shape", "B_rows", "repeated_time", "decreasing_time", "x_count", "u_count"],
+)
+def test_malformed_model_is_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -142,6 +142,11 @@ class TestModelMatrices:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize("field", ["N", "N_u"])
+    def test_rejects_empty_dimensions(self, field):
+        with pytest.raises(ValueError, match="^N and N_u must be positive$"):
+            HeatConfig(**{field: 0})
+
     def test_rejects_more_inputs_than_states(self):
         with pytest.raises(ValueError):
             HeatConfig(N=4, N_u=5)

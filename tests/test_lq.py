@@ -37,7 +37,13 @@ from dae2ode.heat import HeatConfig, build_heat_models
 from dae2ode.lq import _are_residual, _gain, _hamiltonian, _lyapunov
 from dae2ode.subspaces import ARE_RESIDUAL_TOL
 
-from conftest import conditioned, random_autonomous_unstable, random_dae, random_spd
+from conftest import (
+    conditioned,
+    example_one,
+    random_autonomous_unstable,
+    random_dae,
+    random_spd,
+)
 
 
 def scalar_integrator():
@@ -215,6 +221,15 @@ class TestSolveDre:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteP, match=f"tau = {tau}$"):
                 finite_horizon(dae, associate(dae), w, [1.0], 1.0)
+
+    def test_overflowing_step_exponential_raises_non_finite_p(self, ex1, ex1_assoc):
+        # One step of length 1000 overflows inside the Hamiltonian's
+        # exponential itself, before any doubling step.
+        w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteP, match="tau = 1000$"):
+                finite_horizon(ex1, ex1_assoc, w, [1.0, 7.0], t1=1e5, steps=100)
 
     def test_invalid_horizon_rejected(self, ex1_assoc):
         w = LqWeights(np.eye(3), np.eye(1), np.zeros((2, 2)))
@@ -1295,3 +1310,27 @@ class TestEliminationOracle:
                 expected = finite_elimination_oracle(A_t, B_t, Q_t, R, r, x1, Q0_t, 1.0)
                 cost = finite_horizon(dae, associate(dae), w, z, 1.0).cost
                 assert abs(cost - expected) <= bound * expected, (cond, i, cost, expected)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: LqWeights(np.zeros((2, 3)), np.eye(1), np.zeros((2, 2))),
+         r"^Q must be square, got \(2, 3\)$"),
+        (lambda: LqWeights(np.eye(3), np.zeros((1, 2)), np.zeros((2, 2))),
+         r"^R must be square, got \(1, 2\)$"),
+        (lambda: LqWeights(np.eye(3), np.eye(1), np.zeros((2, 1))),
+         r"^Q0 must be square, got \(2, 1\)$"),
+        (lambda: solve_dre(
+            associate(example_one()), LqWeights(np.eye(3), np.eye(1), np.eye(2)), 1.0, steps=99
+        ), "^steps must be at least 100$"),
+    ],
+    ids=["Q", "R", "Q0", "dre_steps"],
+)
+def test_malformed_request_is_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_spectral_abscissa_of_the_empty_matrix_is_minus_infinity():
+    assert spectral_abscissa(np.zeros((0, 0))) == -np.inf

@@ -471,3 +471,40 @@ class TestSchur:
             odesys._schur(np.diag([-1.0, 2.0]), _left_half_plane)
         with pytest.raises(np.linalg.LinAlgError, match="sort condition"):
             stabilizability_subspace(np.diag([-1.0, 2.0]), np.zeros((2, 1)))
+
+    @pytest.mark.parametrize(
+        "info, message",
+        [(lambda n: n + 1, "could not be separated"), (lambda n: 1, "Schur form not found")],
+        ids=["n_plus_1", "qr_failure"],
+    )
+    def test_other_failures_raise_linalg_error(self, dgees_info, info, message):
+        dgees_info(info)
+        with pytest.raises(np.linalg.LinAlgError, match=message):
+            odesys._schur(np.diag([-1.0, 2.0]), _left_half_plane)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: OdeLti(np.zeros((2, 3)), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((1, 1))),
+         r"^A must be square, got \(2, 3\)$"),
+        (lambda: OdeLti(np.eye(2), np.zeros((3, 1)), np.zeros((1, 2)), np.zeros((1, 1))),
+         "^B must have 2 rows, got 3$"),
+        (lambda: OdeLti(np.eye(2), np.zeros((2, 1)), np.zeros((1, 3)), np.zeros((1, 1))),
+         "^C must have 2 columns, got 3$"),
+        (lambda: OdeLti(np.eye(2), np.zeros((2, 1)), np.zeros((1, 2)), np.zeros((2, 1))),
+         r"^D must be 1 x 1, got \(2, 1\)$"),
+        (lambda: simulate(
+            OdeLti(np.eye(2), np.zeros((2, 1)), np.eye(2), np.zeros((2, 1))),
+            np.ones(3), None, np.linspace(0.0, 1.0, 3),
+        ), "^initial state must have length 2$"),
+        (lambda: stabilizability_subspace(np.zeros((2, 3)), np.zeros((2, 1))),
+         "^A must be square$"),
+        (lambda: stabilizability_subspace(np.eye(2), np.zeros((3, 1))), "^B must have 2 rows$"),
+    ],
+    ids=["ode_A", "ode_B", "ode_C", "ode_D", "simulate_v0", "stabilizability_A",
+         "stabilizability_B"],
+)
+def test_malformed_input_is_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()

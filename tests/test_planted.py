@@ -6,16 +6,19 @@ the Wong dimension are known without running the code under test.  The seed
 decision is taken at the default cutoff unless a case names its ``tol``.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
-from dae2ode import associate, verify_associated, wong_limit
+from dae2ode import associate, feedback_equivalence, verify_associated, wong_limit
 
 from conftest import planted_dae
 
 SEED, SIZE = 7, 300
 
 
+@functools.cache
 def population(cond, tol=None):
     """(planted system, its realization at ``tol``) for each of SIZE systems."""
     rng = np.random.default_rng(SEED)
@@ -40,6 +43,28 @@ def rejected(pairs):
 def wrong_wong(pairs):
     """Indices whose system gets a Wong limit of another dimension."""
     return [idx for idx, (p, _) in enumerate(pairs) if wong_limit(p.dae).dim != p.wong_dim]
+
+
+def controllability_indices(A, B):
+    """(Brunovsky's indices of (A, B), largest first; an orthonormal basis of
+    the reachable subspace), from an orthogonal staircase (Paige 1981): step
+    j reaches r_j new directions, and the i-th index counts the steps with
+    r_j >= i.  Ranks are decided at 1e-8 of ||[A, B]||; no Krylov matrix is
+    formed."""
+    cutoff = 1e-8 * max(1.0, np.linalg.norm(np.hstack([A, B]), 2))
+    reached = np.zeros((A.shape[0], 0))
+    new, steps = B, []
+    while True:
+        new = new - reached @ (reached.T @ new)
+        U, sigma, _ = np.linalg.svd(new, full_matrices=False)
+        r = int(np.sum(sigma > cutoff))
+        if r == 0:
+            break
+        steps.append(r)
+        reached = np.hstack([reached, U[:, :r]])
+        new = A @ U[:, :r]
+    indices = [sum(r >= i for r in steps) for i in range(1, B.shape[1] + 1)]
+    return sorted(indices, reverse=True), reached
 
 
 @pytest.fixture(scope="module")
@@ -99,3 +124,35 @@ def test_verifier_accepts_every_realization_with_the_planted_wong_dimension(
 )
 def test_orthogonal_changes_keep_the_wong_dimension(orthogonal_wrong_wong):
     assert orthogonal_wrong_wong == []
+
+
+# The paper's second result: any two realizations of one DAE are feedback
+# equivalent.  The planted ``hand`` realization is built block by block, so
+# it shares no rank decision with associate.
+HIDDEN = pytest.mark.parametrize("cond", [1.0, 30.0], ids=["orthogonal", "condition_30"])
+
+
+@HIDDEN
+def test_verifier_accepts_every_hand_built_realization(cond):
+    pairs = population(cond)
+    assert [idx for idx, (p, _) in enumerate(pairs) if not verify_associated(p.dae, p.hand).ok] == []
+
+
+@HIDDEN
+def test_hand_built_and_associate_realizations_are_feedback_equivalent(cond):
+    for p, assoc in population(cond):
+        feedback_equivalence(p.hand, assoc, p.dae)
+
+
+@HIDDEN
+def test_feedback_invariants_are_the_planted_ones(cond):
+    # Controllability indices and the modes no input reaches are invariant
+    # under state changes and feedback (Brunovsky 1970), so associate's
+    # (A_l, B_l) carries the planted eps and lambda.
+    for idx, (p, assoc) in enumerate(population(cond)):
+        indices, reached = controllability_indices(assoc.A_l, assoc.B_l)
+        assert indices == sorted(p.eps.tolist(), reverse=True), idx
+        rest = np.linalg.qr(reached, mode="complete")[0][:, reached.shape[1] :]
+        modes = np.linalg.eigvals(rest.T @ assoc.A_l @ rest)
+        assert np.max(np.abs(modes.imag), initial=0.0) <= 1e-8, idx
+        assert np.allclose(np.sort(modes.real), np.sort(p.lams), rtol=0.0, atol=1e-8), idx

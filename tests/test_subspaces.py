@@ -22,6 +22,7 @@ from dae2ode import (
     weakly_unobservable,
     wong_limit,
 )
+from dae2ode.subspaces import ensure_matrix
 
 
 def axis(ambient: int, *indices: int) -> Subspace:
@@ -246,3 +247,21 @@ class TestThresholdsInOnePlace:
                     if name not in used and "# noqa: F401" not in lines[alias.lineno - 1]:
                         unused.append(f"{path.name}:{alias.lineno}: {name}")
         assert not unused, unused
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ensure_matrix(np.zeros((2, 2, 2)), "M"),
+         r"^M must be two-dimensional, got shape \(2, 2, 2\)$"),
+        (lambda: axis(2, 0, 1).contains_vector(np.ones(3)),
+         "^vector does not live in the ambient space$"),
+        (lambda: axis(2, 0).contains(axis(3, 0)), "^ambient dimensions differ: 2 vs 3$"),
+        (lambda: preimage(np.eye(3), axis(2, 0)),
+         "^M does not map into the ambient space of W$"),
+    ],
+    ids=["not_two_dimensional", "vector_ambient", "subspace_ambient", "preimage_ambient"],
+)
+def test_mismatched_input_is_refused_by_name(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
