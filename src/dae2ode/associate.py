@@ -40,7 +40,9 @@ from .subspaces import (
     EQUALITY_TOL,
     ROUND_TRIP_TOL,
     Subspace,
+    _norm2,
     _rank_from_singular_values,
+    _svd,
     image,
     pinv,
     rank,
@@ -173,7 +175,7 @@ def associate(
     E, A, B = dae.E, dae.A, dae.B
     c, n = dae.c, dae.n
 
-    U, sigma, Vh = np.linalg.svd(E)
+    U, sigma, Vh = _svd(E)
     r = _rank_from_singular_values(E, sigma, tol)
     T = Vh.T
     inv_sigma = np.concatenate([1.0 / sigma[:r], np.ones(c - r)])
@@ -266,7 +268,7 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     if not ed_s_zero:
         failures.append("E D_s is not zero")
 
-    sigma = np.linalg.svd(EC_s, compute_uv=False)
+    sigma = _svd(EC_s, compute_uv=False)
     ec_s_full_rank = _rank_from_singular_values(EC_s, sigma, tol) == sys.n_hat
     if not ec_s_full_rank:
         failures.append("E C_s does not have full column rank n_hat")
@@ -323,12 +325,9 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     # Scale the test-signal amplitude and the effective horizon accordingly
     # to keep the h^2 truncation term below ROUND_TRIP_TOL
     # (the property being checked is scale invariant).
-    norms = max(
-        np.linalg.norm(M, 2) if M.size else 0.0
-        for M in (sys.A_l, sys.B_l, sys.C_l, sys.D_l)
-    )
-    amp_scale = 1.0 / ((1.0 + np.linalg.norm(E, 2)) * (1.0 + norms) ** 3)
-    a_norm = np.linalg.norm(sys.A_l, 2) if sys.A_l.size else 0.0
+    op_norms = [_norm2(M) for M in (sys.A_l, sys.B_l, sys.C_l, sys.D_l)]
+    a_norm, norms = op_norms[0], max(op_norms)
+    amp_scale = 1.0 / ((1.0 + _norm2(E)) * (1.0 + norms) ** 3)
     span = min(0.25, 3.0 / (1.0 + a_norm))
     steps = max(int(round(span / 1e-3)), 10)
     times = np.linspace(0.0, span, steps + 1)
@@ -401,7 +400,10 @@ def feedback_equivalence(
     n_hat = s1.n_hat
     T = s2.M @ dae.E @ s1.C_s
     if n_hat:
-        if np.linalg.cond(T) > CONDITION_BOUND:
+        # cond(T) = s[0] / s[-1], with a zero s[-1] (cond = inf) decided
+        # before the division.
+        s = _svd(T, compute_uv=False)
+        if s[-1] == 0.0 or s[0] / s[-1] > CONDITION_BOUND:
             raise NotEquivalent("recovered state change T is numerically singular")
         T_inv = np.linalg.inv(T)
     else:

@@ -19,6 +19,7 @@ import numpy as np
 
 from .subspaces import (
     Subspace,
+    _norm2,
     _orthonormal,
     ensure_matrix,
     image,
@@ -109,7 +110,7 @@ def wong_limit(dae: DaeLti, tol: float | None = None) -> Subspace:
     noise, is kept.
     """
     im_B = image(dae.B, tol)
-    norm_A = np.linalg.norm(dae.A, 2) if dae.A.size else 0.0
+    norm_A = _norm2(dae.A)
     W = np.eye(dae.n)
     while True:
         EV = image(dae.E @ W, tol)

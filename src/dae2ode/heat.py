@@ -87,9 +87,9 @@ class HeatConfig:
         if self.N < 1 or self.N_u < 1:
             raise ValueError("N and N_u must be positive")
         if self.N_u > self.N:
-            raise ValueError("N_u must not exceed N")
+            raise ValueError(f"N_u = {self.N_u} must not exceed N = {self.N}")
         if not 1 <= self.mode <= self.N:
-            raise ValueError("mode must lie in 1..N")
+            raise ValueError(f"mode = {self.mode} must lie in 1..{self.N}")
         for name in ("mu", "c", "lam", "T"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")

@@ -56,13 +56,15 @@ from .errors import (
     NoStabilizingStart,
     NotStabilizable,
 )
-from .odesys import OdeLti, _finite, _schur, simulate
+from .odesys import OdeLti, _schur, simulate
 from .subspaces import (
     ARE_RESIDUAL_TOL,
     EQUALITY_TOL,
     REPLAY_TOL,
     SEMIDEFINITE_TOL,
     SYMMETRY_TOL,
+    _finite,
+    _norm2,
     ensure_matrix,
 )
 
@@ -600,7 +602,7 @@ def infinite_horizon(
     if T_sim is None:
         T_sim = min(50.0 / abs(abscissa), 1e4) if np.isfinite(abscissa) else 1.0
     if steps is None:
-        a_scale = np.linalg.norm(cl.A, 2) if cl.A.size else 0.0
+        a_scale = _norm2(cl.A)
         steps = int(max(2000, min(np.ceil(10.0 * T_sim * (1.0 + a_scale)), 200_000)))
     grid = np.linspace(0.0, T_sim, steps + 1)
     _, outputs = simulate(cl, v0, None, grid)

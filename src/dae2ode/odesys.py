@@ -27,9 +27,11 @@ from .subspaces import (
     GRID_TOL,
     STABLE_EIG_TOL,
     Subspace,
+    _finite,
     _orthonormal,
     _projection_rule,
     _rank_from_singular_values,
+    _svd,
     ensure_matrix,
     full_space,
     zero_space,
@@ -81,14 +83,6 @@ class OdeLti:
     @property
     def n_outputs(self) -> int:
         return self.C.shape[0]
-
-
-def _finite(a: np.ndarray) -> np.ndarray:
-    """``a`` itself; ValueError when it holds an inf or a NaN, as SciPy's
-    own finiteness check says it, before a LAPACK driver reads it."""
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    return a
 
 
 def _unsorted(re: float, im: float) -> None:
@@ -232,10 +226,10 @@ def weakly_unobservable(
         W, W_perp = Q[:, :d], Q[:, d:]
         M = np.vstack([W_perp.T @ sys.B, sys.D])
         R = np.vstack([W_perp.T @ (sys.A @ W), sys.C @ W])
-        U, s, Vh = np.linalg.svd(M)
+        U, s, Vh = _svd(M)
         rho = _rank_from_singular_values(M, s, *rule)
         X = U[:, rho:].T @ R
-        _, sx, Vhx = np.linalg.svd(X)
+        _, sx, Vhx = _svd(X)
         tau = _rank_from_singular_values(X, sx, *rule)
         if tau == 0:
             break
@@ -280,7 +274,7 @@ def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
     rule = _projection_rule(np.hstack([A, B]), tol)
     Q, d, block = np.eye(r), 0, B
     while d < r:
-        U, s, _ = np.linalg.svd(block)
+        U, s, _ = _svd(block)
         rho = _rank_from_singular_values(block, s, *rule)
         if rho == 0:
             break

@@ -9,6 +9,15 @@ by a basis with zero columns.  Only a caller's ``Subspace(basis)`` is checked.
 
 Conventions
 -----------
+* One SVD driver, ``_svd``, computes every singular value decomposition
+  in the package: the rank decisions, ``pinv``, every spectral norm
+  (``_norm2``, its largest singular value) and ``feedback_equivalence``'s
+  condition number.  It calls LAPACK ``dgesdd`` directly, with the
+  workspace the driver asks for, so values and factors are those of
+  ``numpy.linalg.svd`` bit for bit.  It returns U and V^T C-ordered, as
+  NumPy does: SciPy hands them back Fortran-ordered, and the products
+  formed from them would then run other BLAS kernels and move the
+  rounding of every later result.
 * One rank rule, ``_rank_from_singular_values``, makes every rank decision
   in the package: it counts singular values above ``tol * sigma_max`` where
   ``tol`` defaults to ``max(rows, cols) * machine epsilon``.  Only
@@ -55,8 +64,10 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+import scipy.linalg
 
 __all__ = [
     "EQUALITY_TOL",
@@ -95,39 +106,103 @@ REPLAY_TOL = 1e-6
 ROUND_TRIP_TOL = 1e-5
 CONDITION_BOUND = 1e12
 
+_EPS = float(np.finfo(float).eps)
+
 
 def ensure_matrix(M, name: str = "matrix") -> np.ndarray:
     """Coerce to a 2-D float array; reject complex and non-finite entries."""
     M = np.asarray(M)
-    if np.iscomplexobj(M):
+    if M.dtype.kind == "c":
         raise ValueError(f"{name} must be real, got dtype {M.dtype}")
-    M = np.atleast_2d(np.asarray(M, dtype=float))
+    M = np.asarray(M, dtype=float)
     if M.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {M.shape}")
-    if M.size and not np.all(np.isfinite(M)):
+        M = np.atleast_2d(M)
+        if M.ndim != 2:
+            raise ValueError(f"{name} must be two-dimensional, got shape {M.shape}")
+    if not np.isfinite(M).all():
         raise ValueError(f"{name} contains non-finite entries")
     return M
 
 
+def _finite(a: np.ndarray) -> np.ndarray:
+    """``a`` itself; ValueError when it holds an inf or a NaN, as SciPy's
+    own finiteness check says it, before a LAPACK driver reads it."""
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    return a
+
+
+def _svd(M: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
+    """``numpy.linalg.svd(M, full_matrices, compute_uv)`` of a 2-D float M
+    by LAPACK ``dgesdd``: (U, s, V^T), or s alone, with the same bits.
+
+    The workspace is the size the driver's query asks for, as NumPy's (one
+    query per shape and mode, ``_gesdd_lwork``), and U and V^T come back
+    C-ordered, as NumPy's do.  An empty M gives no singular values and
+    identity (full) or empty (reduced) factors.  A non-finite M raises
+    ValueError; LinAlgError when the driver does not converge.
+    """
+    m, n = M.shape
+    if not M.size:
+        s = np.zeros(0)
+        if not compute_uv:
+            return s
+        if full_matrices:
+            return np.eye(m), s, np.eye(n)
+        return np.zeros((m, 0)), s, np.zeros((0, n))
+    U, s, Vh, info = scipy.linalg.lapack.dgesdd(
+        _finite(M),
+        compute_uv=compute_uv,
+        full_matrices=full_matrices,
+        lwork=_gesdd_lwork(m, n, compute_uv, full_matrices),
+    )
+    if info > 0:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if not compute_uv:
+        return s
+    return np.ascontiguousarray(U), s, np.ascontiguousarray(Vh)
+
+
+@lru_cache(maxsize=1024)
+def _gesdd_lwork(m: int, n: int, compute_uv: bool, full_matrices: bool) -> int:
+    """The workspace ``dgesdd`` asks for at this shape and mode; the query
+    runs once per shape and mode."""
+    query = scipy.linalg.lapack.dgesdd_lwork(
+        m, n, compute_uv=compute_uv, full_matrices=full_matrices
+    )
+    return int(query[0])
+
+
+def _norm2(M: np.ndarray) -> float:
+    """||M||_2, the largest singular value; 0 for an empty M."""
+    return float(_svd(M, compute_uv=False)[0]) if M.size else 0.0
+
+
 def default_rank_tol(M: np.ndarray) -> float:
     """Relative rank tolerance: max(rows, cols) * machine epsilon."""
-    return max(M.shape) * np.finfo(float).eps if M.size else np.finfo(float).eps
+    return max(M.shape) * _EPS if M.size else _EPS
 
 
 def rank(M, tol: float | None = None) -> int:
     """Numerical rank of ``M``: singular values above ``tol * sigma_max``."""
     M = ensure_matrix(M)
-    return _rank_from_singular_values(M, np.linalg.svd(M, compute_uv=False), tol)
+    return _rank_from_singular_values(M, _svd(M, compute_uv=False), tol)
 
 
 def pinv(M, tol: float | None = None) -> np.ndarray:
-    """Moore-Penrose inverse with the package's default rank cutoff."""
+    """Moore-Penrose inverse with the package's default rank cutoff: the
+    reciprocals of the singular values above ``tol * sigma_max``, by
+    ``numpy.linalg.pinv``'s own formula, so with its bits."""
     M = ensure_matrix(M)
     if min(M.shape) == 0:
         return np.zeros((M.shape[1], M.shape[0]))
     if tol is None:
         tol = default_rank_tol(M)
-    return np.linalg.pinv(M, rcond=tol)
+    U, s, Vh = _svd(M, full_matrices=False)
+    large = s > tol * s[0]
+    s = np.divide(1.0, s, where=large, out=s)
+    s[~large] = 0.0
+    return Vh.T @ (s[:, None] * U.T)
 
 
 @dataclass(frozen=True)
@@ -199,7 +274,7 @@ def zero_space(n: int) -> Subspace:
 def image(M, tol: float | None = None) -> Subspace:
     """Orthonormal basis of the column space of ``M``."""
     M = ensure_matrix(M)
-    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    U, s, _ = _svd(M, full_matrices=False)
     r = _rank_from_singular_values(M, s, tol)
     return _orthonormal(U[:, :r])
 
@@ -212,7 +287,7 @@ def kernel(M, tol: float | None = None, scale: float | None = None) -> Subspace:
         return zero_space(0)
     if m == 0:
         return full_space(n)
-    _, s, Vh = np.linalg.svd(M, full_matrices=True)
+    _, s, Vh = _svd(M)
     r = _rank_from_singular_values(M, s, tol, scale)
     return _orthonormal(Vh[r:].T)
 
@@ -262,7 +337,7 @@ def _projection_rule(M: np.ndarray, tol: float | None) -> tuple[float, float]:
     """(tol, scale) of the rank rule for a projection of ``M``: ||M||_2, and
     a default tol of PROJECTION_ROUNDING * max(rows, cols) * eps for the
     projection's rounding."""
-    scale = float(np.linalg.svd(M, compute_uv=False)[0]) if min(M.shape) else 0.0
+    scale = _norm2(M)
     if tol is None:
-        tol = PROJECTION_ROUNDING * max(M.shape) * np.finfo(float).eps
+        tol = PROJECTION_ROUNDING * max(M.shape) * _EPS
     return tol, max(scale, 1e-300)

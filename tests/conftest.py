@@ -164,6 +164,21 @@ def failing_dgees(dgees_info):
     dgees_info(lambda n: n + 2)
 
 
+@pytest.fixture
+def dgesdd_info(monkeypatch):
+    """Installer of a LAPACK ``dgesdd`` that answers every call with
+    info = ``report``; the workspace query is a separate driver."""
+    dgesdd = scipy.linalg.lapack.dgesdd
+
+    def install(report):
+        def failing(a, **kwargs):
+            return (*dgesdd(a, **kwargs)[:-1], report)
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgesdd", failing)
+
+    return install
+
+
 def example_one() -> DaeLti:
     """The 2x3 worked system: d/dt[x1, x2] = [x1 + u, x2 + x3]."""
     E = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])

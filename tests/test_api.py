@@ -84,6 +84,45 @@ def test_no_module_calls_a_replaced_scipy_wrapper():
     assert found == []
 
 
+# NumPy's wrappers of the SVD, which subspaces._svd (LAPACK dgesdd) replaces.
+REPLACED_SVD_WRAPPERS = {"svd", "pinv", "cond", "matrix_rank"}
+SVD_NORM_ORDERS = {2, -2, "nuc"}
+
+
+def _is_svd_norm(call: ast.Call) -> bool:
+    """A call ``norm(M, 2)`` (or ord=-2, "nuc"), a norm taken by an SVD."""
+    orders = [kw.value for kw in call.keywords if kw.arg == "ord"] + call.args[1:2]
+    for order in orders:
+        try:
+            if ast.literal_eval(order) in SVD_NORM_ORDERS:
+                return True
+        except ValueError:
+            pass
+    return False
+
+
+def test_no_module_calls_a_replaced_svd_wrapper():
+    # One SVD path: a NumPy SVD beside _svd would bring its own workspace,
+    # checks and factor order.  The package's own pinv is called by name,
+    # NumPy's through its module, so only attribute calls are counted.
+    found = []
+    for path in PACKAGE.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
+                ("numpy", "scipy")
+            ):
+                names = [a.name for a in node.names if a.name in REPLACED_SVD_WRAPPERS]
+            elif isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+                by_module = isinstance(func, ast.Attribute) and name in REPLACED_SVD_WRAPPERS
+                names = [name] if by_module or (name == "norm" and _is_svd_norm(node)) else []
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {n}" for n in names]
+    assert found == []
+
+
 def test_every_error_class_is_raised():
     # A class in errors.__all__ that no module raises is dead code; the base
     # class is only caught, through its subclasses.

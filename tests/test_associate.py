@@ -393,9 +393,19 @@ class TestFeedbackEquivalence:
 
     def test_singular_state_change_rejected(self, ex1, ex1_assoc):
         # A zero second column of C_s leaves E C_s2 = diag(1, 0), so
-        # T = M2 E C_s1 = diag(1, 0).
+        # T = M2 E C_s1 = diag(1, 0), with an exactly zero singular value.
         C_bad = ex1_assoc.C_l.copy()
         C_bad[: ex1_assoc.n, 1] = 0.0
+        s2 = dataclasses.replace(ex1_assoc, C_l=C_bad)
+        assert np.linalg.svd(s2.M @ ex1.E @ ex1_assoc.C_s, compute_uv=False)[-1] == 0.0
+        with pytest.raises(NotEquivalent, match="state change T is numerically singular"):
+            feedback_equivalence(ex1_assoc, s2, ex1)
+
+    def test_zero_state_change_rejected(self, ex1, ex1_assoc):
+        # C_s2 = 0 gives T = 0: cond(T) = 0 / 0 is infinite, decided without
+        # the division, whose RuntimeWarning the suite raises as an error.
+        C_bad = ex1_assoc.C_l.copy()
+        C_bad[: ex1_assoc.n] = 0.0
         s2 = dataclasses.replace(ex1_assoc, C_l=C_bad)
         with pytest.raises(NotEquivalent, match="state change T is numerically singular"):
             feedback_equivalence(ex1_assoc, s2, ex1)

@@ -604,6 +604,20 @@ class TestHeatDemo:
         assert rc == 1
 
     @pytest.mark.parametrize(
+        "flags, message",
+        [(["--N", "12"], "N_u = 35 must not exceed N = 12"),
+         (["--N", "12", "--Nu", "10"], "mode = 34 must lie in 1..12")],
+        ids=["default_N_u", "default_mode"],
+    )
+    def test_refused_config_states_its_values(self, tmp_path, capsys, flags, message):
+        # A default the user never set is named with its value, so a
+        # smaller N shows which other flag has to follow it.
+        assert main(["heat-demo", *flags, "--out-dir", str(tmp_path / "x")]) == 1
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"dae2ode: {message}\n")
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
         "flag, value, field",
         [("--T", "inf", "T"), ("--lambda", "nan", "lam"), ("--c", "inf", "c"),
          ("--mu", "nan", "mu"), ("--quad-order", "1000000000", "quad_order")],

@@ -148,11 +148,11 @@ class TestConfigValidation:
             HeatConfig(**{field: 0})
 
     def test_rejects_more_inputs_than_states(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^N_u = 5 must not exceed N = 4$"):
             HeatConfig(N=4, N_u=5)
 
     def test_rejects_out_of_range_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^mode = 5 must lie in 1\.\.4$"):
             HeatConfig(N=4, N_u=2, mode=5)
 
     def test_rejects_nonpositive_parameters(self):

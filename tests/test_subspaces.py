@@ -22,7 +22,7 @@ from dae2ode import (
     weakly_unobservable,
     wong_limit,
 )
-from dae2ode.subspaces import ensure_matrix
+from dae2ode.subspaces import _svd, default_rank_tol, ensure_matrix
 
 
 def axis(ambient: int, *indices: int) -> Subspace:
@@ -81,6 +81,73 @@ class TestPinv:
             assert np.linalg.norm(P @ M @ P - P) <= 1e-9 * max(np.linalg.norm(P), 1.0)
             assert np.linalg.norm((M @ P).T - M @ P) <= 1e-9
             assert np.linalg.norm((P @ M).T - P @ M) <= 1e-9
+
+
+def svd_inputs():
+    """Random matrices of every shape up to 12 x 12, the empty ones, rows,
+    columns, tall and wide included, at full and at random lower rank."""
+    rng = np.random.default_rng(3001)
+    for m in range(13):
+        for n in range(13):
+            yield rng.standard_normal((m, n))
+            k = int(rng.integers(0, min(m, n) + 1))
+            yield rng.standard_normal((m, k)) @ rng.standard_normal((k, n))
+
+
+class TestSvd:
+    """``subspaces._svd`` calls LAPACK ``dgesdd`` itself: it must give the
+    bits of ``numpy.linalg.svd``, in NumPy's C order, and fail where that
+    fails."""
+
+    MODES = {
+        "full": {},
+        "reduced": {"full_matrices": False},
+        "values": {"compute_uv": False},
+    }
+
+    @pytest.mark.parametrize("mode", sorted(MODES))
+    def test_matches_numpy_bitwise(self, mode):
+        kwargs = self.MODES[mode]
+        for M in svd_inputs():
+            got, want = _svd(M, **kwargs), np.linalg.svd(M, **kwargs)
+            if mode == "values":
+                got, want = (got,), (want,)
+            for g, w in zip(got, want, strict=True):
+                assert g.shape == w.shape, M.shape
+                assert np.array_equal(g, w), M.shape
+
+    @pytest.mark.parametrize("mode", ["full", "reduced"])
+    def test_factors_are_c_ordered(self, mode):
+        for M in svd_inputs():
+            U, _, Vh = _svd(M, **self.MODES[mode])
+            assert U.flags.c_contiguous and Vh.flags.c_contiguous, M.shape
+
+    def test_pinv_matches_numpy_bitwise(self):
+        rng = np.random.default_rng(3002)
+        for M in svd_inputs():
+            if not M.size:
+                continue
+            for tol in (default_rank_tol(M), 10.0 ** rng.uniform(-12, -1)):
+                assert np.array_equal(pinv(M, tol), np.linalg.pinv(M, rcond=tol)), M.shape
+
+    def test_non_finite_input_raises_value_error(self):
+        for bad in (np.inf, -np.inf, np.nan):
+            M = np.eye(3)
+            M[1, 2] = bad
+            for kwargs in self.MODES.values():
+                with pytest.raises(ValueError, match="infs or NaNs"):
+                    _svd(M, **kwargs)
+
+    def test_unconverged_driver_raises_linalg_error(self, dgesdd_info):
+        dgesdd_info(1)
+        M = np.arange(6.0).reshape(2, 3)
+        for kwargs in self.MODES.values():
+            with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+                _svd(M, **kwargs)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            rank(M)
+        with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
+            pinv(M)
 
 
 class TestImage:
