@@ -17,9 +17,10 @@ Problem files are JSON objects with members "E", "A", "B" and optional
 the matrix text format, trajectories as CSV.  Runs are deterministic for
 fixed flags.  `main` loads the problem and calls `associate` once for
 every subcommand but heat-demo.  --tol is the relative singular-value
-cutoff of every rank decision (default max(rows, cols) * machine epsilon);
-it reaches that call, which records it on the realization for every later
-decision, and the impulse-controllability test, and nothing else.
+cutoff of every rank decision (default 64 * max(rows, cols) * machine
+epsilon); it reaches that call, which records it on the realization for
+every later decision, and the impulse-controllability test, and nothing
+else.
 
 Exit codes: 0 success; 1 parse, shape, or usage error, or a request too
 large for memory; 2 the problem is not behaviorally stabilizable; 3 the

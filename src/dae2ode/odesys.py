@@ -28,10 +28,11 @@ from .subspaces import (
     STABLE_EIG_TOL,
     Subspace,
     _finite,
+    _norm2,
     _orthonormal,
-    _projection_rule,
     _rank_from_singular_values,
     _svd,
+    default_rank_tol,
     ensure_matrix,
     full_space,
     zero_space,
@@ -220,7 +221,8 @@ def weakly_unobservable(
     ``EQUALITY_TOL`` (1 + the norm of R's column): the V found is then not
     output-nulling.
     """
-    rule = _projection_rule(np.vstack([np.hstack([sys.A, sys.B]), np.hstack([sys.C, sys.D])]), tol)
+    S = np.vstack([np.hstack([sys.A, sys.B]), np.hstack([sys.C, sys.D])])
+    rule = (default_rank_tol(S) if tol is None else tol, _norm2(S))
     Q, d = np.eye(sys.n_states), sys.n_states
     while True:
         W, W_perp = Q[:, :d], Q[:, d:]
@@ -271,7 +273,8 @@ def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
     if r == 0:
         return zero_space(0)
 
-    rule = _projection_rule(np.hstack([A, B]), tol)
+    S = np.hstack([A, B])
+    rule = (default_rank_tol(S) if tol is None else tol, _norm2(S))
     Q, d, block = np.eye(r), 0, B
     while d < r:
         U, s, _ = _svd(block)

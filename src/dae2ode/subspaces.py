@@ -19,14 +19,15 @@ Conventions
   formed from them would then run other BLAS kernels and move the
   rounding of every later result.
 * One rank rule, ``_rank_from_singular_values``, makes every rank decision
-  in the package: it counts singular values above ``tol * sigma_max`` where
-  ``tol`` defaults to ``max(rows, cols) * machine epsilon``.  Only
-  ``preimage`` and the two staircases pass a larger reference scale, the
-  norm of the unprojected map (``_projection_rule``), so that a map
-  composed with an orthogonal projector does not acquire spurious rank
-  from round-off residue: ``||[A B; C D]||`` and ``||[A, B]||`` for every
-  rank of the two staircases; ``wong_limit`` raises it further to ``||A||``
-  for its restrictions A W.
+  in the package, at one default cutoff: it counts the singular values
+  above ``tol * max(sigma_max, scale)``, and ``tol`` defaults to
+  ``default_rank_tol``, RANK_ROUNDING * max(rows, cols) * machine epsilon,
+  which stays above the rounding of the products (S E T, a projection
+  I - W W^T) that the ranked matrices come from.  ``scale`` is the norm of
+  the map a ranked block was cut from: ``||M||`` in ``preimage`` (raised
+  to ``||A||`` by ``wong_limit`` for its restrictions A W), and
+  ``||[A B; C D]||`` and ``||[A, B]||`` for every rank of the two
+  staircases, so a block that is only rounding of that map has rank zero.
 * ``tol`` is only ever that relative singular-value cutoff.  ``associate``
   records it on the realization, and every later rank decision about that
   realization reads it from there; the CLI's ``--tol`` sets it.
@@ -38,9 +39,8 @@ Conventions
     subspace containment and equality, the friend's residual, the
     realization identities and feedback equivalence are all decided
     against it.
-  - ``PROJECTION_ROUNDING`` (64): the default rank tolerance of a
-    projected map is this many times the plain one (``preimage``, the
-    two staircases).
+  - ``RANK_ROUNDING`` (64): the default rank cutoff, in units of
+    max(rows, cols) * machine epsilon.
   - ``ORTHONORMAL_TOL`` (1e-10): max |B^T B - I| of a caller's basis.
   - ``STABLE_EIG_TOL`` (1e-9): eigenvalues with real part at or above
     -STABLE_EIG_TOL count as unstable, so marginal modes are never
@@ -71,7 +71,7 @@ import scipy.linalg
 
 __all__ = [
     "EQUALITY_TOL",
-    "PROJECTION_ROUNDING",
+    "RANK_ROUNDING",
     "ORTHONORMAL_TOL",
     "STABLE_EIG_TOL",
     "GRID_TOL",
@@ -95,7 +95,7 @@ __all__ = [
 
 # The package's fixed thresholds; the module docstring says what each bounds.
 EQUALITY_TOL = 1e-8
-PROJECTION_ROUNDING = 64.0
+RANK_ROUNDING = 64.0
 ORTHONORMAL_TOL = 1e-10
 STABLE_EIG_TOL = 1e-9
 GRID_TOL = 1e-9
@@ -179,8 +179,9 @@ def _norm2(M: np.ndarray) -> float:
 
 
 def default_rank_tol(M: np.ndarray) -> float:
-    """Relative rank tolerance: max(rows, cols) * machine epsilon."""
-    return max(M.shape) * _EPS if M.size else _EPS
+    """The default relative rank cutoff of ``M``:
+    RANK_ROUNDING * max(rows, cols) * machine epsilon."""
+    return RANK_ROUNDING * max(M.shape) * _EPS
 
 
 def rank(M, tol: float | None = None) -> int:
@@ -314,9 +315,7 @@ def preimage(
 
     The rank decision inside the kernel uses ``||M||`` as the reference scale,
     so a map landing entirely inside W (projected matrix numerically zero)
-    yields the full source space instead of noise-rank artifacts.  Forming
-    the projection costs a few rounding multiples of ``eps·||M||``, so the
-    default tolerance multiplier is inflated accordingly.  A larger
+    yields the full source space instead of noise-rank artifacts.  A larger
     ``scale``, as in :func:`kernel`, raises that reference: for M = A W, a
     map restricted to a subspace, pass ``||A||`` so that a restriction
     which is only rounding noise of A is not given full rank.
@@ -329,15 +328,4 @@ def preimage(
     if W.dim == 0:
         return kernel(M, tol, scale)
     proj_out = M - W.basis @ (W.basis.T @ M)
-    tol, ref = _projection_rule(M, tol)
-    return kernel(proj_out, tol, ref if scale is None else max(ref, scale))
-
-
-def _projection_rule(M: np.ndarray, tol: float | None) -> tuple[float, float]:
-    """(tol, scale) of the rank rule for a projection of ``M``: ||M||_2, and
-    a default tol of PROJECTION_ROUNDING * max(rows, cols) * eps for the
-    projection's rounding."""
-    scale = _norm2(M)
-    if tol is None:
-        tol = PROJECTION_ROUNDING * max(M.shape) * _EPS
-    return tol, max(scale, 1e-300)
+    return kernel(proj_out, tol, max(_norm2(M), scale or 0.0))

@@ -314,10 +314,10 @@ def test_weights_that_split_n_plus_m_otherwise_are_named(tmp_path, capsys, comma
 
 
 def test_package_error_exits_1(tmp_path, capsys):
-    # Instance 120 of the power-of-two population (seed 5) has no friend
+    # Instance 62 of the power-of-two population of seed 0 has no friend
     # within the residual bound, so associate raises ResidualTooLarge.
-    rng = np.random.default_rng(5)
-    for _ in range(121):
+    rng = np.random.default_rng(0)
+    for _ in range(63):
         dae = random_dae(rng)
         S, T = power_of_two_scaling(dae.c, rng), power_of_two_scaling(dae.n, rng)
     body = {"E": S @ dae.E @ T, "A": S @ dae.A @ T, "B": S @ dae.B}
@@ -326,7 +326,7 @@ def test_package_error_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert captured.out == ""
-    assert captured.err == "dae2ode: no friend for basis vector 0: residual 5.447e-04\n"
+    assert captured.err == "dae2ode: no friend for basis vector 0: residual 1.031e+00\n"
 
 
 @pytest.mark.parametrize("command", ["simulate", "lq-infinite", "lq-finite"])

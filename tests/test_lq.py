@@ -1271,9 +1271,9 @@ class TestEliminationOracle:
         # modes and a start off them, one a start with a part on them.  The
         # bounds on the relative cost gap are fixed before the run.  The
         # planted instances run at the cutoff 1e-10: at the default
-        # max(rows, cols) eps, the rounding of associate's products lifts
-        # the zero singular values of B_l above it, so the unreachable
-        # modes read as reachable and the restriction keeps them.
+        # 64 max(rows, cols) eps, associate misjudges 2 of them at
+        # condition 30 and 1 at condition 300, whose unreachable unstable
+        # modes then read as reachable and stay in the restriction.
         bounds = {1.0: 1e-8, 30.0: 1e-8, 300.0: 1e-7}
         solved = refused = 0
         for cond, bound in bounds.items():

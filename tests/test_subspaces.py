@@ -292,6 +292,26 @@ class TestThresholdsInOnePlace:
                     found.append(f"{path.name}:{node.lineno}: {node.value!r}")
         assert not found, found
 
+    def test_one_default_rank_cutoff(self):
+        # The default cutoff RANK_ROUNDING * max(rows, cols) * eps is formed
+        # in default_rank_tol alone: machine epsilon is read once, into
+        # _EPS, and neither it nor the factor is used anywhere else.
+        names = ("_EPS", "RANK_ROUNDING", "finfo")
+        found = []
+        for path in sorted(Path(dae2ode.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            allowed = set()
+            for node in tree.body if path.name == "subspaces.py" else ():
+                if (isinstance(node, ast.FunctionDef) and node.name == "default_rank_tol") or (
+                    isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) in names
+                ):
+                    allowed.update(map(id, ast.walk(node)))
+            for node in ast.walk(tree):
+                name = getattr(node, "id", None) or getattr(node, "attr", None)
+                if name in names and id(node) not in allowed:
+                    found.append(f"{path.name}:{node.lineno}: {name}")
+        assert not found, found
+
     def test_every_imported_name_is_used(self):
         # The package re-exports from __init__.py; any other module uses what
         # it imports, unless the line says "# noqa: F401" (a name looked up
