@@ -24,7 +24,9 @@ The Riccati layer calls LAPACK's drivers itself, with SciPy's finiteness
 checks and error maps but without its wrappers' per-call dispatch, which
 outweighs the arithmetic on small systems: ``dgebal`` balances, ``dgees``
 (``odesys._schur``) gives every Schur form, ``dtrsyl`` the Lyapunov solve
-on it, and ``dpotrf``/``dpotrs`` factor and apply W = D'SD.
+on it, ``dpotrf`` factors W = D'SD and ``dpotrs`` applies its inverse to
+one right-hand side; a stack of gains is multiplied by one W^{-1} formed
+from that factor, and ``dgesv`` solves the doubling's small I + GH.
 
 Each equation has one public solver, its only implementation, which the
 horizon solver calls: ``solve_dre`` returns the samples together with the
@@ -39,7 +41,6 @@ returned trajectory against it without solving anything again.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -218,19 +219,20 @@ def _hamiltonian(sys: OdeLti, w: LqWeights):
 
 def _gain(cho, DSC, B: np.ndarray, P: np.ndarray) -> np.ndarray:
     """K = W^{-1}(B'P + D'SC), with cho the upper Cholesky factor of W, for
-    one P or, in one solve, for each P of a stack; K has no rows when there
-    is no input (k = 0).
+    one P by LAPACK ``dpotrs`` or for each P of a stack; K has no rows when
+    there is no input (k = 0).
 
     Every P of a stack is symmetric, so B'P_j = (P_j B)' and one product over
-    the stack's rows forms them all.
+    the stack's rows forms them all; one more multiplies them by the k x k
+    W^{-1}, formed once from cho, and K_j is a transposed view of the result.
     """
     if P.ndim == 2:
         return _cho_solve(cho, B.T @ P + DSC)
     N, n = P.shape[:2]
     k = B.shape[1]
-    PB = (P.reshape(N * n, n) @ B).reshape(N, n, k) + DSC.T
-    K = _cho_solve(cho, PB.reshape(N * n, k).T)
-    return K.reshape(k, N, n).swapaxes(0, 1)
+    PB = _finite((P.reshape(N * n, n) @ B).reshape(N, n, k) + DSC.T)
+    K_T = PB.reshape(N * n, k) @ _cho_solve(cho, np.eye(k)).T
+    return K_T.reshape(N, n, k).swapaxes(1, 2)
 
 
 def _closed_loop(sys: OdeLti, K: np.ndarray) -> OdeLti:
@@ -238,15 +240,26 @@ def _closed_loop(sys: OdeLti, K: np.ndarray) -> OdeLti:
     return OdeLti(sys.A - sys.B @ K, sys.B, sys.C - sys.D @ K, sys.D)
 
 
-def _feedback_forms(C_cl: np.ndarray, ME: np.ndarray, n: int):
-    """(K_f, K1, K2) from the closed-loop output map C_cl, or a stack of
-    them, and the map ME from x to the internal state: u = K_f x, and
-    K1 x + K2 u = 0 holds exactly for the optimal pair.  K1 = C_cl ME - [I; 0]
-    is one product over a stack's rows, and K_f is a view of its last m rows."""
-    rows = C_cl.shape[:-1]
-    K1 = (C_cl.reshape(math.prod(rows), ME.shape[0]) @ ME).reshape(*rows, ME.shape[1])
-    m = C_cl.shape[-2] - n
-    K1[..., :n, :] -= np.eye(n)
+def _feedback_forms(C: np.ndarray, D: np.ndarray, K: np.ndarray, ME: np.ndarray, n: int):
+    """(K_f, K1, K2) of the closed-loop output map C - D K, for one gain K or
+    a stack of them, and the map ME from x to the internal state: u = K_f x,
+    and K1 x + K2 u = 0 holds exactly for the optimal pair.
+
+    K1 = (C ME - [I; 0]) - D K ME.  On a stack, D K_i ME is the row vec(K_i)
+    times kron(D', ME), so one product over the stack's rows forms every
+    K1_i, contiguous and in the stack's order; K_f is a view of K1's last m
+    rows.
+    """
+    K1 = C @ ME
+    K1[:n] -= np.eye(n)
+    if K.ndim == 2:
+        K1 -= D @ K @ ME
+    else:
+        N, k, n_hat = K.shape
+        kron = (D.T[:, None, :, None] * ME[:, None, :]).reshape(k * n_hat, K1.size)
+        DKME = np.ascontiguousarray(K.reshape(N, k * n_hat)) @ kron
+        K1 = np.subtract(K1.reshape(-1), DKME, out=DKME).reshape(N, *K1.shape)
+    m = C.shape[0] - n
     K2 = np.vstack([np.zeros((n, m)), -np.eye(m)])
     return K1[..., n:, :], K1, K2
 
@@ -350,19 +363,29 @@ def solve_dre(
         d = 1
         while d < end:
             P = P_samples[: min(d, n_nodes - d)]
+            P_new = P_samples[d : d + P.shape[0]]
             # G and A act on the stack's rows; Z is symmetric, so A'ZA is (ZA)'A.
-            Z = np.linalg.solve(I + (P.reshape(-1, n_hat) @ G).reshape(P.shape), P)
+            IPG = (P.reshape(-1, n_hat) @ G).reshape(P.shape)
+            IPG.reshape(P.shape[0], -1)[:, :: n_hat + 1] += 1.0
+            Z = np.linalg.solve(IPG, P)
             ZA = (Z.reshape(-1, n_hat) @ A).reshape(P.shape)
-            P_new = _sym(H + (ZA.swapaxes(1, 2).reshape(-1, n_hat) @ A).reshape(P.shape))
-            finite = np.isfinite(P_new).all(axis=(1, 2))
-            if not finite.all():
+            F = (ZA.swapaxes(1, 2).reshape(-1, n_hat) @ A).reshape(P.shape)
+            F += H
+            np.add(F, F.swapaxes(1, 2), out=P_new)
+            P_new *= 0.5
+            # One sum checks the block; finite nodes may sum past the largest
+            # double, so only a sum that is not finite looks at each node.
+            finite = np.isfinite(P_new.sum()) or np.isfinite(P_new).all(axis=(1, 2))
+            if not np.all(finite):
                 node = d + int(np.argmin(finite))
                 raise NonFiniteP(f"Riccati state lost finiteness at tau = {node * h:.6g}")
-            P_samples[d : d + P.shape[0]] = P_new
             d *= 2
             if d < end:
                 # A, G, H of f^d become those of f^{2d}, by one solve with I + GH.
-                X, Y = np.hsplit(np.linalg.solve(I + G @ H, np.hstack([A, G @ A.T])), 2)
+                _, _, XY, info = scipy.linalg.lapack.dgesv(I + G @ H, np.hstack([A, G @ A.T]))
+                if info > 0:
+                    raise np.linalg.LinAlgError("Singular matrix")
+                X, Y = XY[:, :n_hat], XY[:, n_hat:]
                 A, G, H = A @ X, _sym(G + A @ Y), _sym(H + A.T @ H @ X)
 
     return P_samples, _gain(cho, DSC, assoc.B_l, P_samples), Phi
@@ -374,25 +397,27 @@ def _back_scan(Phi: np.ndarray, P_samples: np.ndarray, v0: np.ndarray) -> np.nda
     In tau = t1 - s the DRE step's X block, from I to Phi11 + Phi12 P_j, is a
     fundamental matrix of the closed loop, so real time steps back exactly by
     its inverse.  Phi is symplectic, [[Phi22', -Phi12'], [-Phi21', Phi11']]
-    inverts it, and so step i back is back_i = Phi22' - (P_{N-i} Phi12)'.
-    v_{i+1} = back_i ... back_0 v_0 is a work-efficient scan (Blelloch 1990):
-    the up-sweep makes Pi_i the product of the s factors ending at back_i, s
-    the largest power of two dividing i + 1; then, s halving, the down-sweep
-    sets v_m = Pi_{m-1} v_{m-s} on the odd multiples m of s.
+    inverts it, and so step i back is back_i = (Phi22 - P_{N-i} Phi12)'; one
+    product over the stack's rows forms the transposed factors T_i = back_i',
+    contiguous in node order.  v_{i+1}' = v_0' T_0 ... T_i is a
+    work-efficient scan (Blelloch 1990): the up-sweep makes Pi_i the product
+    of the s factors ending at T_i, s the largest power of two dividing
+    i + 1; then, s halving, the down-sweep sets v_m' = v_{m-s}' Pi_{m-1} on
+    the odd multiples m of s.
     """
     N, n_hat = P_samples.shape[0] - 1, v0.shape[0]
     PPhi12 = P_samples[1:].reshape(N * n_hat, n_hat) @ Phi[:n_hat, n_hat:]
-    Pi = Phi[n_hat:, n_hat:].T - PPhi12.reshape(N, n_hat, n_hat)[::-1].swapaxes(1, 2)
+    Pi = Phi[n_hat:, n_hat:] - PPhi12.reshape(N, n_hat, n_hat)[::-1]
     s = 1
     while 2 * s <= N:
         block = Pi[2 * s - 1 :: 2 * s]
-        block[...] = block @ Pi[s - 1 :: 2 * s][: block.shape[0]]
+        block[...] = Pi[s - 1 :: 2 * s][: block.shape[0]] @ block
         s *= 2
     v_samples = np.empty((N + 1, n_hat))
     v_samples[0] = v0
     while s:
-        v_back = v_samples[: N + 1 - s : 2 * s, :, None]
-        v_samples[s :: 2 * s] = (Pi[s - 1 :: 2 * s] @ v_back)[..., 0]
+        v_back = v_samples[: N + 1 - s : 2 * s, None, :]
+        v_samples[s :: 2 * s] = (v_back @ Pi[s - 1 :: 2 * s])[:, 0]
         s //= 2
     return v_samples
 
@@ -413,17 +438,16 @@ def finite_horizon(
     """
     v0 = _internal_start(assoc, z)
     P_samples, K_samples, Phi = solve_dre(assoc, w, t1, steps)
-    n_nodes, n_hat = P_samples.shape[:2]
-    grid = np.linspace(0.0, t1, n_nodes)
+    grid = np.linspace(0.0, t1, P_samples.shape[0])
     v_samples = _back_scan(Phi, P_samples, v0)
 
-    # C_cl,i = C_l - D_l K(t1 - s_i), D_l times all the gains in one product.
-    p = assoc.C_l.shape[0]
-    DK = assoc.D_l @ K_samples.swapaxes(0, 1).reshape(assoc.k, n_nodes * n_hat)
-    C_cl = assoc.C_l - DK.reshape(p, n_nodes, n_hat).swapaxes(0, 1)[::-1]
+    # Node i of real time s_i has the gain K(t1 - s_i).
+    K_nodes = K_samples[::-1]
     n = assoc.n
-    K_f_samples, K1_samples, K2 = _feedback_forms(C_cl, assoc.M @ assoc.E, n)
-    Kv = np.einsum("ijk,ik->ij", K_samples[::-1], v_samples)
+    K_f_samples, K1_samples, K2 = _feedback_forms(
+        assoc.C_l, assoc.D_l, K_nodes, assoc.M @ assoc.E, n
+    )
+    Kv = np.einsum("ijk,ik->ij", K_nodes, v_samples)
     outputs = v_samples @ assoc.C_l.T - Kv @ assoc.D_l.T
     traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
     cost = float(v0 @ P_samples[-1] @ v0)
@@ -610,7 +634,8 @@ def infinite_horizon(
     traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
 
     K_z = cl.C[n:] @ restr.M_g
-    K_f, K1, K2 = _feedback_forms(cl.C, restr.M_g @ assoc.E, n)
+    sys_g = restr.sys_g
+    K_f, K1, K2 = _feedback_forms(sys_g.C, sys_g.D, K, restr.M_g @ assoc.E, n)
     cost = float(v0 @ P @ v0)
     return InfiniteHorizonSolution(
         P, K, K_f, K_z, K1, K2, traj, cost, abscissa, restr, v0

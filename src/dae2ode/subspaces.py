@@ -14,7 +14,9 @@ Conventions
   (``_norm2``, its largest singular value) and ``feedback_equivalence``'s
   condition number.  It calls LAPACK ``dgesdd`` directly, with the
   workspace the driver asks for, so values and factors are those of
-  ``numpy.linalg.svd`` bit for bit.  It returns U and V^T C-ordered, as
+  ``numpy.linalg.svd`` bit for bit; ``rank``, ``image``, ``kernel`` and
+  ``pinv`` call its core ``_gesdd``, since ``ensure_matrix`` has already
+  checked their array finite.  It returns U and V^T C-ordered, as
   NumPy does: SciPy hands them back Fortran-ordered, and the products
   formed from them would then run other BLAS kernels and move the
   rounding of every later result.
@@ -142,6 +144,11 @@ def _svd(M: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
     identity (full) or empty (reduced) factors.  A non-finite M raises
     ValueError; LinAlgError when the driver does not converge.
     """
+    return _gesdd(_finite(M), compute_uv, full_matrices)
+
+
+def _gesdd(M: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
+    """``_svd`` of an M already checked finite, as ``ensure_matrix`` checks it."""
     m, n = M.shape
     if not M.size:
         s = np.zeros(0)
@@ -151,7 +158,7 @@ def _svd(M: np.ndarray, compute_uv: bool = True, full_matrices: bool = True):
             return np.eye(m), s, np.eye(n)
         return np.zeros((m, 0)), s, np.zeros((0, n))
     U, s, Vh, info = scipy.linalg.lapack.dgesdd(
-        _finite(M),
+        M,
         compute_uv=compute_uv,
         full_matrices=full_matrices,
         lwork=_gesdd_lwork(m, n, compute_uv, full_matrices),
@@ -187,7 +194,7 @@ def default_rank_tol(M: np.ndarray) -> float:
 def rank(M, tol: float | None = None) -> int:
     """Numerical rank of ``M``: singular values above ``tol * sigma_max``."""
     M = ensure_matrix(M)
-    return _rank_from_singular_values(M, _svd(M, compute_uv=False), tol)
+    return _rank_from_singular_values(M, _gesdd(M, compute_uv=False), tol)
 
 
 def pinv(M, tol: float | None = None) -> np.ndarray:
@@ -199,7 +206,7 @@ def pinv(M, tol: float | None = None) -> np.ndarray:
         return np.zeros((M.shape[1], M.shape[0]))
     if tol is None:
         tol = default_rank_tol(M)
-    U, s, Vh = _svd(M, full_matrices=False)
+    U, s, Vh = _gesdd(M, full_matrices=False)
     large = s > tol * s[0]
     s = np.divide(1.0, s, where=large, out=s)
     s[~large] = 0.0
@@ -275,7 +282,7 @@ def zero_space(n: int) -> Subspace:
 def image(M, tol: float | None = None) -> Subspace:
     """Orthonormal basis of the column space of ``M``."""
     M = ensure_matrix(M)
-    U, s, _ = _svd(M, full_matrices=False)
+    U, s, _ = _gesdd(M, full_matrices=False)
     r = _rank_from_singular_values(M, s, tol)
     return _orthonormal(U[:, :r])
 
@@ -288,7 +295,7 @@ def kernel(M, tol: float | None = None, scale: float | None = None) -> Subspace:
         return zero_space(0)
     if m == 0:
         return full_space(n)
-    _, s, Vh = _svd(M)
+    _, s, Vh = _gesdd(M)
     r = _rank_from_singular_values(M, s, tol, scale)
     return _orthonormal(Vh[r:].T)
 

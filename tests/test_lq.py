@@ -222,6 +222,20 @@ class TestSolveDre:
             with pytest.raises(NonFiniteP, match=f"tau = {tau}$"):
                 finite_horizon(dae, associate(dae), w, [1.0], 1.0)
 
+    def test_finite_nodes_whose_sum_overflows_are_not_refused(self):
+        # P(tau) = 1e306 + tau: every node is finite, but any 180 of them sum
+        # past the largest double, so a finiteness check of a stack's sum
+        # must not be taken for a node that lost finiteness.
+        dae = DaeLti(np.eye(1), [[0.0]], np.zeros((1, 1)))
+        w = LqWeights(np.eye(1), np.eye(1), [[1e306]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = finite_horizon(dae, associate(dae), w, [1.0], 1.0)
+        assert np.all(np.isfinite(sol.P_samples))
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.sum(sol.P_samples[1024:]))
+        assert sol.cost == 1e306
+
     def test_overflowing_step_exponential_raises_non_finite_p(self, ex1, ex1_assoc):
         # One step of length 1000 overflows inside the Hamiltonian's
         # exponential itself, before any doubling step.
@@ -323,6 +337,7 @@ class TestFiniteHorizon:
             )
             for got, want in pairs:
                 assert np.linalg.norm(got - np.array(want)) <= 1e-13 * np.linalg.norm(want)
+            assert sol.K1_samples.flags.c_contiguous
 
     @pytest.mark.parametrize(
         "E, A, B",
@@ -340,6 +355,12 @@ class TestFiniteHorizon:
         assert sol.P_samples.shape == (101, 0, 0)
         assert np.all(sol.traj.x == 0.0) and np.all(sol.traj.u == 0.0)
         assert sol.cost == 0.0
+        # With no internal state every node's feedback is C_l ME - [I; 0].
+        n = dae.n
+        want = assoc.C_l @ assoc.M @ assoc.E - np.eye(n + dae.m, n)
+        assert sol.K1_samples.shape == (101,) + want.shape
+        assert np.all(sol.K1_samples == want)
+        assert np.all(sol.K_f_samples == want[n:])
 
     def test_one_hamiltonian_exponential_per_solve(self, ex1, ex1_assoc, monkeypatch):
         calls = []

@@ -22,6 +22,7 @@ from dae2ode import (
     weakly_unobservable,
     wong_limit,
 )
+from dae2ode import subspaces
 from dae2ode.subspaces import _svd, default_rank_tol, ensure_matrix
 
 
@@ -137,6 +138,18 @@ class TestSvd:
             for kwargs in self.MODES.values():
                 with pytest.raises(ValueError, match="infs or NaNs"):
                     _svd(M, **kwargs)
+
+    def test_primitives_check_finiteness_once(self, monkeypatch):
+        # ensure_matrix refuses a non-finite array before the SVD runs, so
+        # the SVD's own check would only read the same array again.
+        checked = []
+        monkeypatch.setattr(subspaces, "_finite", lambda a: checked.append(a.shape) or a)
+        M = np.arange(6.0).reshape(2, 3)
+        for primitive in (rank, pinv, image, kernel):
+            primitive(M)
+            with pytest.raises(ValueError, match="non-finite entries"):
+                primitive(np.array([[1.0, np.nan]]))
+        assert checked == []
 
     def test_unconverged_driver_raises_linalg_error(self, dgesdd_info):
         dgesdd_info(1)
