@@ -24,9 +24,9 @@ The Riccati layer calls LAPACK's drivers itself, with SciPy's finiteness
 checks and error maps but without its wrappers' per-call dispatch, which
 outweighs the arithmetic on small systems: ``dgebal`` balances, ``dgees``
 (``odesys._schur``) gives every Schur form, ``dtrsyl`` the Lyapunov solve
-on it, ``dpotrf`` factors W = D'SD and ``dpotrs`` applies its inverse to
-one right-hand side; a stack of gains is multiplied by one W^{-1} formed
-from that factor, and ``dgesv`` solves the doubling's small I + GH.
+on it, ``dpotrf`` factors W = D'SD and ``dpotrs`` on I turns that factor
+into the one W^{-1} that every reduced matrix and every gain is multiplied
+by, and ``dgesv`` solves the doubling's small I + GH.
 
 Each equation has one public solver, its only implementation, which the
 horizon solver calls: ``solve_dre`` returns the samples together with the
@@ -41,6 +41,7 @@ returned trajectory against it without solving anything again.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -182,21 +183,13 @@ def spectral_abscissa(A: np.ndarray) -> float:
     return float(np.max(np.real(np.linalg.eigvals(A))))
 
 
-def _cho_solve(cho: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """W^{-1} b from the upper Cholesky factor ``cho`` of W, by LAPACK
-    ``dpotrs``; an empty b (no input, or no state) gives an empty solution.
-    A non-finite b raises ValueError, as ``scipy.linalg.cho_solve`` does."""
-    if b.size == 0:
-        return np.empty_like(b)
-    return scipy.linalg.lapack.dpotrs(cho, _finite(b))[0]
-
-
 def _hamiltonian(sys: OdeLti, w: LqWeights):
     """Reduced Hamiltonian data of the LQ problem on (A, B, C, D) with output
-    weight S = diag(Q, R): (cho, DSC, A_r, G, Q_r) with cho the upper
-    Cholesky factor of W = D'SD (LAPACK ``dpotrf``), DSC = D'SC,
-    A_r = A - B W^{-1}D'SC, G = B W^{-1}B' and Q_r = C'SC - C'SD W^{-1}D'SC.
-    With no input (k = 0) W is 0 x 0, A_r = A, G = 0 and Q_r = C'SC.
+    weight S = diag(Q, R): (W_inv, DSC, A_r, G, Q_r) with W_inv = W^{-1} for
+    W = D'SD, DSC = D'SC, A_r = A - B W^{-1}D'SC, G = sym(B W^{-1}B') and
+    Q_r = sym(C'SC - C'SD W^{-1}D'SC).  W^{-1} is LAPACK ``dpotrs`` on I with
+    the ``dpotrf`` factor of W, formed once for the data and every gain.
+    With no input (k = 0) W is 0 x 0, A_r = A, G = 0 and Q_r = sym(C'SC).
     """
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
     S = w.S
@@ -211,28 +204,26 @@ def _hamiltonian(sys: OdeLti, w: LqWeights):
             "D'SD is not positive definite; the LQ gain is undefined "
             "(requires full column rank D and positive definite Q, R)"
         )
+    # dpotrs refuses an empty right-hand side; the 0 x 0 I is its own inverse.
+    I = np.eye(B.shape[1])
+    W_inv = scipy.linalg.lapack.dpotrs(cho, I)[0] if I.size else I
     DSC = D.T @ S @ C
-    n = A.shape[0]
-    F = _cho_solve(cho, np.hstack([DSC, B.T]))
-    return cho, DSC, A - B @ F[:, :n], B @ F[:, n:], C.T @ S @ C - DSC.T @ F[:, :n]
+    F = W_inv @ DSC
+    return W_inv, DSC, A - B @ F, _sym(B @ W_inv @ B.T), _sym(C.T @ S @ C - DSC.T @ F)
 
 
-def _gain(cho, DSC, B: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """K = W^{-1}(B'P + D'SC), with cho the upper Cholesky factor of W, for
-    one P by LAPACK ``dpotrs`` or for each P of a stack; K has no rows when
-    there is no input (k = 0).
+def _gain(W_inv, DSC, B: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """K = W^{-1}(B'P + D'SC) for one P or for each P of a stack; K has no
+    rows when there is no input (k = 0).
 
-    Every P of a stack is symmetric, so B'P_j = (P_j B)' and one product over
-    the stack's rows forms them all; one more multiplies them by the k x k
-    W^{-1}, formed once from cho, and K_j is a transposed view of the result.
+    Every P is symmetric, so B'P = (P B)' and one product over the rows of P
+    forms P B + (D'SC)' for the whole stack; one more multiplies them by
+    W^{-1}, and K is a transposed view of the result.
     """
-    if P.ndim == 2:
-        return _cho_solve(cho, B.T @ P + DSC)
-    N, n = P.shape[:2]
-    k = B.shape[1]
-    PB = _finite((P.reshape(N * n, n) @ B).reshape(N, n, k) + DSC.T)
-    K_T = PB.reshape(N * n, k) @ _cho_solve(cho, np.eye(k)).T
-    return K_T.reshape(N, n, k).swapaxes(1, 2)
+    rows, (n, k) = P.shape[:-1], B.shape
+    PB = _finite((P.reshape(math.prod(rows), n) @ B).reshape(*rows, k) + DSC.T)
+    K_T = PB.reshape(math.prod(rows), k) @ W_inv.T
+    return K_T.reshape(*rows, k).swapaxes(-1, -2)
 
 
 def _closed_loop(sys: OdeLti, K: np.ndarray) -> OdeLti:
@@ -348,7 +339,7 @@ def solve_dre(
 
     n_hat = assoc.n_hat
     h = t1 / steps
-    cho, DSC, A_r, G, Q_r = _hamiltonian(assoc.as_ode(), w)
+    W_inv, DSC, A_r, G, Q_r = _hamiltonian(assoc.as_ode(), w)
     n_nodes = steps + 1
     P_samples = np.empty((n_nodes, n_hat, n_hat))
     P_samples[0] = assoc.EC_s.T @ w.Q0 @ assoc.EC_s
@@ -388,7 +379,7 @@ def solve_dre(
                 X, Y = XY[:, :n_hat], XY[:, n_hat:]
                 A, G, H = A @ X, _sym(G + A @ Y), _sym(H + A.T @ H @ X)
 
-    return P_samples, _gain(cho, DSC, assoc.B_l, P_samples), Phi
+    return P_samples, _gain(W_inv, DSC, assoc.B_l, P_samples), Phi
 
 
 def _back_scan(Phi: np.ndarray, P_samples: np.ndarray, v0: np.ndarray) -> np.ndarray:
@@ -516,13 +507,13 @@ def solve_are(sys: OdeLti, w: LqWeights) -> tuple[np.ndarray, np.ndarray, float]
     ``abscissa`` (-inf when l = 0); raises NoStabilizingStart otherwise.
     """
     S = w.S
-    cho, DSC, A_r, G, Q_r = _hamiltonian(sys, w)
+    W_inv, DSC, A_r, G, Q_r = _hamiltonian(sys, w)
     l, k = sys.n_states, sys.n_inputs
     if l == 0:
         return np.zeros((0, 0)), np.zeros((k, 0)), -np.inf
 
     A, B, C, D = sys.A, sys.B, sys.C, sys.D
-    H = np.block([[A_r, -_sym(G)], [-_sym(Q_r), -A_r.T]])
+    H = np.block([[A_r, -G], [-Q_r, -A_r.T]])
     try:
         s = scipy.linalg.lapack.dgebal(_finite(H), scale=1)[3]
         d = np.exp2(np.round(0.5 * np.log2(s[:l] / s[l:])))
@@ -539,12 +530,12 @@ def solve_are(sys: OdeLti, w: LqWeights) -> tuple[np.ndarray, np.ndarray, float]
     # A U11 that is singular to working precision may overflow instead.
     if P is None or not np.all(np.isfinite(P)):
         raise NoStabilizingStart("stable Schur basis has a singular U11")
-    K = _gain(cho, DSC, B, _sym(P / d / d[:, None]))
+    K = _gain(W_inv, DSC, B, _sym(P / d / d[:, None]))
     C_cl = C - D @ K
     P = _sym(_lyapunov((A - B @ K).T, -(C_cl.T @ S @ C_cl)))
     if not np.all(np.isfinite(P)):
         raise NoStabilizingStart("Kleinman-Newton step diverged")
-    K = _gain(cho, DSC, B, P)
+    K = _gain(W_inv, DSC, B, P)
     rel = _are_residual(sys, S, P, K)
     if not rel <= ARE_RESIDUAL_TOL:
         raise NoStabilizingStart(

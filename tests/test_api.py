@@ -60,11 +60,16 @@ def test_unconsulted_dae_arguments_are_pinned():
 
 
 # SciPy wrappers of the LAPACK drivers that odesys._schur (dgees),
-# lq._lyapunov (dtrsyl), solve_are (dgebal) and lq's Cholesky solves
-# (dpotrf, dpotrs) call directly.
+# lq._lyapunov (dtrsyl), solve_are (dgebal) and lq._hamiltonian's Cholesky
+# inverse (dpotrf, dpotrs) call directly.
 REPLACED_WRAPPERS = {
     "schur", "solve_continuous_lyapunov", "matrix_balance", "cho_factor", "cho_solve"
 }
+
+
+def _call_name(call: ast.Call) -> str:
+    func = call.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
 
 
 def test_no_module_calls_a_replaced_scipy_wrapper():
@@ -76,12 +81,23 @@ def test_no_module_calls_a_replaced_scipy_wrapper():
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
                 names = [alias.name for alias in node.names]
             elif isinstance(node, ast.Call):
-                func = node.func
-                names = [func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")]
+                names = [_call_name(node)]
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {n}" for n in names if n in REPLACED_WRAPPERS]
     assert found == []
+
+
+def test_one_cholesky_factorization_and_one_inverse():
+    # lq._hamiltonian factors W = D'SD and forms W^{-1} once; every reduced
+    # matrix and every gain reads that one W^{-1}.
+    calls = [
+        (_call_name(node), f"{path.name}:{node.lineno}")
+        for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and _call_name(node) in {"dpotrf", "dpotrs"}
+    ]
+    assert sorted(name for name, _ in calls) == ["dpotrf", "dpotrs"], calls
 
 
 # NumPy's wrappers of the SVD, which subspaces._svd (LAPACK dgesdd) replaces.

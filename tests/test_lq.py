@@ -617,9 +617,28 @@ class TestSolveAre:
             X = rng.standard_normal(P.shape)
             X += X.T
             P_bad = P + 1e-8 * np.linalg.norm(P) / np.linalg.norm(X) * X
-            cho, DSC, *_ = _hamiltonian(restr.sys_g, w)
-            K_bad = _gain(cho, DSC, restr.sys_g.B, P_bad)
+            W_inv, DSC, *_ = _hamiltonian(restr.sys_g, w)
+            K_bad = _gain(W_inv, DSC, restr.sys_g.B, P_bad)
             assert _are_residual(restr.sys_g, w.S, P_bad, K_bad) > ARE_RESIDUAL_TOL
+
+    @pytest.mark.parametrize(
+        "name, fake, message",
+        [
+            ("_lyapunov", lambda a, q: np.full_like(q, np.nan), "Kleinman-Newton step diverged"),
+            ("spectral_abscissa", lambda A: 0.0, "closed loop is not stable"),
+        ],
+        ids=["diverged_newton_step", "unstable_closed_loop"],
+    )
+    def test_unreached_refusal_is_no_stabilizing_start(
+        self, ex1_assoc, monkeypatch, name, fake, message
+    ):
+        # No known input makes the Lyapunov solve overflow or leaves the
+        # refined gain unstable, so a substitute returns NaN or the abscissa 0;
+        # the refusal must still be solve_are's own.
+        monkeypatch.setattr(importlib.import_module("dae2ode.lq"), name, fake)
+        w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
+        with pytest.raises(NoStabilizingStart, match=message):
+            solve_are(ex1_assoc.restriction.sys_g, w)
 
     def test_one_newton_step_reaches_the_residual_floor(self, ex1_assoc, monkeypatch):
         # From the balanced Schur start, the one Kleinman-Newton step brings
@@ -1109,15 +1128,35 @@ class TestGain:
     def test_stack_matches_each_p(self, n_hat, k):
         rng = np.random.default_rng(7)
         B, DSC = rng.standard_normal((n_hat, k)), rng.standard_normal((k, n_hat))
-        cho = scipy.linalg.lapack.dpotrf(random_spd(k, rng))[0]
+        W_inv = np.linalg.inv(random_spd(k, rng))
         X = rng.standard_normal((40, n_hat, n_hat))
         P = 0.5 * (X + X.swapaxes(1, 2))
-        K = _gain(cho, DSC, B, P)
+        K = _gain(W_inv, DSC, B, P)
         assert K.shape == (40, k, n_hat)
         for j in range(40):
-            K_j = _gain(cho, DSC, B, P[j])
+            K_j = _gain(W_inv, DSC, B, P[j])
             scale = np.max(np.abs(K_j), initial=0.0)
             assert np.allclose(K[j], K_j, rtol=1e-14, atol=1e-14 * scale)
+
+    def test_gains_match_a_backward_stable_solve(self):
+        # Both horizons' gains, by W^{-1} times B'P + D'SC, agree with a
+        # pivoted LU solve with W = D'SD on criterion 5's stream.
+        compared = 0
+        for dae, assoc, _ in criterion_5_stream():
+            w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.eye(dae.c))
+            P_samples, K_samples, _ = solve_dre(assoc, w, 1.0)
+            N = P_samples.shape[0] - 1
+            cases = [(assoc.as_ode(), P_samples[j], K_samples[j]) for j in (0, N // 2, N)]
+            restr = assoc.restriction
+            if restr.l:
+                cases.append((restr.sys_g, *solve_are(restr.sys_g, w)[:2]))
+            for sys, P, K in cases:
+                B, C, D, S = sys.B, sys.C, sys.D, w.S
+                want = np.linalg.solve(D.T @ S @ D, B.T @ P + D.T @ S @ C)
+                scale = np.max(np.abs(want), initial=0.0)
+                assert np.max(np.abs(K - want), initial=0.0) <= 1e-12 * scale
+                compared += 1
+        assert compared == 336
 
 
 class TestTrajectoryCost:
