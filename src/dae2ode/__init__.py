@@ -25,6 +25,7 @@ from .errors import (
     NoStabilizingStart,
     NotEquivalent,
     NotStabilizable,
+    OrderedSchurFailed,
     ResidualTooLarge,
 )
 from .heat import (

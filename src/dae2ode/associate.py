@@ -40,7 +40,9 @@ from .subspaces import (
     EQUALITY_TOL,
     ROUND_TRIP_TOL,
     Subspace,
+    _norm,
     _norm2,
+    _qr,
     _rank_from_singular_values,
     _svd,
     image,
@@ -189,9 +191,9 @@ def associate(
     A22 = SAT[r:, r:]
     B1 = SB[:r]
     B2 = SB[r:]
-    G = np.hstack([A12, B1])
+    G = np.concatenate([A12, B1], axis=1)
     Ct = A21
-    Dt = np.hstack([A22, B2])
+    Dt = np.concatenate([A22, B2], axis=1)
     aux = OdeLti(At, G, Ct, Dt)
 
     V, F, L = weakly_unobservable(aux, tol)
@@ -200,14 +202,13 @@ def associate(
     # the input part (m rows), then assemble the output maps.
     F1, F2 = F[: n - r], F[n - r :]
     L1, L2 = L[: n - r], L[n - r :]
-    C_bar = np.vstack([T @ np.vstack([np.eye(r), F1]), F2])
-    D_bar = np.vstack([T @ np.vstack([np.zeros((r, L.shape[1])), L1]), L2])
+    C_bar = np.concatenate([T @ np.concatenate([np.eye(r), F1]), F2])
+    D_bar = np.concatenate([T @ np.concatenate([np.zeros((r, L.shape[1])), L1]), L2])
 
     P = V.basis
     if basis_seed is not None and V.dim:
         rng = np.random.default_rng(basis_seed)
-        Q, _ = np.linalg.qr(rng.standard_normal((V.dim, V.dim)))
-        P = P @ Q
+        P = P @ _qr(rng.standard_normal((V.dim, V.dim)))
 
     A_l = P.T @ (At + G @ F) @ P
     B_l = P.T @ (G @ L)
@@ -238,7 +239,9 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     """Check the defining invariants and decide realization exactly.
 
     The rank, identity and consistency checks read one product E C_s,
-    formed with the DAE's E.  Given E D_s = 0, every output of ``sys``
+    formed with the DAE's E, and factor it once: one reduced SVD gives its
+    rank and the orthonormal basis of its image, and one SVD of E gives
+    rank E and ||E||_2.  Given E D_s = 0, every output of ``sys``
     solves the DAE if and only if E C_s A_l = A C_s + B C_u and
     E C_s B_l = A D_s + B D_u; the larger residual, relative to (1 + the
     largest norm of E, A, B, A_l, B_l, C_l, D_l)^2, must not exceed
@@ -258,18 +261,20 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     E, A, B = dae.E, dae.A, dae.B
     tol = sys.tol
     EC_s = E @ sys.C_s
+    norm_E = _norm(E)
 
     input_maps_ok = rank(sys.D_l, tol) == sys.k
     if not input_maps_ok:
         failures.append("input maps: D_l not full column rank")
 
-    scale = 1.0 + np.linalg.norm(E) * (1.0 + np.linalg.norm(sys.D_l))
-    ed_s_zero = bool(np.linalg.norm(E @ sys.D_s) <= EQUALITY_TOL * scale)
+    scale = 1.0 + norm_E * (1.0 + _norm(sys.D_l))
+    ed_s_zero = _norm(E @ sys.D_s) <= EQUALITY_TOL * scale
     if not ed_s_zero:
         failures.append("E D_s is not zero")
 
-    sigma = _svd(EC_s, compute_uv=False)
-    ec_s_full_rank = _rank_from_singular_values(EC_s, sigma, tol) == sys.n_hat
+    U_ec, sigma_ec, _ = _svd(EC_s, full_matrices=False)
+    rank_ec = _rank_from_singular_values(EC_s, sigma_ec, tol)
+    ec_s_full_rank = rank_ec == sys.n_hat
     if not ec_s_full_rank:
         failures.append("E C_s does not have full column rank n_hat")
 
@@ -277,20 +282,16 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     if not state_map_ok:
         failures.append("state map M is built for a different E")
 
-    state_dim_bound_ok = sys.n_hat <= rank(E, tol)
+    sigma_E = _svd(E, compute_uv=False)
+    state_dim_bound_ok = sys.n_hat <= _rank_from_singular_values(E, sigma_E, tol)
     if not state_dim_bound_ok:
         failures.append("state dimension exceeds rank E")
 
-    largest_norm = max(
-        np.linalg.norm(M) for M in (E, A, B, sys.A_l, sys.B_l, sys.C_l, sys.D_l)
-    )
-    identity_residual = float(
-        max(
-            np.linalg.norm(EC_s @ sys.A_l - A @ sys.C_s - B @ sys.C_u),
-            np.linalg.norm(EC_s @ sys.B_l - A @ sys.D_s - B @ sys.D_u),
-        )
-        / (1.0 + largest_norm) ** 2
-    )
+    largest_norm = max(norm_E, *map(_norm, (A, B, sys.A_l, sys.B_l, sys.C_l, sys.D_l)))
+    identity_residual = max(
+        _norm(EC_s @ sys.A_l - A @ sys.C_s - B @ sys.C_u),
+        _norm(EC_s @ sys.B_l - A @ sys.D_s - B @ sys.D_u),
+    ) / (1.0 + largest_norm) ** 2
     identity_ok = identity_residual <= EQUALITY_TOL
     if not identity_ok:
         failures.append(
@@ -306,12 +307,11 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     # C_s cannot hide the others.
     V = wong_limit(dae, tol).basis
     EV = E @ V
-    Q_c = np.linalg.qr(sys.C_s)[0]
-    Q = image(EC_s, tol).basis
-    norm_E = np.linalg.norm(E)
-    consistency_ok = bool(
-        np.linalg.norm(E @ Q_c - EV @ (V.T @ Q_c)) <= EQUALITY_TOL * norm_E
-        and np.linalg.norm(EV - Q @ (Q.T @ EV)) <= EQUALITY_TOL * norm_E
+    Q_c = _qr(sys.C_s)
+    Q = U_ec[:, :rank_ec]
+    consistency_ok = (
+        _norm(E @ Q_c - EV @ (V.T @ Q_c)) <= EQUALITY_TOL * norm_E
+        and _norm(EV - Q @ (Q.T @ EV)) <= EQUALITY_TOL * norm_E
     )
     if not consistency_ok:
         failures.append(
@@ -327,7 +327,8 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     # (the property being checked is scale invariant).
     op_norms = [_norm2(M) for M in (sys.A_l, sys.B_l, sys.C_l, sys.D_l)]
     a_norm, norms = op_norms[0], max(op_norms)
-    amp_scale = 1.0 / ((1.0 + _norm2(E)) * (1.0 + norms) ** 3)
+    norm2_E = float(sigma_E[0]) if sigma_E.size else 0.0
+    amp_scale = 1.0 / ((1.0 + norm2_E) * (1.0 + norms) ** 3)
     span = min(0.25, 3.0 / (1.0 + a_norm))
     steps = max(int(round(span / 1e-3)), 10)
     times = np.linspace(0.0, span, steps + 1)
@@ -366,7 +367,7 @@ def project_solution(
     v = M E x and g = pinv(D_l) ((x^T, u^T)^T - C_l M E x), samplewise.
     """
     v = traj.x @ (assoc.M @ assoc.E).T
-    w = np.hstack([traj.x, traj.u])
+    w = np.concatenate([traj.x, traj.u], axis=1)
     g = (w - v @ assoc.C_l.T) @ pinv(assoc.D_l, assoc.tol).T
     return v, g
 
@@ -415,7 +416,7 @@ def feedback_equivalence(
     if s1.k != s2.k or rank(U, s1.tol) != s1.k:
         raise NotEquivalent("recovered input change U is singular")
 
-    scale = 1.0 + max(np.linalg.norm(M) for M in (s1.A_l, s1.C_l, s2.A_l, s2.C_l))
+    scale = 1.0 + max(_norm(M) for M in (s1.A_l, s1.C_l, s2.A_l, s2.C_l))
     checks = [
         ("A", T @ (s1.A_l + s1.B_l @ K) @ T_inv - s2.A_l),
         ("B", T @ s1.B_l @ U - s2.B_l),
@@ -423,9 +424,9 @@ def feedback_equivalence(
         ("D", s1.D_l @ U - s2.D_l),
     ]
     for name, resid in checks:
-        if np.linalg.norm(resid) > EQUALITY_TOL * scale:
+        if _norm(resid) > EQUALITY_TOL * scale:
             raise NotEquivalent(
-                f"identity for {name} fails with residual {np.linalg.norm(resid):.3e}"
+                f"identity for {name} fails with residual {_norm(resid):.3e}"
             )
     return T, K, U
 

@@ -114,7 +114,7 @@ def wong_limit(dae: DaeLti, tol: float | None = None) -> Subspace:
     W = np.eye(dae.n)
     while True:
         EV = image(dae.E @ W, tol)
-        target = image(np.hstack([EV.basis, im_B.basis]), tol)
+        target = image(np.concatenate([EV.basis, im_B.basis], axis=1), tol)
         step = preimage(dae.A @ W, target, tol, norm_A)
         if step.dim == W.shape[1]:
             return _orthonormal(W)
@@ -128,8 +128,8 @@ def impulse_controllable(dae: DaeLti, tol: float | None = None) -> bool:
     and the test compares rank [E, A, B] with rank [E, B].
     """
     Z = kernel(dae.E, tol).basis
-    full = rank(np.hstack([dae.E, dae.A, dae.B]), tol)
-    constrained = rank(np.hstack([dae.E, dae.A @ Z, dae.B]), tol)
+    full = rank(np.concatenate([dae.E, dae.A, dae.B], axis=1), tol)
+    constrained = rank(np.concatenate([dae.E, dae.A @ Z, dae.B], axis=1), tol)
     return full == constrained
 
 

@@ -9,6 +9,7 @@ __all__ = [
     "NotStabilizable",
     "InconsistentInitialState",
     "ConstraintViolated",
+    "OrderedSchurFailed",
 ]
 
 
@@ -42,3 +43,7 @@ class InconsistentInitialState(Dae2OdeError):
 
 class ConstraintViolated(Dae2OdeError):
     """A replayed trajectory failed the algebraic constraint check."""
+
+
+class OrderedSchurFailed(Dae2OdeError):
+    """No ordered real Schur form splitting off the stable modes was found."""

@@ -66,6 +66,7 @@ from .subspaces import (
     SEMIDEFINITE_TOL,
     SYMMETRY_TOL,
     _finite,
+    _norm,
     _norm2,
     ensure_matrix,
 )
@@ -561,10 +562,8 @@ def _are_residual(sys: OdeLti, S: np.ndarray, P: np.ndarray, K: np.ndarray) -> f
     resid = P @ A + A.T @ P - K.T @ (D.T @ S @ D) @ K + C.T @ S @ C
     C_cl = C - D @ K
     with np.errstate(over="ignore", invalid="ignore"):
-        scale = 2.0 * np.linalg.norm(A - B @ K) * np.linalg.norm(P) + np.linalg.norm(
-            C_cl.T @ S @ C_cl
-        )
-        return float(np.linalg.norm(resid) / scale) if scale else 0.0
+        scale = 2.0 * _norm(A - B @ K) * _norm(P) + _norm(C_cl.T @ S @ C_cl)
+        return _norm(resid) / scale if scale else 0.0
 
 
 def is_behaviorally_stabilizable(dae: DaeLti, assoc: AssociatedOdeLti, z) -> bool:
@@ -718,8 +717,8 @@ def closed_loop_replay(
     z = np.asarray(z, dtype=float).reshape(-1)
     _internal_start(assoc, z)
     traj = solution.traj
-    gap = np.linalg.norm(assoc.E @ traj.x[0] - z)
-    if gap > EQUALITY_TOL * max(1.0, np.linalg.norm(z)):
+    gap = _norm(assoc.E @ traj.x[0] - z)
+    if gap > EQUALITY_TOL * max(1.0, _norm(z)):
         raise ConstraintViolated(f"trajectory starts {gap:.3e} away from z: E x(0) != z")
     if isinstance(solution, InfiniteHorizonSolution):
         K1x = traj.x @ solution.K1.T

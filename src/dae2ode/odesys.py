@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import ResidualTooLarge
+from .errors import OrderedSchurFailed, ResidualTooLarge
 from .subspaces import (
     EQUALITY_TOL,
     GRID_TOL,
@@ -221,13 +221,15 @@ def weakly_unobservable(
     ``EQUALITY_TOL`` (1 + the norm of R's column): the V found is then not
     output-nulling.
     """
-    S = np.vstack([np.hstack([sys.A, sys.B]), np.hstack([sys.C, sys.D])])
+    S = np.concatenate(
+        [np.concatenate([sys.A, sys.B], axis=1), np.concatenate([sys.C, sys.D], axis=1)]
+    )
     rule = (default_rank_tol(S) if tol is None else tol, _norm2(S))
     Q, d = np.eye(sys.n_states), sys.n_states
     while True:
         W, W_perp = Q[:, :d], Q[:, d:]
-        M = np.vstack([W_perp.T @ sys.B, sys.D])
-        R = np.vstack([W_perp.T @ (sys.A @ W), sys.C @ W])
+        M = np.concatenate([W_perp.T @ sys.B, sys.D])
+        R = np.concatenate([W_perp.T @ (sys.A @ W), sys.C @ W])
         U, s, Vh = _svd(M)
         rho = _rank_from_singular_values(M, s, *rule)
         X = U[:, rho:].T @ R
@@ -235,7 +237,7 @@ def weakly_unobservable(
         tau = _rank_from_singular_values(X, sx, *rule)
         if tau == 0:
             break
-        Q[:, :d] = W @ np.vstack([Vhx[tau:], Vhx[:tau]]).T
+        Q[:, :d] = W @ np.concatenate([Vhx[tau:], Vhx[:tau]]).T
         d -= tau
     F_V = -Vh[:rho].T @ ((U[:, :rho].T @ R) / s[:rho, None])
     resid = np.linalg.norm(M @ F_V + R, axis=0)
@@ -256,7 +258,8 @@ def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
     arises, and every rank is decided at ``tol`` against ||[A, B]||_2, as
     ``preimage`` decides its own.  The stable modes are taken from an
     ordered real Schur form Z of the unreached block Q_u^T A Q_u alone
-    (``_schur``, LAPACK ``dgees``; LinAlgError when the reordering fails);
+    (``_schur``, LAPACK ``dgees``; OrderedSchurFailed, chained from its
+    LinAlgError, when the QR algorithm or the reordering fails);
     eigenvalues with real part >= -STABLE_EIG_TOL (marginal included) count
     as unstable.  The basis [Q_reached | Q_u Z_stable] is then orthonormal,
     A-invariant and contains im B by construction.  A stabilizable pair
@@ -273,7 +276,7 @@ def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
     if r == 0:
         return zero_space(0)
 
-    S = np.hstack([A, B])
+    S = np.concatenate([A, B], axis=1)
     rule = (default_rank_tol(S) if tol is None else tol, _norm2(S))
     Q, d, block = np.eye(r), 0, B
     while d < r:
@@ -288,7 +291,12 @@ def stabilizability_subspace(A, B, tol: float | None = None) -> Subspace:
         return full_space(r)
 
     Q_u = Q[:, d:]
-    _, Z, sdim = _schur(Q_u.T @ A @ Q_u, lambda re, im: re < -STABLE_EIG_TOL)
+    try:
+        _, Z, sdim = _schur(Q_u.T @ A @ Q_u, lambda re, im: re < -STABLE_EIG_TOL)
+    except np.linalg.LinAlgError as exc:
+        raise OrderedSchurFailed(
+            f"stabilizability_subspace: no ordered Schur form of the unreached block: {exc}"
+        ) from exc
     if d + sdim == r:
         return full_space(r)
-    return _orthonormal(np.hstack([Q[:, :d], Q_u @ Z[:, :sdim]]))
+    return _orthonormal(np.concatenate([Q[:, :d], Q_u @ Z[:, :sdim]], axis=1))

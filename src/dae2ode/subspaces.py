@@ -20,6 +20,14 @@ Conventions
   NumPy does: SciPy hands them back Fortran-ordered, and the products
   formed from them would then run other BLAS kernels and move the
   rounding of every later result.
+* One QR routine, ``_qr``, gives the orthonormal factor of every QR
+  factorization, by LAPACK ``dgeqrf`` and ``dorgqr`` with NumPy's
+  workspace, so it is ``numpy.linalg.qr(M)[0]`` bit for bit; and one norm,
+  ``_norm``, takes every whole-array 2-norm and Frobenius norm by
+  ``numpy.linalg.norm``'s own formula, sqrt(x . x).  Neither runs NumPy's
+  per-call dispatch.  (The bits of ``_svd`` and ``_qr`` are NumPy's when
+  BLAS runs one thread; large products split over several threads may
+  round otherwise, since NumPy and SciPy each link their own OpenBLAS.)
 * One rank rule, ``_rank_from_singular_values``, makes every rank decision
   in the package, at one default cutoff: it counts the singular values
   above ``tol * max(sigma_max, scale)``, and ``tol`` defaults to
@@ -65,6 +73,7 @@ Conventions
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -116,7 +125,8 @@ def ensure_matrix(M, name: str = "matrix") -> np.ndarray:
     M = np.asarray(M)
     if M.dtype.kind == "c":
         raise ValueError(f"{name} must be real, got dtype {M.dtype}")
-    M = np.asarray(M, dtype=float)
+    if M.dtype != np.float64:
+        M = M.astype(float)
     if M.ndim != 2:
         M = np.atleast_2d(M)
         if M.ndim != 2:
@@ -178,6 +188,43 @@ def _gesdd_lwork(m: int, n: int, compute_uv: bool, full_matrices: bool) -> int:
         m, n, compute_uv=compute_uv, full_matrices=full_matrices
     )
     return int(query[0])
+
+
+def _qr(M: np.ndarray) -> np.ndarray:
+    """``numpy.linalg.qr(M)[0]`` of a finite 2-D float M by LAPACK ``dgeqrf``
+    and ``dorgqr``: the m x min(m, n) orthonormal factor, with the same bits.
+
+    Each routine gets the workspace NumPy gives it, max(1, n, the size its
+    query asks for), queried once per shape (``_qr_lwork``), and Q comes
+    back C-ordered, as NumPy's does.  An empty M gives an empty Q.
+    """
+    m, n = M.shape
+    k = min(m, n)
+    if not M.size:
+        return np.zeros((m, k))
+    lwork_f, lwork_o = _qr_lwork(m, n)
+    a, tau, _, _ = scipy.linalg.lapack.dgeqrf(M, lwork=lwork_f)
+    Q, _, _ = scipy.linalg.lapack.dorgqr(a[:, :k], tau, lwork=lwork_o, overwrite_a=True)
+    return np.ascontiguousarray(Q)
+
+
+@lru_cache(maxsize=1024)
+def _qr_lwork(m: int, n: int) -> tuple[int, int]:
+    """The workspaces NumPy gives ``dgeqrf`` and ``dorgqr`` at this shape:
+    max(1, n, each routine's query); the queries run once per shape."""
+    k = min(m, n)
+    a = np.zeros((m, n), order="F")
+    geqrf = scipy.linalg.lapack.dgeqrf(a, lwork=-1)[2][0]
+    orgqr = scipy.linalg.lapack.dorgqr(a[:, :k], np.zeros(k), lwork=-1)[1][0]
+    return max(1, n, int(geqrf)), max(1, n, int(orgqr))
+
+
+def _norm(x: np.ndarray) -> float:
+    """``numpy.linalg.norm(x)``, the Frobenius norm of a matrix and the
+    2-norm of a vector, by NumPy's own formula sqrt(x . x) on
+    ``x.ravel(order="K")``, so with its bits."""
+    x = x.ravel(order="K")
+    return math.sqrt(x.dot(x))
 
 
 def _norm2(M: np.ndarray) -> float:
@@ -248,7 +295,7 @@ class Subspace:
         if not np.all(np.isfinite(v)):
             raise ValueError("vector contains non-finite entries")
         resid = v - self.basis @ (self.basis.T @ v)
-        return bool(np.linalg.norm(resid) <= EQUALITY_TOL * max(1.0, np.linalg.norm(v)))
+        return _norm(resid) <= EQUALITY_TOL * max(1.0, _norm(v))
 
     def contains(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:

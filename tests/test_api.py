@@ -100,8 +100,10 @@ def test_one_cholesky_factorization_and_one_inverse():
     assert sorted(name for name, _ in calls) == ["dpotrf", "dpotrs"], calls
 
 
-# NumPy's wrappers of the SVD, which subspaces._svd (LAPACK dgesdd) replaces.
+# NumPy's wrappers of the SVD, which subspaces._svd (LAPACK dgesdd) replaces,
+# and of the QR, which subspaces._qr (dgeqrf, dorgqr) replaces.
 REPLACED_SVD_WRAPPERS = {"svd", "pinv", "cond", "matrix_rank"}
+REPLACED_QR_WRAPPERS = {"qr"}
 SVD_NORM_ORDERS = {2, -2, "nuc"}
 
 
@@ -117,26 +119,49 @@ def _is_svd_norm(call: ast.Call) -> bool:
     return False
 
 
-def test_no_module_calls_a_replaced_svd_wrapper():
-    # One SVD path: a NumPy SVD beside _svd would bring its own workspace,
-    # checks and factor order.  The package's own pinv is called by name,
-    # NumPy's through its module, so only attribute calls are counted.
+def _replaced_wrapper_calls(replaced, also=lambda call: False) -> list[str]:
+    """Imports from NumPy or SciPy of a name in ``replaced``, and calls of
+    such a name through a module or for which ``also`` holds.  The
+    package's own functions are called by name, NumPy's through its
+    module, so only attribute calls of a replaced name are counted."""
     found = []
     for path in PACKAGE.glob("*.py"):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.ImportFrom) and (node.module or "").startswith(
                 ("numpy", "scipy")
             ):
-                names = [a.name for a in node.names if a.name in REPLACED_SVD_WRAPPERS]
+                names = [a.name for a in node.names if a.name in replaced]
             elif isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-                by_module = isinstance(func, ast.Attribute) and name in REPLACED_SVD_WRAPPERS
-                names = [name] if by_module or (name == "norm" and _is_svd_norm(node)) else []
+                name = _call_name(node)
+                by_module = isinstance(node.func, ast.Attribute) and name in replaced
+                names = [name] if by_module or also(node) else []
             else:
                 continue
             found += [f"{path.name}:{node.lineno} {n}" for n in names]
-    assert found == []
+    return found
+
+
+def test_no_module_calls_a_replaced_svd_wrapper():
+    # One SVD path: a NumPy SVD beside _svd would bring its own workspace,
+    # checks and factor order.
+    def svd_norm(call):
+        return _call_name(call) == "norm" and _is_svd_norm(call)
+
+    assert _replaced_wrapper_calls(REPLACED_SVD_WRAPPERS, svd_norm) == []
+
+
+def test_no_module_calls_a_replaced_qr_wrapper():
+    # One QR path, subspaces._qr, for the same reason.
+    assert _replaced_wrapper_calls(REPLACED_QR_WRAPPERS) == []
+
+
+def test_whole_array_norms_use_the_norm_helper():
+    # subspaces._norm takes every whole-array norm; NumPy's norm is left
+    # only for the column norms, which name their axis.
+    def whole_array_norm(call):
+        return _call_name(call) == "norm" and "axis" not in [kw.arg for kw in call.keywords]
+
+    assert _replaced_wrapper_calls(set(), whole_array_norm) == []
 
 
 def test_every_error_class_is_raised():

@@ -17,10 +17,11 @@ from dae2ode import (
     simulate,
     verify_associated,
     weakly_unobservable,
+    wong_limit,
 )
-from dae2ode.subspaces import EQUALITY_TOL, rank
+from dae2ode.subspaces import EQUALITY_TOL, image, rank
 
-from conftest import conditioned, example_one, power_of_two_scaling, random_dae
+from conftest import conditioned, example_one, planted_dae, power_of_two_scaling, random_dae
 
 
 def tall_autonomous() -> DaeLti:
@@ -171,6 +172,45 @@ class TestVerifyAssociated:
             assert report.ok, report.failures
             assert report.max_lift_residual <= 1e-5
 
+    @pytest.mark.parametrize("stream", ["random", "planted_1", "planted_30", "planted_300"])
+    def test_one_svd_per_matrix_decides_as_the_primitives(self, stream, monkeypatch):
+        # verify_associated factors E C_s once (reduced) and E once (values
+        # only); its rank decisions and consistency basis must be those of
+        # rank(E C_s), rank(E) and image(E C_s), exactly.
+        module = importlib.import_module("dae2ode.associate")
+        svd, seen = module._svd, []
+
+        def spy(M, compute_uv=True, full_matrices=True):
+            seen.append((M, compute_uv, full_matrices))
+            return svd(M, compute_uv, full_matrices)
+
+        monkeypatch.setattr(module, "_svd", spy)
+        rng = np.random.default_rng(7)
+        if stream == "random":
+            daes = [random_dae(rng) for _ in range(300)]
+        else:
+            cond = float(stream.split("_")[1])
+            daes = [planted_dae(rng, cond).dae for _ in range(300)]
+        for idx, dae in enumerate(daes):
+            assoc = associate(dae)
+            seen.clear()
+            report = verify_associated(dae, assoc)
+            EC_s, E, tol = dae.E @ assoc.C_s, dae.E, assoc.tol
+            assert [mode for _, *mode in seen] == [[True, False], [False, True]], idx
+            assert np.array_equal(seen[0][0], EC_s) and seen[1][0] is E, idx
+            rank_ec, Q = rank(EC_s, tol), image(EC_s, tol).basis
+            assert Q.shape[1] == rank_ec, idx
+            assert np.array_equal(svd(EC_s, full_matrices=False)[0][:, :rank_ec], Q), idx
+            assert report.ec_s_full_rank == (rank_ec == assoc.n_hat), idx
+            assert report.state_dim_bound_ok == (assoc.n_hat <= rank(E, tol)), idx
+            V = wong_limit(dae, tol).basis
+            EV, Q_c, norm_E = E @ V, np.linalg.qr(assoc.C_s)[0], np.linalg.norm(E)
+            consistent = bool(
+                np.linalg.norm(E @ Q_c - EV @ (V.T @ Q_c)) <= EQUALITY_TOL * norm_E
+                and np.linalg.norm(EV - Q @ (Q.T @ EV)) <= EQUALITY_TOL * norm_E
+            )
+            assert report.consistency_ok == consistent, idx
+
     def test_forward_identities_hold_on_criterion_3_stream(self):
         rng = np.random.default_rng(20260814)
         for idx in range(100):
@@ -287,6 +327,9 @@ class TestVerifyAssociated:
         tainted = dataclasses.replace(ex1_assoc, C_l=C_bad)
         report = verify_associated(ex1, tainted)
         assert not report.ec_s_full_rank
+        # im(E C_s) is a line, cut at the rank of E C_s, not at n_hat: it
+        # misses part of E times the Wong limit, R^2.
+        assert not report.consistency_ok
         assert not report.ok
 
     def test_oversized_state_space_detected(self, ex1):

@@ -329,6 +329,29 @@ def test_package_error_exits_1(tmp_path, capsys):
     assert captured.err == "dae2ode: no friend for basis vector 0: residual 1.031e+00\n"
 
 
+def test_failed_schur_form_is_a_package_error(tmp_path, capsys, monkeypatch):
+    # No input reaches either mode, so the stabilizability test orders the
+    # Schur form of all of A_l; a failure there is named, not a usage error.
+    odesys = importlib.import_module("dae2ode.odesys")
+
+    def failing(H, select=None):
+        raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
+
+    monkeypatch.setattr(odesys, "_schur", failing)
+    path = write_problem(
+        tmp_path / "p.json",
+        {"E": [[1.0, 0.0], [0.0, 1.0]], "A": [[-1.0, 0.0], [0.0, 2.0]], "B": [[0.0], [0.0]]},
+    )
+    rc = main(["check", path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert captured.err == (
+        "dae2ode: stabilizability_subspace: no ordered Schur form of the unreached block: "
+        "Leading eigenvalues do not satisfy sort condition.\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["simulate", "lq-infinite", "lq-finite"])
 def test_missing_initial_value_is_a_usage_error(tmp_path, capsys, command):
     path = ex1_problem(tmp_path, Q=np.eye(3).tolist(), R=[[1.0]], t1=1.0)
@@ -454,7 +477,8 @@ class TestTol:
     def test_associate_verifies_at_the_cutoff(self, tmp_path, capsys, monkeypatch):
         # E's singular value 1e-6 is a zero at --tol 1e-4: the realization
         # treats x2 as algebraic, and so must the Wong limit it is checked
-        # against.
+        # against.  The rule sees the ranks of E (twice: associate's and
+        # verify_associated's) and of E C_s; ``rank`` sees D_l's.
         module = importlib.import_module("dae2ode.associate")
         seen = []
 
@@ -482,8 +506,8 @@ class TestTol:
         assert rc == 0
         assert "consistency_ok: true" in out
         assert sorted(seen) == (
-            [("_rank_from_singular_values", 1e-4)] * 2
-            + [("rank", 1e-4)] * 2
+            [("_rank_from_singular_values", 1e-4)] * 3
+            + [("rank", 1e-4)]
             + [("wong_limit", 1e-4)]
         )
 

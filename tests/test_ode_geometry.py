@@ -13,6 +13,7 @@ from dae2ode import (
     weakly_unobservable,
 )
 from dae2ode import odesys
+from dae2ode.errors import Dae2OdeError, OrderedSchurFailed
 from dae2ode.heat import HeatConfig, build_heat_models
 from dae2ode.lq import _left_half_plane
 from dae2ode.subspaces import EQUALITY_TOL, STABLE_EIG_TOL
@@ -467,10 +468,28 @@ class TestSchur:
                 odesys._schur(H, _left_half_plane)
 
     def test_failed_reordering_raises_linalg_error(self, failing_dgees):
+        # _schur keeps SciPy's failure; stabilizability_subspace reports it
+        # as its own, chained from that LinAlgError.
         with pytest.raises(np.linalg.LinAlgError, match="sort condition"):
             odesys._schur(np.diag([-1.0, 2.0]), _left_half_plane)
-        with pytest.raises(np.linalg.LinAlgError, match="sort condition"):
+        with pytest.raises(OrderedSchurFailed, match="sort condition") as info:
             stabilizability_subspace(np.diag([-1.0, 2.0]), np.zeros((2, 1)))
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+
+    def test_stabilizability_subspace_names_a_failed_schur_form(self, monkeypatch):
+        def failing(H, select=None):
+            raise np.linalg.LinAlgError("Leading eigenvalues do not satisfy sort condition.")
+
+        monkeypatch.setattr(odesys, "_schur", failing)
+        with pytest.raises(OrderedSchurFailed) as info:
+            stabilizability_subspace(np.diag([-1.0, 2.0]), np.zeros((2, 1)))
+        assert str(info.value) == (
+            "stabilizability_subspace: no ordered Schur form of the unreached block: "
+            "Leading eigenvalues do not satisfy sort condition."
+        )
+        assert isinstance(info.value, Dae2OdeError)
+        assert not isinstance(info.value, ValueError)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     @pytest.mark.parametrize(
         "info, message",

@@ -23,7 +23,7 @@ from dae2ode import (
     wong_limit,
 )
 from dae2ode import subspaces
-from dae2ode.subspaces import _svd, default_rank_tol, ensure_matrix
+from dae2ode.subspaces import _norm, _qr, _svd, default_rank_tol, ensure_matrix
 
 
 def axis(ambient: int, *indices: int) -> Subspace:
@@ -161,6 +161,66 @@ class TestSvd:
             rank(M)
         with pytest.raises(np.linalg.LinAlgError, match="SVD did not converge"):
             pinv(M)
+
+
+def layouts(M):
+    """M C-ordered, Fortran-ordered and as a strided view into a larger
+    array, the layouts a caller's array may come in."""
+    rng = np.random.default_rng(M.size)
+    m, n = M.shape
+    strided = rng.standard_normal((2 * m + 1, 3 * n + 1))
+    strided[1::2, 2::3] = M
+    return {"c": M, "fortran": np.asfortranarray(M), "strided": strided[1::2, 2::3]}
+
+
+class TestQrAndNorm:
+    """``subspaces._qr`` calls LAPACK ``dgeqrf`` and ``dorgqr`` itself and
+    ``subspaces._norm`` takes NumPy's own formula: each must give the bits
+    of the NumPy call it replaces, whatever the layout of its input."""
+
+    @staticmethod
+    def inputs():
+        rng = np.random.default_rng(3003)
+        yield from svd_inputs()
+        for shape in ((60, 5), (5, 60), (40, 40)):
+            yield rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8)
+
+    def test_qr_matches_numpy_bitwise(self):
+        for M in self.inputs():
+            for layout, X in layouts(M).items():
+                before = X.copy()
+                got, want = _qr(X), np.linalg.qr(X)[0]
+                assert got.shape == want.shape == (M.shape[0], min(M.shape)), (M.shape, layout)
+                assert np.array_equal(got, want), (M.shape, layout)
+                assert got.flags.c_contiguous, (M.shape, layout)
+                assert np.array_equal(X, before), (M.shape, layout)
+
+    def test_norm_matches_numpy_bitwise(self):
+        for M in self.inputs():
+            for layout, X in layouts(M).items():
+                for x in (X, X[0] if X.shape[0] else X.ravel(), X.T):
+                    got, want = _norm(x), np.linalg.norm(x)
+                    assert got == want and type(got) is float, (M.shape, layout)
+
+    def test_norm_overflows_as_numpy_does(self):
+        # No rescaling: a sum of squares beyond the largest double reads inf.
+        x = np.full(4, 1e300)
+        with np.errstate(over="ignore"):
+            assert _norm(x) == np.linalg.norm(x) == np.inf
+
+
+class TestEnsureMatrix:
+    def test_float_matrix_passes_through(self):
+        for M in (np.eye(3), np.asfortranarray(np.ones((2, 3))), np.ones((4, 6))[::2, ::3]):
+            assert ensure_matrix(M) is M
+
+    def test_other_real_inputs_convert_to_float(self):
+        for raw in ([[1, 2], [3, 4]], np.eye(2, dtype=np.float32), np.eye(2, dtype=">f8"),
+                    np.array([[True, False]]), 2.5, [1.0, 2.0]):
+            M = ensure_matrix(raw)
+            want = np.atleast_2d(np.asarray(raw, dtype=float))
+            assert M.dtype == np.float64 and M.dtype.isnative
+            assert M.shape == want.shape and np.array_equal(M, want)
 
 
 class TestImage:
