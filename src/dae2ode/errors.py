@@ -26,7 +26,7 @@ class NotEquivalent(Dae2OdeError):
 
 
 class NonFiniteP(Dae2OdeError):
-    """Riccati integration produced non-finite entries."""
+    """Riccati integration, or the closed loop it drives, produced non-finite entries."""
 
 
 class NoStabilizingStart(Dae2OdeError):

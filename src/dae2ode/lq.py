@@ -427,11 +427,21 @@ def finite_horizon(
     The optimal pair is (x*, u*)(s) = (C_l - D_l K(t1 - s)) v(s) with
     v' = (A_l - B_l K(t1 - s)) v, v(0) = M z; the cost is M(z)'P(t1)M(z).
     ``dae`` is not consulted (E is ``assoc.E``); the benchmark still passes it.
+
+    Raises NonFiniteP, naming the first node, when P overflows, or when the
+    closed loop's back scan does, at the first real-time node s whose state
+    is not finite.
     """
     v0 = _internal_start(assoc, z)
     P_samples, K_samples, Phi = solve_dre(assoc, w, t1, steps)
     grid = np.linspace(0.0, t1, P_samples.shape[0])
-    v_samples = _back_scan(Phi, P_samples, v0)
+    # Overflow is reported by NonFiniteP alone, not by a warning first.
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_samples = _back_scan(Phi, P_samples, v0)
+        finite = np.isfinite(v_samples.sum()) or np.isfinite(v_samples).all(axis=1)
+    if not np.all(finite):
+        node = int(np.argmin(finite))
+        raise NonFiniteP(f"closed-loop state lost finiteness at s = {grid[node]:.6g}")
 
     # Node i of real time s_i has the gain K(t1 - s_i).
     K_nodes = K_samples[::-1]
@@ -440,7 +450,8 @@ def finite_horizon(
         assoc.C_l, assoc.D_l, K_nodes, assoc.M @ assoc.E, n
     )
     Kv = np.einsum("ijk,ik->ij", K_nodes, v_samples)
-    outputs = v_samples @ assoc.C_l.T - Kv @ assoc.D_l.T
+    outputs = v_samples @ assoc.C_l.T
+    outputs -= Kv @ assoc.D_l.T
     traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
     cost = float(v0 @ P_samples[-1] @ v0)
     return FiniteHorizonSolution(
@@ -707,9 +718,13 @@ def closed_loop_replay(
     max(1, ||z||), and satisfy K1 x + K2 u = 0 (with the solve's own
     matrices) up to ``REPLAY_TOL`` in the max norm at every grid node; since
     the optimal pair is the unique solution of that pointwise constraint, the
-    check pins it grid-pointwise.  Nothing is simulated or solved again.
+    check pins it grid-pointwise.  Nothing is simulated or solved again: the
+    defect K1 x + K2 u of every node is formed in one buffer, K2 u added in
+    place, and its max norm read as max(max, -min), so besides the given
+    trajectory the check holds at most two arrays of its size.
 
-    Raises ConstraintViolated when a check fails, and, as the solvers do,
+    Raises ConstraintViolated when a check fails, a defect that is not
+    finite included, and, as the solvers do,
     ValueError for a z of the wrong length and InconsistentInitialState for
     a z outside the consistency set.  ``dae`` is not consulted (E is
     ``assoc.E``); the benchmark still passes it.
@@ -721,11 +736,11 @@ def closed_loop_replay(
     if gap > EQUALITY_TOL * max(1.0, _norm(z)):
         raise ConstraintViolated(f"trajectory starts {gap:.3e} away from z: E x(0) != z")
     if isinstance(solution, InfiniteHorizonSolution):
-        K1x = traj.x @ solution.K1.T
+        defect = traj.x @ solution.K1.T
     else:
-        K1x = np.einsum("ioj,ij->io", solution.K1_samples, traj.x)
-    defect = K1x + traj.u @ solution.K2.T
-    worst = float(np.max(np.abs(defect))) if defect.size else 0.0
-    if worst > REPLAY_TOL:
+        defect = np.einsum("ioj,ij->io", solution.K1_samples, traj.x)
+    defect += traj.u @ solution.K2.T
+    worst = max(float(defect.max()), -float(defect.min())) if defect.size else 0.0
+    if not worst <= REPLAY_TOL:
         raise ConstraintViolated(f"trajectory violates K1 x + K2 u = 0: max defect {worst:.3e}")
     return traj

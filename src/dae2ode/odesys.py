@@ -141,7 +141,10 @@ def simulate(
         v_{k+1} = Phi v_k + (Gamma0 - Gamma1) q_k + Gamma1 q_{k+1}.
 
     The recurrence is evaluated by doubling, one matrix product per power
-    Phi^d with d = 1, 2, 4, ..., so there is no per-step loop.  ``inputs``
+    Phi^d with d = 1, 2, 4, ..., so there is no per-step loop.  Each product
+    is written straight into its rows of the returned states or, when it is
+    added to rows already there, into one scratch array first, so no pass
+    allocates a T-sized temporary.  ``inputs``
     holds one row per time sample, shape (T, s); any other shape raises
     ValueError.  It may be None for the zero input, in which case only A is
     discretized.  A non-finite initial state, input or time sample, or a
@@ -178,17 +181,19 @@ def simulate(
             M[r : r + s, r + s :] = np.eye(s)
             E = scipy.linalg.expm(M)
             Phi, Gamma0, Gamma1 = E[:r, :r], E[:r, r : r + s], E[:r, r + s :]
-            states[1:] = q[:-1] @ (Gamma0 - Gamma1).T + q[1:] @ Gamma1.T
+            scratch = np.empty((T - 1, r))
+            np.matmul(q[:-1], (Gamma0 - Gamma1).T, out=states[1:])
+            states[1:] += np.matmul(q[1:], Gamma1.T, out=scratch)
         # Row j starts as w_j (v0, then the forcing of step j - 1), and
         # v_k = sum_j Phi^(k-j) w_j.  After the pass with power Phi^d, row k
         # holds the terms with k - j < 2d; unforced, w_j = 0 for j > 0, so
-        # each pass just fills the next d rows.
+        # each pass just writes the next d rows in place.
         d, power = 1, Phi
         while d < T:
             if q is None:
-                states[d : 2 * d] = states[: min(d, T - d)] @ power.T
+                np.matmul(states[: min(d, T - d)], power.T, out=states[d : 2 * d])
             else:
-                states[d:] += states[:-d] @ power.T
+                states[d:] += np.matmul(states[:-d], power.T, out=scratch[: T - d])
             d *= 2
             if d < T:
                 power = power @ power

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -14,6 +15,7 @@ from dae2ode import (
     ConstraintViolated,
     DaeLti,
     InconsistentInitialState,
+    InfiniteHorizonSolution,
     LqWeights,
     NonFiniteP,
     NoStabilizingStart,
@@ -26,6 +28,7 @@ from dae2ode import (
     impulse_controllable,
     infinite_horizon,
     is_behaviorally_stabilizable,
+    simulate,
     solve_are,
     solve_dre,
     spectral_abscissa,
@@ -401,6 +404,26 @@ class TestFiniteHorizon:
         bad = dataclasses.replace(sol, K1_samples=sol.K1_samples + 1.0)
         with pytest.raises(ConstraintViolated):
             closed_loop_replay(ex1, ex1_assoc, bad, z)
+
+    def test_back_scan_overflow_raises_non_finite_p(self):
+        # Instance 83 of random_dae's seed-2 stream, its rows, states and
+        # inputs scaled by 2^round(U(-60, 60)): P stays finite on the whole
+        # grid, but the back scan's products overflow.  That must surface as
+        # the package error alone, naming the first real-time node lost.
+        rng = np.random.default_rng(2)
+        for _ in range(84):
+            dae = random_dae(rng)
+            S, T, R = (2.0 ** np.round(rng.uniform(-60, 60, k)) for k in (dae.c, dae.n, dae.m))
+            zr = rng.standard_normal(8)
+        dae = DaeLti(S[:, None] * dae.E * T, S[:, None] * dae.A * T, S[:, None] * dae.B * R)
+        assoc = associate(dae)
+        w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.eye(dae.c))
+        z = assoc.EC_s @ zr[: assoc.n_hat]
+        assert np.all(np.isfinite(solve_dre(assoc, w, 1.0)[0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteP, match="closed-loop state lost finiteness at s = 0.512$"):
+                finite_horizon(dae, assoc, w, z, 1.0)
 
 
 def care_oracle(restr, w):
@@ -865,6 +888,58 @@ class TestClosedLoopReplay:
         sol, z = self.solved(ex1, ex1_assoc, solve)
         with pytest.raises(ConstraintViolated, match="away from z"):
             closed_loop_replay(ex1, ex1_assoc, sol, 2.0 * z)
+
+    @REPLAYED_SOLVES
+    def test_non_finite_defect_detected(self, ex1, ex1_assoc, solve):
+        # A NaN in K1 makes every comparison with the tolerance false; the
+        # defect must still be refused, with no warning first.
+        sol, z = self.solved(ex1, ex1_assoc, solve)
+        field = "K1" if isinstance(sol, InfiniteHorizonSolution) else "K1_samples"
+        K1 = getattr(sol, field).copy()
+        K1[..., 0, 0] = np.nan
+        bad = dataclasses.replace(sol, **{field: K1})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConstraintViolated, match="max defect nan$"):
+                closed_loop_replay(ex1, ex1_assoc, bad, z)
+
+    def test_sample_paths_hold_no_temporaries_of_their_size(self):
+        # Criterion 5's stream: every solve replays clean, and on each one
+        # of at least 3000 samples the replay holds at most two arrays of
+        # the trajectory's size, and unforced simulate nothing T-sized
+        # beyond its states and outputs but the grid checks' 4 T doubles.
+        rng = np.random.default_rng(424242)
+        long_runs = 0
+        for idx in range(90):
+            dae = random_autonomous_unstable(rng) if idx % 3 == 2 else random_dae(rng)
+            assoc = associate(dae)
+            z = assoc.EC_s @ rng.standard_normal(assoc.n_hat)
+            w = LqWeights(np.eye(dae.n), np.eye(dae.m), np.zeros((dae.c, dae.c)))
+            try:
+                sol = infinite_horizon(dae, assoc, w, z)
+            except NotStabilizable:
+                continue
+            T = sol.traj.times.shape[0]
+            if T < 3000:
+                assert closed_loop_replay(dae, assoc, sol, z) is sol.traj
+                continue
+            long_runs += 1
+            g = sol.restriction.sys_g
+            cl = OdeLti(g.A - g.B @ sol.K, g.B, g.C - g.D @ sol.K, g.D)
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                assert closed_loop_replay(dae, assoc, sol, z) is sol.traj
+                replay_peak = tracemalloc.get_traced_memory()[1] - start
+                tracemalloc.reset_peak()
+                start = tracemalloc.get_traced_memory()[0]
+                states, outputs = simulate(cl, sol.v0, None, sol.traj.times)
+                simulate_peak = tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+            assert replay_peak <= 2 * T * (dae.n + dae.m) * 8 + 64 * 1024, idx
+            assert simulate_peak <= states.nbytes + outputs.nbytes + 4 * T * 8 + 64 * 1024, idx
+        assert long_runs > 0
 
 
 class TestRealizationOwnsE:
