@@ -428,9 +428,9 @@ def finite_horizon(
     v' = (A_l - B_l K(t1 - s)) v, v(0) = M z; the cost is M(z)'P(t1)M(z).
     ``dae`` is not consulted (E is ``assoc.E``); the benchmark still passes it.
 
-    Raises NonFiniteP, naming the first node, when P overflows, or when the
-    closed loop's back scan does, at the first real-time node s whose state
-    is not finite.
+    Raises NonFiniteP when P overflows, naming its first node tau, or when
+    the closed loop's back scan does, naming the first real-time node s
+    whose state is not finite.
     """
     v0 = _internal_start(assoc, z)
     P_samples, K_samples, Phi = solve_dre(assoc, w, t1, steps)
