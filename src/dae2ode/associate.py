@@ -328,7 +328,9 @@ def verify_associated(dae: DaeLti, sys: AssociatedOdeLti) -> AssociationReport:
     op_norms = [_norm2(M) for M in (sys.A_l, sys.B_l, sys.C_l, sys.D_l)]
     a_norm, norms = op_norms[0], max(op_norms)
     norm2_E = float(sigma_E[0]) if sigma_E.size else 0.0
-    amp_scale = 1.0 / ((1.0 + norm2_E) * (1.0 + norms) ** 3)
+    # A cube past the largest double reads inf, and the amplitude 0, not an error.
+    with np.errstate(over="ignore"):
+        amp_scale = 1.0 / ((1.0 + norm2_E) * np.float64(1.0 + norms) ** 3)
     span = min(0.25, 3.0 / (1.0 + a_norm))
     steps = max(int(round(span / 1e-3)), 10)
     times = np.linspace(0.0, span, steps + 1)

@@ -33,9 +33,11 @@ horizon solver calls: ``solve_dre`` returns the samples together with the
 exponential the closed loop steps back by, ``solve_are`` the solution
 together with its closed-loop abscissa.  Both equations share one builder
 of that data and one gain routine.  Both horizon solvers return the
-optimal trajectory together with the feedback forms
-u* = K_f x* and the pointwise constraint description K1 x + K2 u = 0 whose
-solutions are exactly the optimal pair; ``closed_loop_replay`` checks a
+optimal trajectory with the feedback u* = K_f x*, formed by one map
+(C - D K) ME for one gain or a gain stack, and the pointwise constraint
+K1 x + K2 u = 0 whose solutions are exactly the optimal pair, with
+K1 = (C - D K) ME - [I; 0]; the finite horizon stores no K1, which follows
+at each node from its gain stack.  ``closed_loop_replay`` checks a
 returned trajectory against it without solving anything again.
 """
 
@@ -134,9 +136,11 @@ class FiniteHorizonSolution:
     """Finite-horizon LQ result on a uniform grid over [0, t1].
 
     ``P_samples[j]`` and ``K_samples[j]`` belong to Riccati time tau = grid[j]
-    (time left to the horizon); the trajectory and the feedback matrices
-    ``K_f_samples[i]``, ``K1_samples[i]`` belong to real time s = grid[i].
-    K2 is constant.  cost = M(z)' P(t1) M(z).
+    (time left to the horizon); the trajectory and the feedback
+    ``K_f_samples[i]`` belong to real time s = grid[i].  Node i has the gain
+    K_i = ``K_samples[::-1][i]``, so K_f_i = (C_u - D_u K_i) ME and the
+    constraint K1_i x + K2 u = 0 has K1_i = (C_l - D_l K_i) ME - [I; 0], with
+    ME = ``assoc.M @ assoc.E``; K2 is constant.  cost = M(z)' P(t1) M(z).
     """
 
     grid: np.ndarray
@@ -144,7 +148,6 @@ class FiniteHorizonSolution:
     K_samples: np.ndarray
     traj: Trajectory
     K_f_samples: np.ndarray
-    K1_samples: np.ndarray
     K2: np.ndarray
     cost: float
     v_samples: np.ndarray
@@ -232,28 +235,17 @@ def _closed_loop(sys: OdeLti, K: np.ndarray) -> OdeLti:
     return OdeLti(sys.A - sys.B @ K, sys.B, sys.C - sys.D @ K, sys.D)
 
 
-def _feedback_forms(C: np.ndarray, D: np.ndarray, K: np.ndarray, ME: np.ndarray, n: int):
-    """(K_f, K1, K2) of the closed-loop output map C - D K, for one gain K or
-    a stack of them, and the map ME from x to the internal state: u = K_f x,
-    and K1 x + K2 u = 0 holds exactly for the optimal pair.
+def _closed_loop_map(C: np.ndarray, D: np.ndarray, K: np.ndarray, ME: np.ndarray) -> np.ndarray:
+    """(C - D K) ME for one gain K or for each K of a stack.
 
-    K1 = (C ME - [I; 0]) - D K ME.  On a stack, D K_i ME is the row vec(K_i)
-    times kron(D', ME), so one product over the stack's rows forms every
-    K1_i, contiguous and in the stack's order; K_f is a view of K1's last m
-    rows.
+    It starts from the gains' transposed rows, as ``_gain`` forms them: one
+    product over the stacked rows forms (C - D K)' = C' - K'D', and one more,
+    over the rows of its transpose, multiplies by ME.
     """
-    K1 = C @ ME
-    K1[:n] -= np.eye(n)
-    if K.ndim == 2:
-        K1 -= D @ K @ ME
-    else:
-        N, k, n_hat = K.shape
-        kron = (D.T[:, None, :, None] * ME[:, None, :]).reshape(k * n_hat, K1.size)
-        DKME = np.ascontiguousarray(K.reshape(N, k * n_hat)) @ kron
-        K1 = np.subtract(K1.reshape(-1), DKME, out=DKME).reshape(N, *K1.shape)
-    m = C.shape[0] - n
-    K2 = np.vstack([np.zeros((n, m)), -np.eye(m)])
-    return K1[..., n:, :], K1, K2
+    *rows, k, n_hat = K.shape
+    N, p = math.prod(rows), C.shape[0]
+    C_cl_T = C.T - (K.swapaxes(-1, -2).reshape(N * n_hat, k) @ D.T).reshape(*rows, n_hat, p)
+    return (C_cl_T.swapaxes(-1, -2).reshape(N * p, n_hat) @ ME).reshape(*rows, p, ME.shape[1])
 
 
 def _internal_start(assoc: AssociatedOdeLti, z) -> np.ndarray:
@@ -445,17 +437,16 @@ def finite_horizon(
 
     # Node i of real time s_i has the gain K(t1 - s_i).
     K_nodes = K_samples[::-1]
-    n = assoc.n
-    K_f_samples, K1_samples, K2 = _feedback_forms(
-        assoc.C_l, assoc.D_l, K_nodes, assoc.M @ assoc.E, n
-    )
+    n, m, C_l, D_l = assoc.n, assoc.m, assoc.C_l, assoc.D_l
+    K_f_samples = _closed_loop_map(C_l[n:], D_l[n:], K_nodes, assoc.M @ assoc.E)
+    K2 = np.vstack([np.zeros((n, m)), -np.eye(m)])
     Kv = np.einsum("ijk,ik->ij", K_nodes, v_samples)
-    outputs = v_samples @ assoc.C_l.T
-    outputs -= Kv @ assoc.D_l.T
+    outputs = v_samples @ C_l.T
+    outputs -= Kv @ D_l.T
     traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
     cost = float(v0 @ P_samples[-1] @ v0)
     return FiniteHorizonSolution(
-        grid, P_samples, K_samples, traj, K_f_samples, K1_samples, K2, cost, v_samples
+        grid, P_samples, K_samples, traj, K_f_samples, K2, cost, v_samples
     )
 
 
@@ -635,12 +626,11 @@ def infinite_horizon(
     traj = Trajectory(grid, outputs[:, :n], outputs[:, n:])
 
     K_z = cl.C[n:] @ restr.M_g
-    sys_g = restr.sys_g
-    K_f, K1, K2 = _feedback_forms(sys_g.C, sys_g.D, K, restr.M_g @ assoc.E, n)
+    K1 = _closed_loop_map(restr.sys_g.C, restr.sys_g.D, K, restr.M_g @ assoc.E)
+    K1[:n] -= np.eye(n)
+    K2 = np.vstack([np.zeros((n, assoc.m)), -np.eye(assoc.m)])
     cost = float(v0 @ P @ v0)
-    return InfiniteHorizonSolution(
-        P, K, K_f, K_z, K1, K2, traj, cost, abscissa, restr, v0
-    )
+    return InfiniteHorizonSolution(P, K, K1[n:], K_z, K1, K2, traj, cost, abscissa, restr, v0)
 
 
 def _simpson(y: np.ndarray, t: np.ndarray) -> float:
@@ -721,7 +711,10 @@ def closed_loop_replay(
     check pins it grid-pointwise.  Nothing is simulated or solved again: the
     defect K1 x + K2 u of every node is formed in one buffer, K2 u added in
     place, and its max norm read as max(max, -min), so besides the given
-    trajectory the check holds at most two arrays of its size.
+    trajectory the check holds at most two arrays of its size.  On the finite
+    horizon no K1_i is formed: K1_i x_i = (C_l - D_l K_i) v_i - [x_i; 0] from
+    v_i = ME x_i and the solve's gain K_i = ``K_samples[::-1][i]``, so the
+    check holds v (T x n_hat) and K_i v_i (T x k) besides.
 
     Raises ConstraintViolated when a check fails, a defect that is not
     finite included, and, as the solvers do,
@@ -738,7 +731,10 @@ def closed_loop_replay(
     if isinstance(solution, InfiniteHorizonSolution):
         defect = traj.x @ solution.K1.T
     else:
-        defect = np.einsum("ioj,ij->io", solution.K1_samples, traj.x)
+        v = traj.x @ (assoc.M @ assoc.E).T
+        defect = v @ assoc.C_l.T
+        defect -= np.einsum("ijk,ik->ij", solution.K_samples[::-1], v) @ assoc.D_l.T
+        defect[:, : assoc.n] -= traj.x
     defect += traj.u @ solution.K2.T
     worst = max(float(defect.max()), -float(defect.min())) if defect.size else 0.0
     if not worst <= REPLAY_TOL:

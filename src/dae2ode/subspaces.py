@@ -337,11 +337,6 @@ def image(M, tol: float | None = None) -> Subspace:
 def kernel(M, tol: float | None = None, scale: float | None = None) -> Subspace:
     """Orthonormal basis of the null space of ``M``."""
     M = ensure_matrix(M)
-    m, n = M.shape
-    if n == 0:
-        return zero_space(0)
-    if m == 0:
-        return full_space(n)
     _, s, Vh = _gesdd(M)
     r = _rank_from_singular_values(M, s, tol, scale)
     return _orthonormal(Vh[r:].T)

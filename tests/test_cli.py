@@ -125,6 +125,18 @@ class TestAssociate:
                 assert np.array_equal(load_matrix(out_dir / f"{name}.txt"), M)
 
 
+    def test_norm_past_the_cube_of_the_largest_double_is_reported(self, tmp_path, capsys):
+        # ||A_l|| = 1e120: the round trip's amplitude (1 + ||.||)^-3 is below
+        # the smallest double, and the report is printed all the same.
+        body = {"E": np.eye(2).tolist(), "A": [[-1e120, 0.0], [0.0, -1.0]], "B": [[1.0], [0.0]]}
+        path = write_problem(tmp_path / "p.json", body)
+        rc = main(["associate", path])
+        captured = capsys.readouterr()
+        assert rc in (0, 1)
+        assert "verified: " in captured.out
+        assert "Traceback" not in captured.err
+
+
 class TestLqInfinite:
     def test_zero_start(self, tmp_path, capsys):
         path = ex1_problem(tmp_path, Q=np.eye(3).tolist(), R=[[1.0]])

@@ -36,8 +36,8 @@ from dae2ode import (
     wong_limit,
 )
 from dae2ode.dae import pencil_stabilizability_test
-from dae2ode.heat import HeatConfig, build_heat_models
-from dae2ode.lq import _are_residual, _gain, _hamiltonian, _lyapunov
+from dae2ode.heat import HeatConfig, build_heat_models, dae_lq_pipeline
+from dae2ode.lq import _are_residual, _closed_loop_map, _gain, _hamiltonian, _lyapunov
 from dae2ode.subspaces import ARE_RESIDUAL_TOL
 
 from conftest import (
@@ -290,7 +290,10 @@ class TestFiniteHorizon:
     def test_constraint_form_annihilates_trajectory(self, ex1, ex1_assoc):
         w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
         sol = finite_horizon(ex1, ex1_assoc, w, np.array([0.5, 2.0]), 1.0)
-        defect = np.einsum("ioj,ij->io", sol.K1_samples, sol.traj.x)
+        # K1 at node i follows from the gain K(t1 - s_i) = K_samples[::-1][i].
+        C_l, D_l, ME = ex1_assoc.C_l, ex1_assoc.D_l, ex1_assoc.M @ ex1.E
+        K1 = [(C_l - D_l @ K) @ ME - np.eye(4, 3) for K in sol.K_samples[::-1]]
+        defect = np.einsum("ioj,ij->io", np.array(K1), sol.traj.x)
         defect += sol.traj.u @ sol.K2.T
         assert np.max(np.abs(defect)) <= 1e-8
 
@@ -329,18 +332,19 @@ class TestFiniteHorizon:
         for dae, assoc, w, z in dre_population:
             sol = finite_horizon(dae, assoc, w, z, 1.0)
             n, ME = assoc.n, assoc.M @ dae.E
-            C_cl = [assoc.C_l - assoc.D_l @ K for K in sol.K_samples[::-1]]
+            K_nodes = sol.K_samples[::-1]
+            C_cl = [assoc.C_l - assoc.D_l @ K for K in K_nodes]
             outputs = [C @ v for C, v in zip(C_cl, sol.v_samples)]
             C_cl_ME = [C @ ME for C in C_cl]
             pairs = (
                 (sol.traj.x, [y[:n] for y in outputs]),
                 (sol.traj.u, [y[n:] for y in outputs]),
                 (sol.K_f_samples, [F[n:] for F in C_cl_ME]),
-                (sol.K1_samples, [F - np.eye(*F.shape) for F in C_cl_ME]),
+                (_closed_loop_map(assoc.C_l, assoc.D_l, K_nodes, ME), C_cl_ME),
             )
             for got, want in pairs:
                 assert np.linalg.norm(got - np.array(want)) <= 1e-13 * np.linalg.norm(want)
-            assert sol.K1_samples.flags.c_contiguous
+            assert sol.K_f_samples.flags.c_contiguous
 
     @pytest.mark.parametrize(
         "E, A, B",
@@ -359,11 +363,14 @@ class TestFiniteHorizon:
         assert np.all(sol.traj.x == 0.0) and np.all(sol.traj.u == 0.0)
         assert sol.cost == 0.0
         # With no internal state every node's feedback is C_l ME - [I; 0].
-        n = dae.n
-        want = assoc.C_l @ assoc.M @ assoc.E - np.eye(n + dae.m, n)
-        assert sol.K1_samples.shape == (101,) + want.shape
-        assert np.all(sol.K1_samples == want)
+        n, ME = dae.n, assoc.M @ assoc.E
+        want = assoc.C_l @ ME - np.eye(n + dae.m, n)
+        K1 = _closed_loop_map(assoc.C_l, assoc.D_l, sol.K_samples[::-1], ME) - np.eye(n + dae.m, n)
+        assert K1.shape == (101,) + want.shape
+        assert np.all(K1 == want)
+        assert sol.K_f_samples.shape == (101,) + want[n:].shape
         assert np.all(sol.K_f_samples == want[n:])
+        assert closed_loop_replay(dae, assoc, sol, np.zeros(dae.c)) is sol.traj
 
     def test_one_hamiltonian_exponential_per_solve(self, ex1, ex1_assoc, monkeypatch):
         calls = []
@@ -401,7 +408,7 @@ class TestFiniteHorizon:
         w = LqWeights(np.eye(3), np.eye(1), np.eye(2))
         z = np.array([1.0, 1.0])
         sol = finite_horizon(ex1, ex1_assoc, w, z, 1.0)
-        bad = dataclasses.replace(sol, K1_samples=sol.K1_samples + 1.0)
+        bad = dataclasses.replace(sol, K_samples=sol.K_samples + 1.0)
         with pytest.raises(ConstraintViolated):
             closed_loop_replay(ex1, ex1_assoc, bad, z)
 
@@ -424,6 +431,45 @@ class TestFiniteHorizon:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteP, match="closed-loop state lost finiteness at s = 0.512$"):
                 finite_horizon(dae, assoc, w, z, 1.0)
+
+
+class TestFiniteHorizonOnHeat:
+    """The finite horizon on the descriptor heat model."""
+
+    def test_cost_rises_with_the_horizon_to_the_infinite_horizon_cost(self):
+        # N = N_u = 20 with Q0 = 0: J_fin(t1) is nondecreasing in t1 and never
+        # above J_dae, up to rounding (1e-12 relative).  The gap closes like
+        # e^{-2 alpha t1}, alpha the closed loop's decay rate; at t1 = 2 it
+        # is below 1e-10 J_dae, which t1 = 1 does not reach yet.
+        models = build_heat_models(HeatConfig(N=20, N_u=20, mode=20))
+        dae, w, z = models.dae, models.weights, models.value_of_initial
+        assert not np.any(w.Q0)
+        assoc = associate(dae)
+        costs = [finite_horizon(dae, assoc, w, z, t1, steps=1000).cost for t1 in (0.1, 0.5, 1, 2)]
+        J_dae = dae_lq_pipeline(models).cost
+        assert all(a <= b for a, b in zip(costs, costs[1:])), costs
+        assert max(costs) <= J_dae * (1.0 + 1e-12)
+        assert abs(costs[-1] - J_dae) <= 1e-10 * J_dae
+        assert abs(costs[-2] - J_dae) > 1e-10 * J_dae
+
+    def test_peak_memory_stays_near_the_returned_stacks(self):
+        # N = 40, t1 = 0.1, 2001 nodes.  Besides the returned P, K and K_f
+        # stacks, the solve holds the closed-loop map's two nodes x n_hat x m
+        # temporaries (0.38 of the returned bytes here) and smaller arrays.
+        # A stored K1 stack (1.24 of them) or kron(D', ME) (1.87) would not
+        # fit in 1.75 times the returned bytes.
+        models = build_heat_models(HeatConfig(N=40))
+        assoc = associate(models.dae)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            sol = finite_horizon(models.dae, assoc, models.weights, models.value_of_initial, 0.1)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert sol.grid.shape[0] == 2001
+        returned = sol.P_samples.nbytes + sol.K_samples.nbytes + sol.K_f_samples.nbytes
+        assert peak <= 1.75 * returned, (peak, returned)
 
 
 def care_oracle(restr, w):
@@ -891,10 +937,11 @@ class TestClosedLoopReplay:
 
     @REPLAYED_SOLVES
     def test_non_finite_defect_detected(self, ex1, ex1_assoc, solve):
-        # A NaN in K1 makes every comparison with the tolerance false; the
-        # defect must still be refused, with no warning first.
+        # A NaN in K1, or in the gains the finite horizon's K1 follows from,
+        # makes every comparison with the tolerance false; the defect must
+        # still be refused, with no warning first.
         sol, z = self.solved(ex1, ex1_assoc, solve)
-        field = "K1" if isinstance(sol, InfiniteHorizonSolution) else "K1_samples"
+        field = "K1" if isinstance(sol, InfiniteHorizonSolution) else "K_samples"
         K1 = getattr(sol, field).copy()
         K1[..., 0, 0] = np.nan
         bad = dataclasses.replace(sol, **{field: K1})

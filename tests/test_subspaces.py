@@ -257,6 +257,10 @@ class TestKernel:
         assert K.dim == 3
         assert np.array_equal(K.basis, np.eye(3))
 
+    @pytest.mark.parametrize("rows", [3, 0])
+    def test_no_columns_gives_the_empty_basis(self, rows):
+        assert kernel(np.zeros((rows, 0))).basis.shape == (0, 0)
+
 
 class TestPreimage:
     def test_identity_map(self):
